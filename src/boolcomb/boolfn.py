@@ -18,6 +18,12 @@ MAX_ARITY = 16
 _ENUM_MAX_ARITY = 4
 
 
+def _check_arity(arity: int) -> None:
+    # named constructors call this before building a 2^(2^arity)-bit table
+    if not 0 <= arity <= MAX_ARITY:
+        raise SizeLimitExceeded(f"arity {arity} outside [0, {MAX_ARITY}]")
+
+
 @dataclass(frozen=True)
 class BooleanFunction:
     """Truth table of a boolean function f : {0,1}^k -> {0,1}."""
@@ -26,8 +32,7 @@ class BooleanFunction:
     table: int
 
     def __post_init__(self):
-        if not 0 <= self.arity <= MAX_ARITY:
-            raise SizeLimitExceeded(f"arity {self.arity} outside [0, {MAX_ARITY}]")
+        _check_arity(self.arity)
         if not 0 <= self.table < (1 << (1 << self.arity)):
             raise MalformedInput(f"table 0x{self.table:x} longer than 2^{self.arity} bits")
 
@@ -48,12 +53,14 @@ class BooleanFunction:
 
     @classmethod
     def constant(cls, arity: int, value: int) -> "BooleanFunction":
+        _check_arity(arity)
         table = ((1 << (1 << arity)) - 1) if value else 0
         return cls(arity, table)
 
     @classmethod
     def projection(cls, arity: int, coordinate: int) -> "BooleanFunction":
         """The function x -> x_coordinate (1-based coordinate)."""
+        _check_arity(arity)
         if not 1 <= coordinate <= arity:
             raise OutOfRangeVariable(f"coordinate {coordinate} outside [1, {arity}]")
         table = 0
@@ -72,14 +79,17 @@ class BooleanFunction:
 
     @classmethod
     def or_(cls, arity: int) -> "BooleanFunction":
+        _check_arity(arity)
         return cls(arity, ((1 << (1 << arity)) - 1) & ~1)
 
     @classmethod
     def and_(cls, arity: int) -> "BooleanFunction":
+        _check_arity(arity)
         return cls(arity, 1 << ((1 << arity) - 1))
 
     @classmethod
     def xor_(cls, arity: int) -> "BooleanFunction":
+        _check_arity(arity)
         table = 0
         for i in range(1 << arity):
             if bin(i).count("1") % 2 == 1:
@@ -108,8 +118,7 @@ class BooleanFunction:
             table = int(parts[1], 16)
         except ValueError as exc:
             raise MalformedInput(f"cannot parse boolean function {text!r}") from exc
-        if arity < 0 or arity > MAX_ARITY:
-            raise SizeLimitExceeded(f"arity {arity} outside [0, {MAX_ARITY}]")
+        _check_arity(arity)
         if table >= (1 << (1 << arity)):
             raise MalformedInput(f"table in {text!r} longer than 2^{arity} bits")
         return cls(arity, table)

@@ -71,21 +71,6 @@ def _certify(target: Graph, f: BooleanFunction, parts: Sequence[tuple[Graph, Cla
 # -- edge coloring -----------------------------------------------------------------
 
 
-def _greedy_edge_coloring(g: Graph) -> dict[tuple[int, int], int]:
-    """First-fit proper edge coloring; at most 2*Delta - 1 colors."""
-    used = [0] * g.n
-    colors: dict[tuple[int, int], int] = {}
-    for u, v in sorted(g.edges()):
-        taken = used[u] | used[v]
-        c = 0
-        while (taken >> c) & 1:
-            c += 1
-        colors[(u, v)] = c
-        used[u] |= 1 << c
-        used[v] |= 1 << c
-    return colors
-
-
 def _misra_gries_edge_coloring(g: Graph) -> dict[tuple[int, int], int]:
     """Proper edge coloring with at most Delta + 1 colors (fan recoloring)."""
     n = g.n
@@ -188,20 +173,14 @@ def _misra_gries_edge_coloring(g: Graph) -> dict[tuple[int, int], int]:
     return colors
 
 
-def edge_coloring_matchings(g: Graph, method: str = "misra_gries") -> list[Graph]:
-    """Partition the edge set into matchings; Delta + 1 of them at most
-    for the default method, 2*Delta - 1 for the greedy debug fallback.
+def edge_coloring_matchings(g: Graph) -> list[Graph]:
+    """Partition the edge set into at most Delta + 1 matchings.
 
     A final pass merges color classes whose covered vertex sets are
     disjoint, which often recovers the optimal count on small graphs
     (2 for even cycles, 3 for K_4) and never hurts the bound.
     """
-    if method == "misra_gries":
-        colors = _misra_gries_edge_coloring(g)
-    elif method == "greedy":
-        colors = _greedy_edge_coloring(g)
-    else:
-        raise ValueError(f"unknown edge coloring method {method!r}")
+    colors = _misra_gries_edge_coloring(g)
     by_color: dict[int, list[tuple[int, int]]] = {}
     for edge, c in colors.items():
         by_color.setdefault(c, []).append(edge)
@@ -223,7 +202,7 @@ def edge_coloring_matchings(g: Graph, method: str = "misra_gries") -> list[Graph
     return [Graph.from_edges(g.n, edges) for edges in merged_edges]
 
 
-def vizing_matchings(g: Graph, method: str = "misra_gries") -> Decomposition:
+def vizing_matchings(g: Graph) -> Decomposition:
     """Express g (or its complement) as a union of at most Delta + 1 matchings.
 
     The complement branch triggers when the complement is strictly
@@ -234,7 +213,7 @@ def vizing_matchings(g: Graph, method: str = "misra_gries") -> Decomposition:
         base, negate = g, False
     else:
         base, negate = co, True
-    matchings = edge_coloring_matchings(base, method=method)
+    matchings = edge_coloring_matchings(base)
     if not matchings:
         matchings = [Graph.empty(g.n)]
     s = len(matchings)

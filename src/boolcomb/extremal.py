@@ -1,9 +1,10 @@
 """The H(n,k) extremal family, coloring-bound experiments, and the
 fixed catalogue of finite theorem checks.
 
-Each catalogue entry runs a deterministic desk-scale verification of
-one structural claim and reports a TheoremCheck; a failing check always
-carries a machine-reverifiable counterexample.
+A catalogue check is data: a scope string plus a search, a generator
+that yields counterexample dicts.  One runner takes the first
+counterexample, if any, and reports a TheoremCheck; a failing check
+always carries a machine-reverifiable counterexample.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
-from typing import Callable, Optional
+from itertools import combinations
+from typing import Callable, Iterator, Optional
 
 from .boolfn import BooleanFunction, enumerate_functions
 from .booldim import exists_representation, restricted_dimension
 from .classes import (
     EQUIVALENCE,
+    MULTIPARTITE,
     ClassTag,
     at_most_edges,
     enumerate_members,
@@ -28,12 +30,13 @@ from .classes import (
 )
 from .errors import (
     BudgetExceeded,
+    MalformedInput,
     SizeLimitExceeded,
     UnknownTheorem,
     UnsupportedExpression,
 )
 from .gformats import graph_to_graph6
-from .graphs import Graph, apply_boolean, combine, complement
+from .graphs import Graph, Partition, apply_boolean, combine
 from .invariants import (
     chain_number,
     chromatic_number,
@@ -58,34 +61,28 @@ HNK_CHI_NODE_BUDGET = 200_000
 def hnk(n: int, k: int) -> Graph:
     """Graph on [n]^k tuples; adjacent iff they agree on an odd number
     of coordinates."""
-    if n**k > HNK_VERTEX_LIMIT:
-        raise SizeLimitExceeded(f"{n}^{k} vertices exceed the cap of {HNK_VERTEX_LIMIT}")
-    tuples = list(product(range(n), repeat=k))
-    size = len(tuples)
-    edges = []
-    for i in range(size):
-        for j in range(i + 1, size):
-            agreements = sum(1 for a, b in zip(tuples[i], tuples[j]) if a == b)
-            if agreements % 2 == 1:
-                edges.append((i, j))
-    return Graph.from_edges(size, edges)
+    parts = hnk_as_xor(n, k)
+    return combine("xor", [Graph.empty(n**k), *parts])
 
 
 def hnk_as_xor(n: int, k: int) -> list[Graph]:
-    """The k coordinate equivalence graphs whose XOR is hnk(n, k)."""
+    """The k coordinate equivalence graphs whose XOR is hnk(n, k).
+
+    Tuple t is vertex sum(t[c] * n**(k-1-c)), the order of
+    itertools.product.
+    """
+    if n < 0 or k < 0:
+        raise MalformedInput(f"H(n,k) needs n, k >= 0, got n={n}, k={k}")
     if n**k > HNK_VERTEX_LIMIT:
         raise SizeLimitExceeded(f"{n}^{k} vertices exceed the cap of {HNK_VERTEX_LIMIT}")
-    tuples = list(product(range(n), repeat=k))
-    size = len(tuples)
+    size = n**k
     graphs = []
     for coord in range(k):
-        edges = [
-            (i, j)
-            for i in range(size)
-            for j in range(i + 1, size)
-            if tuples[i][coord] == tuples[j][coord]
-        ]
-        graphs.append(Graph.from_edges(size, edges))
+        stride = n ** (k - 1 - coord)
+        blocks: list[list[int]] = [[] for _ in range(n)]
+        for v in range(size):
+            blocks[v // stride % n].append(v)
+        graphs.append(Partition.from_blocks(size, blocks).equivalence_graph())
     return graphs
 
 
@@ -162,6 +159,18 @@ class TheoremCheck:
         return out
 
 
+def _run(theorem_id: str, scope: str, search: Iterator[dict], seed: int) -> TheoremCheck:
+    """The check's verdict: the search's first counterexample, if any."""
+    counterexample = next(search, None)
+    return TheoremCheck(
+        id=theorem_id,
+        scope=scope,
+        passed=counterexample is None,
+        seed=seed,
+        counterexample=counterexample,
+    )
+
+
 # -- chi-binding experiments ----------------------------------------------------------------
 
 
@@ -207,32 +216,32 @@ def verify_chi_binding(
 ) -> TheoremCheck:
     """Sample combinations and assert chi <= binding(omega) on each."""
     label, bound = _binding_fn(binding, expr.arity)
-    counterexample = None
-    for s in range(samples):
-        parts = [
-            random_member(expr.tag, n, seed + 7919 * s + j) for j in range(expr.arity)
-        ]
-        g = combine(expr.op, parts)
-        omega = clique_number(g)
-        chi = chromatic_number(g)
-        if chi > bound(omega):
-            counterexample = {
-                "parts": [graph_to_graph6(p) for p in parts],
-                "omega": omega,
-                "chi": chi,
-                "bound": bound(omega),
-            }
-            break
-    return TheoremCheck(
-        id=f"chi-binding:{expr.describe()}:{binding}",
-        scope=f"{samples} samples at n={n}, asserting chi <= {label}",
-        passed=counterexample is None,
-        seed=seed,
-        counterexample=counterexample,
+
+    def search() -> Iterator[dict]:
+        for s in range(samples):
+            parts = [
+                random_member(expr.tag, n, seed + 7919 * s + j) for j in range(expr.arity)
+            ]
+            g = combine(expr.op, parts)
+            omega = clique_number(g)
+            chi = chromatic_number(g)
+            if chi > bound(omega):
+                yield {
+                    "parts": [graph_to_graph6(p) for p in parts],
+                    "omega": omega,
+                    "chi": chi,
+                    "bound": bound(omega),
+                }
+
+    return _run(
+        f"chi-binding:{expr.describe()}:{binding}",
+        f"{samples} samples at n={n}, asserting chi <= {label}",
+        search(),
+        seed,
     )
 
 
-# -- catalogue helpers ------------------------------------------------------------------------
+# -- catalogue searches: each yields counterexample dicts -------------------------------------
 
 
 def _random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -240,155 +249,75 @@ def _random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _perfect_cache_check(mask: int, n: int, cache: dict[int, bool]) -> bool:
-    got = cache.get(mask)
-    if got is None:
-        got = is_perfect(Graph.from_edge_mask(n, mask))
-        cache[mask] = got
-    return got
+def _binary_images(a: int, b: int, full: int) -> list[int]:
+    """The 16 edge masks f(a, b), indexed by f's truth table."""
+    na, nb = full ^ a, full ^ b
+    region = (na & nb, a & nb, na & b, a & b)
+    out = [0] * 16
+    for t in range(1, 16):
+        out[t] = out[t & (t - 1)] | region[(t & -t).bit_length() - 1]
+    return out
 
 
-def _check_perfect_2fn_equiv(seed: int) -> TheoremCheck:
+def _perfect_2fn_equiv(seed: int) -> Iterator[dict]:
     n = 6
     masks = [g.edge_mask() for g, _ in equivalence_members(n)]
     full = (1 << (n * (n - 1) // 2)) - 1
     cache: dict[int, bool] = {}
-    counterexample = None
     for a in masks:
-        na = full ^ a
         for b in masks:
-            nb = full ^ b
-            regions = (na & nb, a & nb, na & b, a & b)
-            for table in range(16):
-                out = 0
-                if table & 1:
-                    out |= regions[0]
-                if table & 2:
-                    out |= regions[1]
-                if table & 4:
-                    out |= regions[2]
-                if table & 8:
-                    out |= regions[3]
-                if not _perfect_cache_check(out, n, cache):
-                    g1 = Graph.from_edge_mask(n, a)
-                    g2 = Graph.from_edge_mask(n, b)
-                    counterexample = {
+            for table, out in enumerate(_binary_images(a, b, full)):
+                perfect = cache.get(out)
+                if perfect is None:
+                    perfect = cache[out] = is_perfect(Graph.from_edge_mask(n, out))
+                if not perfect:
+                    yield {
                         "f": BooleanFunction(2, table).to_text(),
-                        "h1": graph_to_graph6(g1),
-                        "h2": graph_to_graph6(g2),
+                        "h1": graph_to_graph6(Graph.from_edge_mask(n, a)),
+                        "h2": graph_to_graph6(Graph.from_edge_mask(n, b)),
                         "result": graph_to_graph6(Graph.from_edge_mask(n, out)),
                     }
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
-    return TheoremCheck(
-        id="perfect-2fn-equiv",
-        scope=f"all {len(masks)}^2 ordered pairs of labeled equivalence graphs on "
-        f"{n} vertices x 16 binary functions (hereditarily covers n < {n})",
-        passed=counterexample is None,
-        seed=seed,
-        counterexample=counterexample,
-    )
 
 
-def _intersection_unreachable(target: Graph, members: list[Graph]) -> Optional[dict]:
-    """None if no pair of members intersects to the target, else a witness."""
-    tmask = target.edge_mask()
-    masks = [m.edge_mask() for m in members]
-    for i, j in combinations_with_replacement(range(len(members)), 2):
-        if masks[i] & masks[j] == tmask:
-            return {
-                "h1": graph_to_graph6(members[i]),
-                "h2": graph_to_graph6(members[j]),
-            }
-    return None
-
-
-def _check_forbidden_multipartite(seed: int) -> TheoremCheck:
-    counterexample = None
-    # K_3 + O_1 on 4 labeled vertices
-    target4 = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
-    members4 = [complement(g) for g, _ in equivalence_members(4)]
-    witness = _intersection_unreachable(target4, members4)
-    if witness is not None:
-        counterexample = {"target": "K3+O1", **witness}
-    # 3K_2 on 6 labeled vertices
-    if counterexample is None:
-        target6 = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
-        members6 = [complement(g) for g, _ in equivalence_members(6)]
-        witness = _intersection_unreachable(target6, members6)
+def _forbidden_multipartite(seed: int) -> Iterator[dict]:
+    targets = {
+        "K3+O1": Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]),
+        "3K2": Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]),
+    }
+    for name, target in targets.items():
+        witness = restricted_dimension(target, MULTIPARTITE, "intersect", 2)
         if witness is not None:
-            counterexample = {"target": "3K2", **witness}
-    return TheoremCheck(
-        id="forbidden-multipartite",
-        scope="exhaustive search over all complete-multipartite pairs on 4 (for K3+O1) "
-        "and 6 (for 3K2) labeled vertices",
-        passed=counterexample is None,
-        seed=seed,
-        counterexample=counterexample,
-    )
+            yield {"target": name, **witness.to_json_dict()}
 
 
-def _check_c5_not_2fn_equiv(seed: int) -> TheoremCheck:
+def _c5_not_2fn_equiv(seed: int) -> Iterator[dict]:
     witness = exists_representation(Graph.cycle(5), EQUIVALENCE, 2)
-    counterexample = witness.to_json_dict() if witness is not None else None
-    return TheoremCheck(
-        id="c5-not-2fn-equiv",
-        scope="exhaustive search over all multisets of 2 labeled equivalence graphs "
-        "on 5 vertices and all binary functions",
-        passed=witness is None,
-        seed=seed,
-        counterexample=counterexample,
-    )
+    if witness is not None:
+        yield witness.to_json_dict()
 
 
-def _check_speed_bound(seed: int) -> TheoremCheck:
-    counterexample = None
+def _speed_bound(seed: int) -> Iterator[dict]:
     for n in range(1, 6):
         masks = [g.edge_mask() for g, _ in equivalence_members(n)]
         xors = {a ^ b for a in masks for b in masks}
-        lhs = math.log2(len(xors))
-        rhs = 2 * math.log2(len(masks)) + 4
-        if lhs > rhs:
-            counterexample = {"n": n, "count_Y": len(xors), "count_X": len(masks)}
-            break
-    return TheoremCheck(
-        id="speed-bound",
-        scope="exhaustive counts of 2-XORs of labeled equivalence graphs for n <= 5, "
-        "asserting log2|Y^n| <= 2*log2|X^n| + 4",
-        passed=counterexample is None,
-        seed=seed,
-        counterexample=counterexample,
-    )
+        if math.log2(len(xors)) > 2 * math.log2(len(masks)) + 4:
+            yield {"n": n, "count_Y": len(xors), "count_X": len(masks)}
 
 
-def _check_chain_sandwich(seed: int, samples: int = 300) -> TheoremCheck:
+def _chain_sandwich(seed: int) -> Iterator[dict]:
     rng = random.Random(seed)
-    counterexample = None
-    for _ in range(samples):
+    for _ in range(300):
         n = rng.randint(2, 10)
         g = _random_graph(n, rng.uniform(0.1, 0.9), rng)
         ch = chain_number(g)
         sch = strong_chain_number(g)
         if not (sch // 2 <= ch <= sch):
-            counterexample = {"graph": graph_to_graph6(g), "ch": ch, "sch": sch}
-            break
-    return TheoremCheck(
-        id="chain-sandwich",
-        scope=f"{samples} seeded random graphs with n <= 10, "
-        "asserting floor(sch/2) <= ch <= sch",
-        passed=counterexample is None,
-        seed=seed,
-        counterexample=counterexample,
-    )
+            yield {"graph": graph_to_graph6(g), "ch": ch, "sch": sch}
 
 
-def _check_nbhd_product(seed: int, pairs: int = 25, n: int = 10) -> TheoremCheck:
-    rng = random.Random(seed)
-    counterexample = None
-    for s in range(pairs):
+def _nbhd_product(seed: int) -> Iterator[dict]:
+    n = 10
+    for s in range(25):
         h1 = random_member(EQUIVALENCE, n, seed + 31 * s)
         h2 = random_member(EQUIVALENCE, n, seed + 31 * s + 17)
         nu1 = [neighborhood_complexity(h1, m) for m in range(1, 5)]
@@ -397,46 +326,32 @@ def _check_nbhd_product(seed: int, pairs: int = 25, n: int = 10) -> TheoremCheck
             g = apply_boolean(f, [h1, h2])
             for m in range(1, 5):
                 nu_g = neighborhood_complexity(g, m)
-                class_bound = (m + 1) ** 2
-                if nu_g > nu1[m - 1] * nu2[m - 1] or nu_g > class_bound:
-                    counterexample = {
+                if nu_g > nu1[m - 1] * nu2[m - 1] or nu_g > (m + 1) ** 2:
+                    yield {
                         "f": f.to_text(),
                         "h1": graph_to_graph6(h1),
                         "h2": graph_to_graph6(h2),
                         "m": m,
                         "nu": nu_g,
                     }
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
-    return TheoremCheck(
-        id="nbhd-product",
-        scope=f"{pairs} seeded equivalence-graph pairs at n={n}, all 16 binary "
-        "functions, m <= 4: nu_G(m) <= nu_H1(m)*nu_H2(m) and <= (m+1)^2",
-        passed=counterexample is None,
-        seed=seed,
-        counterexample=counterexample,
-    )
 
 
-def _check_eh_extraction(seed: int, per_r: int = 8, n: int = 18) -> TheoremCheck:
-    counterexample = None
+def _eh_extraction(seed: int) -> Iterator[dict]:
+    n = 18
     for r in range(1, 4):
-        for s in range(per_r):
+        for s in range(8):
             graphs = [
                 random_member(EQUIVALENCE, n, seed + 97 * r + 13 * s + j)
                 for j in range(r)
             ]
             final = common_homogeneous_set(graphs)
             if not all(is_homogeneous(g, final) for g in graphs):
-                counterexample = {
+                yield {
                     "graphs": [graph_to_graph6(g) for g in graphs],
                     "set": final,
                     "reason": "not homogeneous",
                 }
-                break
+                continue
             # observed per-step exponents along the nested extraction
             sizes = [n]
             for i in range(1, r + 1):
@@ -448,61 +363,35 @@ def _check_eh_extraction(seed: int, per_r: int = 8, n: int = 18) -> TheoremCheck
             ]
             delta = min(deltas) if deltas else 1.0
             if len(final) < n ** (delta**r) - 1e-9:
-                counterexample = {
+                yield {
                     "graphs": [graph_to_graph6(g) for g in graphs],
                     "set": final,
                     "delta": delta,
                     "reason": "size below n^(delta^r)",
                 }
-                break
-        if counterexample:
-            break
-    return TheoremCheck(
-        id="eh-extraction",
-        scope=f"{per_r} seeded samples for each r in 1..3 at n={n}: the nested "
-        "extraction returns a common homogeneous set of size >= n^(delta^r)",
-        passed=counterexample is None,
-        seed=seed,
-        counterexample=counterexample,
-    )
 
 
-def _check_e1_characterization(seed: int) -> TheoremCheck:
+def _e1_characterization(seed: int) -> Iterator[dict]:
     t = 4  # 2-functions of E_1 land in E_4 or its complement class
-    counterexample = None
     for n in range(2, 7):
         members = list(enumerate_members(at_most_edges(1), n))
+        masks = [h.edge_mask() for h in members]
         npairs = n * (n - 1) // 2
-        for h1 in members:
-            for h2 in members:
-                for f in enumerate_functions(2):
-                    g = apply_boolean(f, [h1, h2])
-                    if g.edge_count > t and npairs - g.edge_count > t:
-                        counterexample = {
+        full = (1 << npairs) - 1
+        for h1, a in zip(members, masks):
+            for h2, b in zip(members, masks):
+                for table, out in enumerate(_binary_images(a, b, full)):
+                    edges = out.bit_count()
+                    if edges > t and npairs - edges > t:
+                        yield {
                             "n": n,
-                            "f": f.to_text(),
+                            "f": BooleanFunction(2, table).to_text(),
                             "h1": graph_to_graph6(h1),
                             "h2": graph_to_graph6(h2),
                         }
-                        break
-                if counterexample:
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
-    return TheoremCheck(
-        id="e1-characterization",
-        scope="all 2-functions of single-edge-or-empty graphs for n <= 6 have "
-        f"at most {t} edges or at most {t} non-edges (exhaustive)",
-        passed=counterexample is None,
-        seed=seed,
-        counterexample=counterexample,
-    )
 
 
-def _check_empty_characterization(seed: int) -> TheoremCheck:
-    counterexample = None
+def _empty_characterization(seed: int) -> Iterator[dict]:
     for n in range(1, 7):
         empty = Graph.empty(n)
         npairs = n * (n - 1) // 2
@@ -510,20 +399,7 @@ def _check_empty_characterization(seed: int) -> TheoremCheck:
             for f in enumerate_functions(k):
                 g = apply_boolean(f, [empty] * k, n=n)
                 if g.edge_count not in (0, npairs):
-                    counterexample = {"n": n, "f": f.to_text()}
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
-    return TheoremCheck(
-        id="empty-characterization",
-        scope="every function (arity <= 3) of empty graphs is complete or empty, "
-        "exhaustive for n <= 6",
-        passed=counterexample is None,
-        seed=seed,
-        counterexample=counterexample,
-    )
+                    yield {"n": n, "f": f.to_text()}
 
 
 def split_intersection_color_classes(
@@ -551,31 +427,21 @@ def meyniel_split_sample_ok(
     return True
 
 
-def _check_meyniel_split(seed: int, samples: int = 60, n: int = 10) -> TheoremCheck:
+def _meyniel_split(seed: int) -> Iterator[dict]:
     rng = random.Random(seed)
-    counterexample = None
-    for _ in range(samples):
-        g1, q1 = random_split_with_parts(n, rng)
-        g2, q2 = random_split_with_parts(n, rng)
+    for _ in range(60):
+        g1, q1 = random_split_with_parts(10, rng)
+        g2, q2 = random_split_with_parts(10, rng)
         if not meyniel_split_sample_ok(g1, q1, g2, q2):
-            counterexample = {
+            yield {
                 "g1": graph_to_graph6(g1),
                 "clique1": sorted(q1),
                 "g2": graph_to_graph6(g2),
                 "clique2": sorted(q2),
             }
-            break
-    return TheoremCheck(
-        id="meyniel-split",
-        scope=f"{samples} seeded 2-intersections of random split graphs at n={n}: "
-        "color classes with a 0-coordinate are odd-hole-free",
-        passed=counterexample is None,
-        seed=seed,
-        counterexample=counterexample,
-    )
 
 
-def _check_c5_3xor_exploratory(seed: int) -> TheoremCheck:
+def _c5_3xor_exploratory(seed: int) -> TheoremCheck:
     witness = restricted_dimension(Graph.cycle(5), EQUIVALENCE, "xor", 3)
     info = {
         "question": "is C_5 a 3-XOR of equivalence graphs?",
@@ -584,7 +450,7 @@ def _check_c5_3xor_exploratory(seed: int) -> TheoremCheck:
     if witness is not None:
         info["witness"] = witness.to_json_dict()
     return TheoremCheck(
-        id="c5-3xor-equiv-exploratory",
+        id=_EXPLORATORY_ID,
         scope="informational search, never asserted: exhaustive XOR triples of "
         "labeled equivalence graphs on 5 vertices",
         passed=True,
@@ -593,29 +459,71 @@ def _check_c5_3xor_exploratory(seed: int) -> TheoremCheck:
     )
 
 
-_CATALOGUE: dict[str, Callable[[int], TheoremCheck]] = {
-    "perfect-2fn-equiv": _check_perfect_2fn_equiv,
-    "forbidden-multipartite": _check_forbidden_multipartite,
-    "c5-not-2fn-equiv": _check_c5_not_2fn_equiv,
-    "speed-bound": _check_speed_bound,
-    "chain-sandwich": _check_chain_sandwich,
-    "nbhd-product": _check_nbhd_product,
-    "eh-extraction": _check_eh_extraction,
-    "e1-characterization": _check_e1_characterization,
-    "empty-characterization": _check_empty_characterization,
-    "meyniel-split": _check_meyniel_split,
-    "c5-3xor-equiv-exploratory": _check_c5_3xor_exploratory,
+# id -> (scope, search); THEOREM_IDS keeps this order, then the exploratory entry
+_CATALOGUE: dict[str, tuple[str, Callable[[int], Iterator[dict]]]] = {
+    "perfect-2fn-equiv": (
+        "all 203^2 ordered pairs of labeled equivalence graphs on 6 vertices "
+        "x 16 binary functions (hereditarily covers n < 6)",
+        _perfect_2fn_equiv,
+    ),
+    "forbidden-multipartite": (
+        "exhaustive search over all complete-multipartite pairs on 4 (for K3+O1) "
+        "and 6 (for 3K2) labeled vertices",
+        _forbidden_multipartite,
+    ),
+    "c5-not-2fn-equiv": (
+        "exhaustive search over all multisets of 2 labeled equivalence graphs "
+        "on 5 vertices and all binary functions",
+        _c5_not_2fn_equiv,
+    ),
+    "speed-bound": (
+        "exhaustive counts of 2-XORs of labeled equivalence graphs for n <= 5, "
+        "asserting log2|Y^n| <= 2*log2|X^n| + 4",
+        _speed_bound,
+    ),
+    "chain-sandwich": (
+        "300 seeded random graphs with n <= 10, asserting floor(sch/2) <= ch <= sch",
+        _chain_sandwich,
+    ),
+    "nbhd-product": (
+        "25 seeded equivalence-graph pairs at n=10, all 16 binary functions, m <= 4: "
+        "nu_G(m) <= nu_H1(m)*nu_H2(m) and <= (m+1)^2",
+        _nbhd_product,
+    ),
+    "eh-extraction": (
+        "8 seeded samples for each r in 1..3 at n=18: the nested extraction returns "
+        "a common homogeneous set of size >= n^(delta^r)",
+        _eh_extraction,
+    ),
+    "e1-characterization": (
+        "all 2-functions of single-edge-or-empty graphs for n <= 6 have "
+        "at most 4 edges or at most 4 non-edges (exhaustive)",
+        _e1_characterization,
+    ),
+    "empty-characterization": (
+        "every function (arity <= 3) of empty graphs is complete or empty, "
+        "exhaustive for n <= 6",
+        _empty_characterization,
+    ),
+    "meyniel-split": (
+        "60 seeded 2-intersections of random split graphs at n=10: "
+        "color classes with a 0-coordinate are odd-hole-free",
+        _meyniel_split,
+    ),
 }
+_EXPLORATORY_ID = "c5-3xor-equiv-exploratory"
 
-THEOREM_IDS = tuple(_CATALOGUE)
+THEOREM_IDS = (*_CATALOGUE, _EXPLORATORY_ID)
 
 
 def verify_theorem(theorem_id: str, seed: int = DEFAULT_SEED) -> TheoremCheck:
+    if theorem_id == _EXPLORATORY_ID:
+        return _c5_3xor_exploratory(seed)
     try:
-        runner = _CATALOGUE[theorem_id]
+        scope, search = _CATALOGUE[theorem_id]
     except KeyError:
         raise UnknownTheorem(f"no catalogue entry {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
-    return runner(seed)
+    return _run(theorem_id, scope, search(seed), seed)
 
 
 def verify_all(seed: int = DEFAULT_SEED) -> list[TheoremCheck]:

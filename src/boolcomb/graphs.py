@@ -100,13 +100,15 @@ class Graph:
     def from_edge_mask(cls, n: int, mask: int) -> "Graph":
         """Inverse of :meth:`edge_mask`; pairs (u, v), u < v, in lexicographic order."""
         rows = [0] * n
-        idx = 0
         for u in range(n):
-            for v in range(u + 1, n):
-                if (mask >> idx) & 1:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                idx += 1
+            width = n - 1 - u
+            row = (mask & ((1 << width) - 1)) << (u + 1)
+            mask >>= width
+            rows[u] |= row
+            while row:
+                low = row & -row
+                rows[low.bit_length() - 1] |= 1 << u
+                row ^= low
         return cls(n, tuple(rows))
 
     # -- queries --------------------------------------------------------------
@@ -141,12 +143,9 @@ class Graph:
         """Pack the upper triangle (u < v, lexicographic) into an int."""
         mask = 0
         idx = 0
-        for u in range(self.n):
-            row = self.rows[u]
-            for v in range(u + 1, self.n):
-                if (row >> v) & 1:
-                    mask |= 1 << idx
-                idx += 1
+        for u, row in enumerate(self.rows):
+            mask |= (row >> (u + 1)) << idx
+            idx += self.n - 1 - u
         return mask
 
     def components(self) -> list[list[int]]:

@@ -430,23 +430,6 @@ def is_perfect(g: Graph) -> bool:
     return find_odd_hole_or_antihole(g) is None
 
 
-def is_perfect_by_coloring(g: Graph) -> bool:
-    """Slow cross-validation oracle: chi(H) = omega(H) on every induced subgraph.
-
-    Only sensible for n <= 9; used to validate the structural check.
-    """
-    from itertools import combinations
-
-    if g.n > 9:
-        raise SizeLimitExceeded("coloring-based perfectness oracle capped at n = 9")
-    for size in range(1, g.n + 1):
-        for subset in combinations(range(g.n), size):
-            h = induced_subgraph(g, subset)
-            if chromatic_number(h) != clique_number(h):
-                return False
-    return True
-
-
 # -- Erdos-Hajnal extraction ------------------------------------------------------------
 
 

@@ -162,12 +162,11 @@ def decode(scheme: ComposedScheme, a: Label, b: Label) -> bool:
         shift += w
     offsets.reverse()
     table_shift = shift
-    arity_shift = table_shift + table_bits
 
+    table = scheme.f.table
     for lab in (a, b):
-        if lab.value >> arity_shift != r:
-            raise MalformedLabel("arity header does not match the scheme")
-    table = (a.value >> table_shift) & ((1 << table_bits) - 1)
+        if lab.value >> table_shift != (r << table_bits) | table:
+            raise MalformedLabel("arity header or truth table does not match the scheme")
 
     pattern = 0
     for j, (off, w) in enumerate(offsets):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,26 @@ class TestEnumerationAndText:
     def test_enumeration_cap(self):
         with pytest.raises(SizeLimitExceeded):
             list(enumerate_functions(5))
+
+    @pytest.mark.parametrize(
+        "build, arity",
+        [
+            (BooleanFunction.or_, 24),
+            (BooleanFunction.and_, 24),
+            (BooleanFunction.xor_, 20),
+            (lambda k: BooleanFunction.constant(k, 1), 24),
+            (lambda k: BooleanFunction.projection(k, 1), 20),
+        ],
+    )
+    def test_arity_checked_before_the_table_is_built(self, build, arity):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitExceeded):
+                build(arity)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_text_roundtrip(self):
         f = BooleanFunction.from_text("2:0x6")

@@ -60,12 +60,6 @@ class TestEdgeColoring:
             assert combine("union", ms).rows == g.rows
             assert sum(m.edge_count for m in ms) == g.edge_count
 
-    def test_greedy_fallback(self, rng):
-        g = random_graph(10, 0.5, rng)
-        ms = edge_coloring_matchings(g, method="greedy")
-        assert len(ms) <= 2 * max_degree(g) - 1
-        assert combine("union", ms).rows == g.rows
-
 
 class TestVizingMatchings:
     def test_petersen(self):

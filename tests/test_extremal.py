@@ -1,9 +1,13 @@
 import math
+from itertools import combinations, product
 
 import pytest
 
-from boolcomb.classes import EQUIVALENCE, MULTIPARTITE, SPLIT, is_member
-from boolcomb.errors import SizeLimitExceeded, UnknownTheorem, UnsupportedExpression
+import boolcomb.extremal
+from boolcomb.booldim import DimWitness
+from boolcomb.boolfn import BooleanFunction
+from boolcomb.classes import EQUIVALENCE, MULTIPARTITE, SPLIT, at_most_edges, is_member
+from boolcomb.errors import MalformedInput, SizeLimitExceeded, UnknownTheorem, UnsupportedExpression
 from boolcomb.extremal import (
     ClassExpr,
     THEOREM_IDS,
@@ -13,8 +17,20 @@ from boolcomb.extremal import (
     verify_chi_binding,
     verify_theorem,
 )
-from boolcomb.graphs import Graph, combine, is_isomorphic
-from boolcomb.invariants import clique_number, independence_number
+from boolcomb.gformats import graph6_to_graph
+from boolcomb.graphs import Graph, apply_boolean, combine, is_isomorphic
+from boolcomb.invariants import chain_number, clique_number, independence_number, is_homogeneous
+
+
+def pairwise_hnk(n: int, k: int) -> Graph:
+    """Oracle: tuples of [n]^k adjacent iff they agree on an odd number of coordinates."""
+    tuples = list(product(range(n), repeat=k))
+    edges = [
+        (i, j)
+        for i, j in combinations(range(len(tuples)), 2)
+        if sum(a == b for a, b in zip(tuples[i], tuples[j])) % 2 == 1
+    ]
+    return Graph.from_edges(len(tuples), edges)
 
 
 class TestHnk:
@@ -31,9 +47,18 @@ class TestHnk:
             assert all(is_member(EQUIVALENCE, p) for p in parts)
             assert combine("xor", parts).rows == hnk(n, k).rows
 
+    @pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (3, 0), (1, 3)])
+    def test_matches_pairwise_definition(self, n, k):
+        assert hnk(n, k) == pairwise_hnk(n, k)
+
     def test_size_cap(self):
         with pytest.raises(SizeLimitExceeded):
             hnk(9, 5)
+
+    def test_negative_arguments_rejected(self):
+        for n, k in ((-1, 2), (2, -1)):
+            with pytest.raises(MalformedInput):
+                hnk(n, k)
 
 
 class TestHnkReport:
@@ -138,3 +163,57 @@ class TestHnkIndependentSpotChecks:
         g = hnk(2, 2)
         assert clique_number(g) == 2
         assert independence_number(g) == 2
+
+
+def _fake_witness(*args, **kwargs):
+    return DimWitness(1, BooleanFunction.projection(1, 1), (Graph.empty(1),))
+
+
+def _perfect_result_recombines(cx):
+    f = BooleanFunction.from_text(cx["f"])
+    h1, h2 = graph6_to_graph(cx["h1"]), graph6_to_graph(cx["h2"])
+    assert apply_boolean(f, [h1, h2]) == graph6_to_graph(cx["result"])
+
+
+def _chain_numbers_recompute(cx):
+    assert chain_number(graph6_to_graph(cx["graph"])) == cx["ch"] > cx["sch"]
+
+
+def _set_not_homogeneous(cx):
+    graphs = [graph6_to_graph(g) for g in cx["graphs"]]
+    assert not all(is_homogeneous(g, cx["set"]) for g in graphs)
+
+
+def _image_has_many_edges_and_non_edges(cx):
+    f = BooleanFunction.from_text(cx["f"])
+    g = apply_boolean(f, [graph6_to_graph(cx["h1"]), graph6_to_graph(cx["h2"])])
+    assert g.n == cx["n"]
+    assert min(g.edge_count, g.n * (g.n - 1) // 2 - g.edge_count) > 4
+
+
+# (catalogue id, name patched in boolcomb.extremal, wrong stand-in, re-verification);
+# speed-bound is absent: |{a ^ b}| <= |X|^2 holds for any X, so no stand-in can break it
+PLANTED = [
+    ("perfect-2fn-equiv", "is_perfect", lambda g: False, _perfect_result_recombines),
+    ("forbidden-multipartite", "restricted_dimension", _fake_witness, None),
+    ("c5-not-2fn-equiv", "exists_representation", _fake_witness, None),
+    ("chain-sandwich", "strong_chain_number", lambda g: 0, _chain_numbers_recompute),
+    ("nbhd-product", "neighborhood_complexity", lambda g, m: 100, None),
+    ("eh-extraction", "common_homogeneous_set", lambda gs: list(range(gs[0].n)), _set_not_homogeneous),
+    ("e1-characterization", "at_most_edges", lambda k: at_most_edges(3), _image_has_many_edges_and_non_edges),
+    ("empty-characterization", "apply_boolean", lambda f, gs, n=None: Graph.path(n), None),
+    ("meyniel-split", "find_odd_hole", lambda g: [0, 1, 2, 3, 4], None),
+]
+
+
+class TestPlantedFailures:
+    """An asserted check reports a counterexample when a dependency lies."""
+
+    @pytest.mark.parametrize("tid, name, fake, reverify", PLANTED, ids=[p[0] for p in PLANTED])
+    def test_planted_bug_is_reported(self, monkeypatch, tid, name, fake, reverify):
+        monkeypatch.setattr(boolcomb.extremal, name, fake)
+        check = verify_theorem(tid)
+        assert check.passed is False
+        assert check.counterexample
+        if reverify is not None:
+            reverify(check.counterexample)

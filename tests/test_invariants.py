@@ -19,7 +19,6 @@ from boolcomb.invariants import (
     independence_number,
     is_homogeneous,
     is_perfect,
-    is_perfect_by_coloring,
     max_degree,
     maximum_clique,
     neighborhood_complexity,
@@ -54,6 +53,21 @@ def brute_chromatic_number(g: Graph) -> int:
             if all(assignment[u] != assignment[v] for u, v in g.edges()):
                 return k
     raise AssertionError
+
+
+def is_perfect_by_coloring(g: Graph) -> bool:
+    """Slow cross-validation oracle: chi(H) = omega(H) on every induced subgraph.
+
+    Only sensible for n <= 9; used to validate the structural check.
+    """
+    if g.n > 9:
+        raise SizeLimitExceeded("coloring-based perfectness oracle capped at n = 9")
+    for size in range(1, g.n + 1):
+        for subset in itertools.combinations(range(g.n), size):
+            h = induced_subgraph(g, subset)
+            if chromatic_number(h) != clique_number(h):
+                return False
+    return True
 
 
 def brute_biclique_number(g: Graph) -> int:

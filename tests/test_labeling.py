@@ -94,6 +94,13 @@ class TestCompose:
         bad_value = labels[0].value ^ (1 << (labels[0].length - 1))
         with pytest.raises(MalformedLabel):
             decode(scheme, Label(labels[0].length, bad_value), labels[1])
+        # a label of another scheme that differs only in its truth table, either side
+        h1, h2 = random_member(EQUIVALENCE, 4, 16), random_member(EQUIVALENCE, 4, 17)
+        labels, scheme = compose(BooleanFunction.xor_(2), [EquivalenceScheme] * 2, [h1, h2])
+        other, _ = compose(BooleanFunction.and_(2), [EquivalenceScheme] * 2, [h1, h2])
+        for a, b in ((labels[0], other[1]), (other[1], labels[0])):
+            with pytest.raises(MalformedLabel):
+                decode(scheme, a, b)
 
     def test_decode_matches_apply_boolean_up_to_n200(self):
         h1 = random_member(EQUIVALENCE, 200, 14)
