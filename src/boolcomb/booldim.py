@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Optional
 
 from .boolfn import BooleanFunction
@@ -44,6 +45,15 @@ def _sorted_members(tag: ClassTag, n: int) -> list[Graph]:
     return sorted(enumerate_members(tag, n), key=graph_to_graph6)
 
 
+def _check_budget(m: int, k: int, budget: int) -> None:
+    # the searches enumerate multisets: C(m + k - 1, k), not m^k tuples
+    count = comb(m + k - 1, k)
+    if count > budget:
+        raise BudgetExceeded(
+            f"{count} multisets of {k} from {m} candidates exceed the budget of {budget}"
+        )
+
+
 def _verify(target: Graph, f: BooleanFunction, parts: tuple[Graph, ...]) -> DimWitness:
     if apply_boolean(f, list(parts), n=target.n).rows != target.rows:
         raise CertificationError("witness does not recombine to the target")
@@ -63,10 +73,7 @@ def exists_representation(
     """
     n = g.n
     members = _sorted_members(tag, n)
-    if len(members) ** k > budget:
-        raise BudgetExceeded(
-            f"{len(members)}^{k} candidate tuples exceed the budget of {budget}"
-        )
+    _check_budget(len(members), k, budget)
     npairs = n * (n - 1) // 2
     full = (1 << npairs) - 1
     target = g.edge_mask()
@@ -137,10 +144,7 @@ def restricted_dimension(
         pool = [i for i in pool if target & ~masks[i] == 0]
 
     for k in range(1, k_max + 1):
-        if len(pool) ** k > budget:
-            raise BudgetExceeded(
-                f"{len(pool)}^{k} candidate tuples exceed the budget of {budget}"
-            )
+        _check_budget(len(pool), k, budget)
         for combo in combinations_with_replacement(pool, k):
             if mode == "union":
                 acc = 0

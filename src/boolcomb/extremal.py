@@ -269,7 +269,11 @@ def _perfect_2fn_equiv(seed: int) -> Iterator[dict]:
             for table, out in enumerate(_binary_images(a, b, full)):
                 perfect = cache.get(out)
                 if perfect is None:
-                    perfect = cache[out] = is_perfect(Graph.from_edge_mask(n, out))
+                    # a graph and its complement are perfect together (no odd
+                    # hole, no odd antihole), and image 15 - t complements image t
+                    perfect = cache[out] = cache[full ^ out] = is_perfect(
+                        Graph.from_edge_mask(n, out)
+                    )
                 if not perfect:
                     yield {
                         "f": BooleanFunction(2, table).to_text(),
@@ -352,23 +356,18 @@ def _eh_extraction(seed: int) -> Iterator[dict]:
                     "reason": "not homogeneous",
                 }
                 continue
-            # observed per-step exponents along the nested extraction
-            sizes = [n]
+            # an equivalence graph on m vertices has a block of >= sqrt(m)
+            # vertices or >= sqrt(m) blocks, so each step keeps >= ceil(sqrt(m))
+            sizes = [n] + [len(common_homogeneous_set(graphs[:i])) for i in range(1, r + 1)]
             for i in range(1, r + 1):
-                sizes.append(len(common_homogeneous_set(graphs[:i])))
-            deltas = [
-                math.log(sizes[i]) / math.log(sizes[i - 1])
-                for i in range(1, r + 1)
-                if sizes[i - 1] > 1 and sizes[i] > 0
-            ]
-            delta = min(deltas) if deltas else 1.0
-            if len(final) < n ** (delta**r) - 1e-9:
-                yield {
-                    "graphs": [graph_to_graph6(g) for g in graphs],
-                    "set": final,
-                    "delta": delta,
-                    "reason": "size below n^(delta^r)",
-                }
+                if sizes[i] ** 2 < sizes[i - 1]:
+                    yield {
+                        "graphs": [graph_to_graph6(g) for g in graphs],
+                        "set": final,
+                        "sizes": sizes,
+                        "step": i,
+                        "reason": "step below ceil(sqrt(previous size))",
+                    }
 
 
 def _e1_characterization(seed: int) -> Iterator[dict]:
@@ -492,7 +491,7 @@ _CATALOGUE: dict[str, tuple[str, Callable[[int], Iterator[dict]]]] = {
     ),
     "eh-extraction": (
         "8 seeded samples for each r in 1..3 at n=18: the nested extraction returns "
-        "a common homogeneous set of size >= n^(delta^r)",
+        "a common homogeneous set, and each step keeps >= ceil(sqrt(previous size)) vertices",
         _eh_extraction,
     ),
     "e1-characterization": (

@@ -1,8 +1,11 @@
-"""Textual graph formats: graph6 (short form, n <= 62) and edge lists.
+"""Textual graph formats: graph6 and edge lists.
 
 graph6 packs the upper triangle column-major, 6 bits per printable
-byte, each offset by 63.  The long form (n > 62) is rejected loudly;
-everything in scope fits the short form.
+byte, each offset by 63.  The vertex count takes one byte for n <= 62
+(short form) and '~' plus three bytes of an 18-bit n for
+63 <= n < 2^18 (long form).  The '~~' form for larger n is rejected,
+as is a long form for an n that fits the short one, so every graph has
+exactly one encoding.
 """
 
 from __future__ import annotations
@@ -10,13 +13,42 @@ from __future__ import annotations
 from .errors import MalformedInput
 from .graphs import Graph
 
-GRAPH6_MAX_N = 62
+GRAPH6_SHORT_MAX_N = 62
+GRAPH6_MAX_N = (1 << 18) - 1
+
+
+def _graph6_header(n: int) -> str:
+    if n <= GRAPH6_SHORT_MAX_N:
+        return chr(n + 63)
+    if n > GRAPH6_MAX_N:
+        raise MalformedInput(f"graph6 long form caps at n = {GRAPH6_MAX_N}, got {n}")
+    return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+
+
+def _parse_graph6_header(text: str) -> tuple[int, int]:
+    """(n, header length) of a graph6 string."""
+    first = ord(text[0])
+    if 63 <= first <= 125:
+        return first - 63, 1
+    if first != 126:
+        raise MalformedInput(f"invalid graph6 byte {text[0]!r}", offset=0)
+    if text[1:2] == "~":
+        raise MalformedInput("graph6 '~~' form (n >= 2^18) is not supported", offset=1)
+    if len(text) < 4:
+        raise MalformedInput("graph6 long form needs 3 bytes after '~'", offset=len(text))
+    n = 0
+    for i in range(1, 4):
+        o = ord(text[i])
+        if not 63 <= o <= 126:
+            raise MalformedInput(f"invalid graph6 byte {text[i]!r}", offset=i)
+        n = (n << 6) | (o - 63)
+    if n <= GRAPH6_SHORT_MAX_N:
+        raise MalformedInput(f"non-canonical graph6 long form for n = {n}", offset=0)
+    return n, 4
 
 
 def graph_to_graph6(g: Graph) -> str:
-    if g.n > GRAPH6_MAX_N:
-        raise MalformedInput(f"graph6 short form caps at n = {GRAPH6_MAX_N}, got {g.n}")
-    chars = [chr(g.n + 63)]
+    chars = [_graph6_header(g.n)]
     bits = 0
     nbits = 0
     for v in range(1, g.n):
@@ -36,21 +68,16 @@ def graph_to_graph6(g: Graph) -> str:
 def graph6_to_graph(text: str) -> Graph:
     if not text:
         raise MalformedInput("empty graph6 string", offset=0)
-    first = ord(text[0])
-    if first == 126:
-        raise MalformedInput("graph6 long form (n > 62) is not supported", offset=0)
-    if not 63 <= first <= 125:
-        raise MalformedInput(f"invalid graph6 byte {text[0]!r}", offset=0)
-    n = first - 63
+    n, head = _parse_graph6_header(text)
     npairs = n * (n - 1) // 2
     nbytes = (npairs + 5) // 6
-    if len(text) != 1 + nbytes:
+    if len(text) != head + nbytes:
         raise MalformedInput(
-            f"graph6 for n = {n} needs {1 + nbytes} bytes, got {len(text)}",
-            offset=min(len(text), 1 + nbytes),
+            f"graph6 for n = {n} needs {head + nbytes} bytes, got {len(text)}",
+            offset=min(len(text), head + nbytes),
         )
     values = []
-    for i, ch in enumerate(text[1:], start=1):
+    for i, ch in enumerate(text[head:], start=head):
         o = ord(ch)
         if not 63 <= o <= 126:
             raise MalformedInput(f"invalid graph6 byte {ch!r}", offset=i)
@@ -68,7 +95,7 @@ def graph6_to_graph(text: str) -> Graph:
     # padding bits must be zero for a canonical encoding
     while idx < 6 * nbytes:
         if (values[idx // 6] >> (5 - idx % 6)) & 1:
-            raise MalformedInput("nonzero padding bits", offset=1 + idx // 6)
+            raise MalformedInput("nonzero padding bits", offset=head + idx // 6)
         idx += 1
     return Graph(n, tuple(rows))
 

@@ -243,42 +243,38 @@ def biclique_number(g: Graph) -> int:
 
 
 def _chain_search(g: Graph, strong: bool) -> int:
-    """Longest half-graph embedding (a_i ~ b_j iff i <= j; strong drops the diagonal)."""
+    """Longest half-graph embedding (a_i ~ b_j iff i <= j; strong drops the diagonal).
+
+    Branch and bound over two candidate bitmasks, bitboard style: the
+    next a comes from `cand_a`, the unused vertices adjacent to no
+    earlier b; the next b from `cand_b`, the unused vertices adjacent
+    to every earlier a (and, unless strong, to the new a).  Every later
+    pair draws its a from `cand_a` and its b from `cand_b`, disjointly,
+    so popcounts bound the depth still reachable.
+    """
     n = g.n
     if n > CHAIN_LIMIT:
         raise SizeLimitExceeded(f"chain solver capped at n = {CHAIN_LIMIT}")
     rows = g.rows
     best = 0
-    a_seq: list[int] = []
-    b_seq: list[int] = []
 
-    def extend(used: int):
+    def extend(depth: int, cand_a: int, cand_b: int):
         nonlocal best
-        best = max(best, len(a_seq))
-        if len(a_seq) + (n - used.bit_count()) // 2 <= best:
+        best = max(best, depth)
+        reach = min(cand_a.bit_count(), cand_b.bit_count(), (cand_a | cand_b).bit_count() // 2)
+        if depth + reach <= best:
             return
-        for a in range(n):
-            if (used >> a) & 1:
-                continue
-            # a must be adjacent to no earlier b (i > j side)
-            ok = all(not (rows[a] >> b) & 1 for b in b_seq)
-            if not ok:
-                continue
-            for b in range(n):
-                if b == a or (used >> b) & 1:
-                    continue
-                # every earlier a_i must see the new b (i < j side)
-                if any(not (rows[x] >> b) & 1 for x in a_seq):
-                    continue
-                if not strong and not (rows[a] >> b) & 1:
-                    continue
-                a_seq.append(a)
-                b_seq.append(b)
-                extend(used | (1 << a) | (1 << b))
-                a_seq.pop()
-                b_seq.pop()
+        for a in _bits(cand_a):
+            bit_a = 1 << a
+            b_pool = cand_b & ~bit_a
+            if not strong:
+                b_pool &= rows[a]
+            for b in _bits(b_pool):
+                gone = bit_a | (1 << b)
+                extend(depth + 1, cand_a & ~gone & ~rows[b], cand_b & ~gone & rows[a])
 
-    extend(0)
+    full = (1 << n) - 1
+    extend(0, full, full)
     return best
 
 

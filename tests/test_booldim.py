@@ -34,6 +34,17 @@ class TestExistsRepresentation:
         with pytest.raises(BudgetExceeded):
             exists_representation(Graph.cycle(5), EQUIVALENCE, 3, budget=1000)
 
+    def test_budget_counts_multisets(self):
+        # 15 members at n = 4: C(17, 3) = 680 multisets of 3 are searched, not 15^3 = 3375
+        w = exists_representation(Graph.path(4), EQUIVALENCE, 3, budget=1000)
+        assert w is not None
+        assert_witness(w, Graph.path(4), EQUIVALENCE)
+        # 52 members at n = 5: C(54, 3) = 24804 multisets
+        with pytest.raises(BudgetExceeded, match="24804 multisets"):
+            exists_representation(Graph.cycle(5), EQUIVALENCE, 3, budget=1000)
+        with pytest.raises(BudgetExceeded, match="1378 multisets"):
+            restricted_dimension(Graph.cycle(5), EQUIVALENCE, "xor", 3, budget=1000)
+
     def test_matches_slow_enumerator_at_n4(self):
         # independent oracle: ordered tuples x all 16 binary functions
         members = list(enumerate_members(MATCHING, 4))

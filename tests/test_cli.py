@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import networkx as nx
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from boolcomb.cli import main
 from boolcomb.errors import MalformedInput
+from boolcomb.extremal import hnk
 from boolcomb.gformats import (
     edgelist_text_to_graph,
     emit_graph,
@@ -53,12 +55,37 @@ class TestGraph6:
             graph6_to_graph("")
         assert exc.value.offset == 0
         with pytest.raises(MalformedInput):
-            graph6_to_graph("~??")  # long form marker
+            graph6_to_graph("~??")  # long form cut short
         with pytest.raises(MalformedInput) as exc:
             graph6_to_graph("D" + chr(200) + "?")
         assert exc.value.offset == 1
         with pytest.raises(MalformedInput):
             graph6_to_graph("D?")  # too short for n = 5
+
+
+class TestGraph6LongForm:
+    @pytest.mark.parametrize("n", [62, 63, 64, 130])
+    def test_against_reference_encoder(self, rng, n):
+        g = random_graph(n, rng.random(), rng)
+        ref_graph = nx.Graph()
+        ref_graph.add_nodes_from(range(n))
+        ref_graph.add_edges_from(g.edges())
+        ref = nx.to_graph6_bytes(ref_graph, header=False).decode().strip()
+        assert graph_to_graph6(g) == ref
+        assert graph6_to_graph(ref).rows == g.rows
+
+    def test_hnk_4_3_roundtrip(self, capsys):
+        g = hnk(4, 3)
+        assert graph6_to_graph(graph_to_graph6(g)).rows == g.rows
+        assert main(["hnk", "4", "3"]) == 0
+        assert graph6_to_graph(capsys.readouterr().out.strip()).rows == g.rows
+
+    def test_rejects_non_canonical_and_wide_forms(self):
+        short = graph_to_graph6(Graph.cycle(5))  # 'D' + 2 bytes
+        with pytest.raises(MalformedInput, match="non-canonical"):
+            graph6_to_graph("~??" + chr(5 + 63) + short[1:])
+        with pytest.raises(MalformedInput, match="'~~'"):
+            graph6_to_graph("~~" + "?" * 6)
 
 
 class TestEdgeList:
@@ -226,6 +253,15 @@ class TestCliContracts:
         code = main(["booldim", "--target", target, "--class", "equiv", "--kmax", "2"])
         assert code == 2  # budget of 1 tuple is exceeded immediately
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed, digest", [
+        ("1729", "0624bb86519644dd10c814c22b7b5110a129fa3e7f19c271b99890d3c2713cac"),
+        ("7", "b5d9ed6c8a7eb8c1d5c9cadf4e91e2c70b6668fb74f0b240f38a1149e6e0ba5d"),
+    ], ids=["seed1729", "seed7"])
+    def test_verify_all_output_is_pinned(self, capsys, seed, digest):
+        # any change to the catalogue output must update these digests
+        assert main(["verify", "all", "--seed", seed]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_verify_deterministic_output(self, capsys):
         main(["verify", "chain-sandwich", "--seed", "3"])

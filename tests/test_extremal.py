@@ -184,6 +184,13 @@ def _set_not_homogeneous(cx):
     assert not all(is_homogeneous(g, cx["set"]) for g in graphs)
 
 
+def _step_below_sqrt(cx):
+    sizes, step = cx["sizes"], cx["step"]
+    assert sizes[step] ** 2 < sizes[step - 1]
+    graphs = [graph6_to_graph(g) for g in cx["graphs"]]
+    assert all(is_homogeneous(g, cx["set"]) for g in graphs)
+
+
 def _image_has_many_edges_and_non_edges(cx):
     f = BooleanFunction.from_text(cx["f"])
     g = apply_boolean(f, [graph6_to_graph(cx["h1"]), graph6_to_graph(cx["h2"])])
@@ -191,8 +198,9 @@ def _image_has_many_edges_and_non_edges(cx):
     assert min(g.edge_count, g.n * (g.n - 1) // 2 - g.edge_count) > 4
 
 
-# (catalogue id, name patched in boolcomb.extremal, wrong stand-in, re-verification);
-# speed-bound is absent: |{a ^ b}| <= |X|^2 holds for any X, so no stand-in can break it
+# (catalogue id, optionally "/variant", name patched in boolcomb.extremal, wrong
+# stand-in, re-verification); speed-bound is absent: |{a ^ b}| <= |X|^2 holds for
+# any X, so no stand-in can break it
 PLANTED = [
     ("perfect-2fn-equiv", "is_perfect", lambda g: False, _perfect_result_recombines),
     ("forbidden-multipartite", "restricted_dimension", _fake_witness, None),
@@ -200,6 +208,7 @@ PLANTED = [
     ("chain-sandwich", "strong_chain_number", lambda g: 0, _chain_numbers_recompute),
     ("nbhd-product", "neighborhood_complexity", lambda g, m: 100, None),
     ("eh-extraction", "common_homogeneous_set", lambda gs: list(range(gs[0].n)), _set_not_homogeneous),
+    ("eh-extraction/too-small", "common_homogeneous_set", lambda gs: [0], _step_below_sqrt),
     ("e1-characterization", "at_most_edges", lambda k: at_most_edges(3), _image_has_many_edges_and_non_edges),
     ("empty-characterization", "apply_boolean", lambda f, gs, n=None: Graph.path(n), None),
     ("meyniel-split", "find_odd_hole", lambda g: [0, 1, 2, 3, 4], None),
@@ -212,7 +221,7 @@ class TestPlantedFailures:
     @pytest.mark.parametrize("tid, name, fake, reverify", PLANTED, ids=[p[0] for p in PLANTED])
     def test_planted_bug_is_reported(self, monkeypatch, tid, name, fake, reverify):
         monkeypatch.setattr(boolcomb.extremal, name, fake)
-        check = verify_theorem(tid)
+        check = verify_theorem(tid.split("/")[0])
         assert check.passed is False
         assert check.counterexample
         if reverify is not None:

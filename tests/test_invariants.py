@@ -8,6 +8,7 @@ import pytest
 from boolcomb.errors import SizeLimitExceeded
 from boolcomb.graphs import Graph, complement, induced_subgraph
 from boolcomb.invariants import (
+    CHAIN_LIMIT,
     biclique_number,
     chain_number,
     chromatic_number,
@@ -219,13 +220,60 @@ def brute_chain_numbers(g: Graph) -> tuple[int, int]:
     return best_ch, best_sch
 
 
+def reference_chain_search(g: Graph, strong: bool) -> int:
+    """Oracle: the earlier chain solver, which rescans the sequences per candidate."""
+    n = g.n
+    if n > CHAIN_LIMIT:
+        raise SizeLimitExceeded(f"chain solver capped at n = {CHAIN_LIMIT}")
+    rows = g.rows
+    best = 0
+    a_seq: list[int] = []
+    b_seq: list[int] = []
+
+    def extend(used: int):
+        nonlocal best
+        best = max(best, len(a_seq))
+        if len(a_seq) + (n - used.bit_count()) // 2 <= best:
+            return
+        for a in range(n):
+            if (used >> a) & 1:
+                continue
+            # a must be adjacent to no earlier b (i > j side)
+            ok = all(not (rows[a] >> b) & 1 for b in b_seq)
+            if not ok:
+                continue
+            for b in range(n):
+                if b == a or (used >> b) & 1:
+                    continue
+                # every earlier a_i must see the new b (i < j side)
+                if any(not (rows[x] >> b) & 1 for x in a_seq):
+                    continue
+                if not strong and not (rows[a] >> b) & 1:
+                    continue
+                a_seq.append(a)
+                b_seq.append(b)
+                extend(used | (1 << a) | (1 << b))
+                a_seq.pop()
+                b_seq.pop()
+
+    extend(0)
+    return best
+
+
 class TestChainOracle:
     def test_matches_brute_force(self, rng):
         for _ in range(30):
-            g = random_graph(rng.randint(2, 6), rng.random(), rng)
+            g = random_graph(rng.randint(2, 8), rng.random(), rng)
             ch, sch = brute_chain_numbers(g)
             assert chain_number(g) == ch
             assert strong_chain_number(g) == sch
+
+    @pytest.mark.parametrize("count, low, high", [(200, 0, 9), (30, 10, CHAIN_LIMIT)])
+    def test_matches_reference_search(self, rng, count, low, high):
+        for _ in range(count):
+            g = random_graph(rng.randint(low, high), rng.random(), rng)
+            assert chain_number(g) == reference_chain_search(g, strong=False)
+            assert strong_chain_number(g) == reference_chain_search(g, strong=True)
 
 
 class TestTwins:
@@ -346,6 +394,13 @@ class TestPerfectness:
             assert len(cycle) % 2 == 1 and len(cycle) >= 5
             assert sub.edge_count == len(cycle)
             assert all(sub.degree(v) == 2 for v in range(sub.n))
+
+    def test_complement_has_the_same_verdict(self, rng):
+        # perfect-2fn-equiv caches one verdict for a graph and its complement
+        for _ in range(200):
+            g = random_graph(rng.randint(0, 9), rng.random(), rng)
+            h = complement(g)
+            assert (find_odd_hole_or_antihole(g) is None) == (find_odd_hole_or_antihole(h) is None)
 
     def test_agrees_with_coloring_oracle_exhaustive_n5(self):
         for mask in range(1 << 10):
