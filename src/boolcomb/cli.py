@@ -31,6 +31,11 @@ from .invariants import compute_params
 from .labeling import EquivalenceScheme, compose
 
 BUDGET_ENV = "BOOLCOMB_BUDGET"
+_SINGLE_GRAPH_DECOMPOSITIONS = {
+    "vizing": vizing_matchings,
+    "twin": twin_decomposition,
+    "classL": class_L_decomposition,
+}
 
 
 def _read_graph(text: str, fmt: str) -> Graph:
@@ -112,10 +117,7 @@ def main(argv: list[str]) -> int:
 
     try:
         return _dispatch(args)
-    except UnknownTheorem as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except MalformedInput as exc:
+    except (UnknownTheorem, MalformedInput) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except BoolcombError as exc:
@@ -143,31 +145,18 @@ def _dispatch(args) -> int:
 
     if args.command == "decompose":
         graphs = [_read_graph(t, args.format) for t in args.graphs]
-        if args.method == "vizing":
-            print(json.dumps(vizing_matchings(graphs[0]).to_json_dict()))
-        elif args.method == "twin":
-            print(json.dumps(twin_decomposition(graphs[0]).to_json_dict()))
-        elif args.method == "classL":
-            print(json.dumps(class_L_decomposition(graphs[0]).to_json_dict()))
-        elif args.method == "xornf":
+        if args.method == "pcseq":
+            seq = partition_complementation_sequence(graphs)
+            print(json.dumps([[sorted(b) for b in p.blocks] for p in seq]))
+            return 0
+        if args.method == "xornf":
             if not args.fn:
                 raise MalformedInput("xornf needs --fn")
             f = BooleanFunction.from_text(args.fn)
-            tag = ClassTag.from_text(args.class_tag)
-            alpha, parts = xor_normal_form(f, graphs, tag)
-            print(
-                json.dumps(
-                    {
-                        "f": f.to_text(),
-                        "alpha": alpha,
-                        "parts": [[emit_graph(p), tag.to_text()] for p in parts],
-                        "certified": True,
-                    }
-                )
-            )
-        else:  # pcseq
-            seq = partition_complementation_sequence(graphs)
-            print(json.dumps([[sorted(b) for b in p.blocks] for p in seq]))
+            d = xor_normal_form(f, graphs, ClassTag.from_text(args.class_tag))
+        else:
+            d = _SINGLE_GRAPH_DECOMPOSITIONS[args.method](graphs[0])
+        print(json.dumps(d.to_json_dict()))
         return 0
 
     if args.command == "hnk":
@@ -229,4 +218,16 @@ def _dispatch(args) -> int:
 
 
 def cli_main() -> None:
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point fd 1 at devnull so the
+        # interpreter's final flush does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
+
+
+if __name__ == "__main__":
+    cli_main()

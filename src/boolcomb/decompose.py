@@ -16,7 +16,6 @@ from .classes import (
     CLASS_C,
     CLASS_L,
     COMPLETE,
-    EMPTY,
     EQUIVALENCE,
     MATCHING,
     ClassTag,
@@ -42,7 +41,11 @@ class Decomposition:
     target: Graph
     f: BooleanFunction
     parts: tuple[tuple[Graph, ClassTag], ...]
-    certified: bool
+
+    @property
+    def alpha(self) -> int:
+        """The constant term of f's ANF: whether a pair in no part is an edge."""
+        return self.f.value_at(0)
 
     def part_graphs(self) -> list[Graph]:
         return [g for g, _ in self.parts]
@@ -52,9 +55,9 @@ class Decomposition:
 
         return {
             "f": self.f.to_text(),
-            "alpha": 0,
+            "alpha": self.alpha,
             "parts": [[graph_to_graph6(g), tag.to_text()] for g, tag in self.parts],
-            "certified": self.certified,
+            "certified": True,
         }
 
 
@@ -65,7 +68,7 @@ def _certify(target: Graph, f: BooleanFunction, parts: Sequence[tuple[Graph, Cla
     for g, tag in parts:
         if not is_member(tag, g):
             raise CertificationError(f"part is not a member of class {tag.to_text()!r}")
-    return Decomposition(target, f, tuple(parts), certified=True)
+    return Decomposition(target, f, tuple(parts))
 
 
 # -- edge coloring -----------------------------------------------------------------
@@ -227,6 +230,11 @@ def vizing_matchings(g: Graph) -> Decomposition:
 # -- twin-class decomposition ----------------------------------------------------------
 
 
+def _clique_on(n: int, mask: int) -> Graph:
+    """A clique on the vertices in `mask`; every other vertex is isolated."""
+    return Graph(n, tuple(mask ^ (1 << v) if (mask >> v) & 1 else 0 for v in range(n)))
+
+
 def twin_decomposition(g: Graph, budget: int = DEFAULT_BUDGET) -> Decomposition:
     """Rebuild g from clique-plus-isolated-vertices graphs over its twin classes.
 
@@ -247,16 +255,12 @@ def twin_decomposition(g: Graph, budget: int = DEFAULT_BUDGET) -> Decomposition:
             m |= 1 << v
         masks.append(m)
 
-    union_parts: list[Graph] = []
-    for i in range(t):
-        for j in range(i + 1, t):
-            a, b = blocks[i][0], blocks[j][0]
-            if g.adj(a, b):
-                rows = [0] * n
-                m = masks[i] | masks[j]
-                for v in blocks[i] + blocks[j]:
-                    rows[v] = m ^ (1 << v)
-                union_parts.append(Graph(n, tuple(rows)))
+    union_parts = [
+        _clique_on(n, masks[i] | masks[j])
+        for i in range(t)
+        for j in range(i + 1, t)
+        if g.adj(blocks[i][0], blocks[j][0])
+    ]
 
     base = combine("union", union_parts) if union_parts else Graph.empty(n)
     xor_parts: list[Graph] = []
@@ -266,10 +270,7 @@ def twin_decomposition(g: Graph, budget: int = DEFAULT_BUDGET) -> Decomposition:
             continue
         a0, a1 = b[0], b[1]
         if g.adj(a0, a1) != base.adj(a0, a1):
-            rows = [0] * n
-            for v in b:
-                rows[v] = masks[i] ^ (1 << v)
-            xor_parts.append(Graph(n, tuple(rows)))
+            xor_parts.append(_clique_on(n, masks[i]))
 
     ju = len(union_parts)
     jx = len(xor_parts)
@@ -286,20 +287,6 @@ def twin_decomposition(g: Graph, budget: int = DEFAULT_BUDGET) -> Decomposition:
 
 
 # -- clique + isolated-vertex decomposition ------------------------------------------------
-
-
-def _clique_minus(n: int, isolated: Sequence[int]) -> Graph:
-    """Clique on all vertices except `isolated`, which stay isolated."""
-    iso_mask = 0
-    for v in isolated:
-        iso_mask |= 1 << v
-    full = (1 << n) - 1
-    clique_mask = full ^ iso_mask
-    rows = [0] * n
-    for v in range(n):
-        if not (iso_mask >> v) & 1:
-            rows[v] = clique_mask ^ (1 << v)
-    return Graph(n, tuple(rows))
 
 
 def class_L_decomposition(g: Graph, budget: int = DEFAULT_BUDGET) -> Decomposition:
@@ -325,7 +312,7 @@ def class_L_decomposition(g: Graph, budget: int = DEFAULT_BUDGET) -> Decompositi
         else:
             p1_bits |= 1 << idx
 
-    base_graphs = [_clique_minus(n, [a]) for a in outside]
+    base_graphs = [_clique_on(n, ((1 << n) - 1) ^ (1 << a)) for a in outside]
     all_bits = (1 << p) - 1
 
     def evaluate(bits: int, e1: list[int], e2: list[int], clique_branch: bool) -> int:
@@ -368,68 +355,62 @@ def class_L_decomposition(g: Graph, budget: int = DEFAULT_BUDGET) -> Decompositi
 # -- XOR normal form over an intersection-closed class --------------------------------------
 
 
-_CLOSED_WITH_COMPLETE = ("equiv", "C", "complete")
-_CLOSED_WITHOUT_COMPLETE = ("d1", "ek", "empty")
+_CLOSED_WITH_COMPLETE = frozenset({"equiv", "C", "complete"})
+_CLOSED_WITHOUT_COMPLETE = frozenset({"d1", "ek", "empty"})
 
 
-def _closure_kinds(tag) -> tuple[tuple[str, ...], bool]:
-    """(accepted kinds, class contains all complete graphs)."""
-    kinds = tuple(sorted({t.kind for t in tag})) if isinstance(tag, (tuple, frozenset, set, list)) else (tag.kind,)
-    if all(k in _CLOSED_WITH_COMPLETE for k in kinds):
-        return kinds, True
-    if all(k in _CLOSED_WITHOUT_COMPLETE for k in kinds):
-        return kinds, False
-    if set(kinds) == {"C", "d1"}:
-        return kinds, True
-    raise NotIntersectionClosed(f"class {kinds!r} is not known to be intersection-closed")
+def _has_complete(tags: Sequence[ClassTag]) -> bool:
+    """Whether the union of the classes contains every complete graph.
+
+    Raises NotIntersectionClosed unless the union is known to be closed
+    under intersection.
+    """
+    kinds = {t.kind for t in tags}
+    if kinds <= _CLOSED_WITH_COMPLETE or kinds == {"C", "d1"}:
+        return True
+    if kinds <= _CLOSED_WITHOUT_COMPLETE:
+        return False
+    raise NotIntersectionClosed(f"class {tuple(sorted(kinds))!r} is not known to be intersection-closed")
 
 
 def xor_normal_form(
     f: BooleanFunction,
     graphs: Sequence[Graph],
     tag: ClassTag | Sequence[ClassTag],
-) -> tuple[int, list[Graph]]:
+) -> Decomposition:
     """Rewrite f(graphs) as a parity of class members, or its complement.
 
-    Parts are the intersections over the nonempty ANF monomials of f.
-    The empty monomial contributes the complete graph: emitted as a part
-    when the class contains complete graphs, absorbed into the returned
-    alpha bit otherwise.
+    Parts are the intersections over the nonempty ANF monomials of f, and
+    the returned f is the parity over the parts.  The empty monomial
+    contributes the complete graph: emitted as a part when the class
+    contains complete graphs, absorbed otherwise by negating the parity
+    (alpha = 1).  Each part is tagged with the first class it belongs to.
     """
     tags = list(tag) if isinstance(tag, (tuple, frozenset, set, list)) else [tag]
-    _, has_complete = _closure_kinds(tuple(tags))
+    has_complete = _has_complete(tags)
 
-    def member_ok(h: Graph) -> bool:
-        return any(is_member(t, h) for t in tags)
+    def tag_of(h: Graph) -> Optional[ClassTag]:
+        return next((t for t in tags if is_member(t, h)), None)
 
-    for h in graphs:
-        if not member_ok(h):
-            raise CertificationError("input graph is not a member of the stated class")
+    if any(tag_of(h) is None for h in graphs):
+        raise CertificationError("input graph is not a member of the stated class")
 
-    form = anf(f)
     n = graphs[0].n if graphs else 0
-    alpha = 0
+    negate = False
     parts: list[Graph] = []
-    for mono in sorted(form.monomials, key=lambda m: (len(m), sorted(m))):
-        if not mono:
-            if has_complete:
-                parts.append(Graph.complete(n))
-            else:
-                alpha = 1
-            continue
-        chosen = [graphs[i - 1] for i in sorted(mono)]
-        parts.append(combine("intersect", chosen))
-
-    target = apply_boolean(f, list(graphs), n=n)
-    rebuilt = combine("xor", parts) if parts else Graph.empty(n)
-    if alpha:
-        rebuilt = complement(rebuilt)
-    if rebuilt.rows != target.rows:
-        raise CertificationError("xor normal form does not recombine to f(graphs)")
-    for h in parts:
-        if not (member_ok(h) or is_member(COMPLETE, h)):
-            raise CertificationError("xor normal form produced a part outside the class")
-    return alpha, parts
+    for mono in sorted(anf(f).monomials, key=lambda m: (len(m), sorted(m))):
+        if mono:
+            parts.append(combine("intersect", [graphs[i - 1] for i in sorted(mono)]))
+        elif has_complete:
+            parts.append(Graph.complete(n))
+        else:
+            negate = True
+    parity = BooleanFunction.xor_(len(parts))
+    return _certify(
+        apply_boolean(f, list(graphs), n=n),
+        parity.negate() if negate else parity,
+        [(h, tag_of(h) or COMPLETE) for h in parts],
+    )
 
 
 # -- partition complementation sequences ------------------------------------------------------

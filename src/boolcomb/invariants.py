@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
-from .errors import BudgetExceeded, MismatchedVertexCount, SizeLimitExceeded
-from .graphs import Graph, Partition, _bits, complement, induced_subgraph
+from .errors import BudgetExceeded, SizeLimitExceeded
+from .graphs import Graph, Partition, _bits, _require_same_n, complement, induced_subgraph
 
 CLIQUE_LIMIT = 64
 CHROMATIC_LIMIT = 32
@@ -160,7 +160,8 @@ def chromatic_number(g: Graph, max_nodes: Optional[int] = None) -> int:
         raise SizeLimitExceeded(f"chromatic solver capped at n = {CHROMATIC_LIMIT}")
     if n == 0:
         return 0
-    lower = clique_number(g)
+    clique = maximum_clique(g)
+    lower = len(clique)
     upper = _greedy_coloring_bound(g)
     if lower == upper:
         return lower
@@ -169,8 +170,6 @@ def chromatic_number(g: Graph, max_nodes: Optional[int] = None) -> int:
     best = upper
     colors = [0] * n
     nodes = 0
-
-    clique = maximum_clique(g)
     for i, v in enumerate(clique):
         colors[v] = i + 1
 
@@ -436,13 +435,7 @@ def common_homogeneous_set(graphs: Sequence[Graph]) -> list[int]:
     of the next graph, taking the larger of max clique / max
     independent set (ties to clique).
     """
-    if not graphs:
-        raise MismatchedVertexCount("need at least one graph")
-    n = graphs[0].n
-    for g in graphs[1:]:
-        if g.n != n:
-            raise MismatchedVertexCount("graphs must share a vertex set")
-    current = list(range(n))
+    current = list(range(_require_same_n(graphs)))
     for g in graphs:
         sub = induced_subgraph(g, current)
         cl = maximum_clique(sub)

@@ -16,11 +16,10 @@ from .classes import EQUIVALENCE, is_member
 from .errors import (
     ArityMismatch,
     MalformedLabel,
-    MismatchedVertexCount,
     NotEquivalenceGraph,
     SchemeRejectsGraph,
 )
-from .graphs import Graph
+from .graphs import Graph, _require_same_n
 
 ARITY_HEADER_BITS = 8
 
@@ -124,10 +123,7 @@ def compose(
         raise ArityMismatch(f"arity {r} needs {r} schemes and {r} graphs")
     if r == 0:
         raise ArityMismatch("cannot compose an arity-0 scheme")
-    n = graphs[0].n
-    for g in graphs[1:]:
-        if g.n != n:
-            raise MismatchedVertexCount("graphs must share a vertex set")
+    n = _require_same_n(graphs)
     base_labels = []
     widths = []
     for scheme, g in zip(schemes, graphs):

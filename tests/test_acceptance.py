@@ -120,6 +120,13 @@ def _random_graph(n, p, rng):
     )
 
 
+def _recombines(d):
+    """The decomposition's function of its parts rebuilds its target, and
+    every part lies in the class it is tagged with."""
+    rebuilt = apply_boolean(d.f, d.part_graphs(), n=d.target.n)
+    return rebuilt.rows == d.target.rows and all(is_member(tag, g) for g, tag in d.parts)
+
+
 def test_criterion_06_decomposition_certificates():
     rng = random.Random(SEED + 21)
     ok = True
@@ -128,7 +135,7 @@ def test_criterion_06_decomposition_certificates():
         g = _random_graph(rng.randint(1, 12), rng.random(), rng)
         d = vizing_matchings(g)
         branch = g if max_degree(g) <= max_degree(complement(g)) else complement(g)
-        ok = ok and d.certified and len(d.parts) <= max_degree(branch) + 1
+        ok = ok and _recombines(d) and len(d.parts) <= max_degree(branch) + 1
         if not ok:
             break
 
@@ -154,7 +161,7 @@ def test_criterion_06_decomposition_certificates():
             g = Graph.from_edges(n, edges)
             d = twin_decomposition(g)
             tn = twin_number(g)
-            ok = ok and d.certified and len(d.parts) <= tn * (tn - 1) // 2 + tn
+            ok = ok and _recombines(d) and len(d.parts) <= tn * (tn - 1) // 2 + tn
             if not ok:
                 break
 
@@ -172,7 +179,7 @@ def test_criterion_06_decomposition_certificates():
                     edges.extend((a, v) for v in q)
             g = Graph.from_edges(n, edges)
             d = class_L_decomposition(g)
-            ok = ok and d.certified and len(d.parts) <= p
+            ok = ok and _recombines(d) and len(d.parts) <= p
             if not ok:
                 break
 
@@ -190,16 +197,12 @@ def test_criterion_06_decomposition_certificates():
             n = rng.randint(2, 12)
             graphs = [samplers[tag](n) for _ in range(k)]
             f = BooleanFunction(k, rng.randrange(1 << (1 << k)))
-            alpha, parts = xor_normal_form(f, graphs, tag)
-            ok = ok and len(parts) <= 1 << k
+            d = xor_normal_form(f, graphs, tag)
+            ok = ok and _recombines(d) and len(d.parts) <= 1 << k
             ok = ok and all(
-                is_member(tag, h) or h.edge_count == n * (n - 1) // 2 for h in parts
+                is_member(tag, h) or h.edge_count == n * (n - 1) // 2 for h in d.part_graphs()
             )
-            target = apply_boolean(f, graphs, n=n)
-            rebuilt = combine("xor", parts) if parts else Graph.empty(n)
-            if alpha:
-                rebuilt = complement(rebuilt)
-            ok = ok and rebuilt.rows == target.rows
+            ok = ok and d.target.rows == apply_boolean(f, graphs, n=n).rows
             if not ok:
                 break
 

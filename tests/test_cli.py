@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolcomb.boolfn import BooleanFunction
 from boolcomb.cli import main
 from boolcomb.errors import MalformedInput
 from boolcomb.extremal import hnk
@@ -17,7 +22,7 @@ from boolcomb.gformats import (
     graph_to_graph6,
     parse_graph,
 )
-from boolcomb.graphs import Graph
+from boolcomb.graphs import Graph, apply_boolean
 
 from conftest import random_graph
 
@@ -160,12 +165,19 @@ class TestCli:
         assert all(tag == "d1" for _, tag in data["parts"])
 
     def test_decompose_xornf(self, capsys):
-        h1 = graph_to_graph6(Graph.from_edges(4, [(0, 1), (2, 3)]))
-        h2 = graph_to_graph6(Graph.from_edges(4, [(1, 2)]))
-        assert main(["decompose", "--method", "xornf", "--fn", "2:0xe", "--class", "d1", h1, h2]) == 0
+        h1 = Graph.from_edges(4, [(0, 1), (2, 3)])
+        h2 = Graph.from_edges(4, [(1, 2)])
+        argv = ["decompose", "--method", "xornf", "--fn", "2:0xe", "--class", "d1"]
+        assert main(argv + [graph_to_graph6(h1), graph_to_graph6(h2)]) == 0
         data = json.loads(capsys.readouterr().out)
+        _validate(data, "decomposition.schema.json")
         assert data["alpha"] == 0
-        assert len(data["parts"]) == 3
+        assert data["f"] == "3:0x96"  # the parity of the three parts
+        parts = [graph6_to_graph(g6) for g6, _ in data["parts"]]
+        f = BooleanFunction.from_text(data["f"])
+        assert f.arity == len(parts) == 3
+        target = apply_boolean(BooleanFunction.from_text("2:0xe"), [h1, h2])
+        assert apply_boolean(f, parts).rows == target.rows
 
     def test_decompose_pcseq(self, capsys):
         h1 = graph_to_graph6(Graph.from_edges(4, [(0, 1), (2, 3)]))
@@ -200,7 +212,7 @@ class TestCli:
         assert main(["params", "~~~~"]) == 2
 
 
-SCHEMA_DIR = __import__("pathlib").Path(__file__).resolve().parent.parent / "docs" / "schemas"
+SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
 
 def _validate(payload, schema_name):
@@ -268,3 +280,31 @@ class TestCliContracts:
         first = capsys.readouterr().out
         main(["verify", "chain-sandwich", "--seed", "3"])
         assert capsys.readouterr().out == first
+
+
+def _module_cli(*args: str) -> subprocess.Popen:
+    """`python -m boolcomb.cli <args>` in a child process importing from src/,
+    with stdout and stderr piped."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen(
+        [sys.executable, "-m", "boolcomb.cli", *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_the_cli(self):
+        proc = _module_cli("verify", "speed-bound")
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err.decode()
+        checks = json.loads(out)
+        assert [c["id"] for c in checks] == ["speed-bound"]
+
+    def test_closed_stdout_is_quiet(self):
+        # Bell(9) = 21,147 graph6 lines, more than a pipe buffer holds
+        proc = _module_cli("enumerate", "--class", "equiv", "--n", "9")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        text = err.decode()
+        assert "Traceback" not in text and "Exception ignored" not in text
+        assert proc.returncode == 1

@@ -7,6 +7,7 @@ from boolcomb.boolfn import BooleanFunction, anf
 from boolcomb.classes import (
     CLASS_C,
     CLASS_L,
+    COMPLETE,
     EQUIVALENCE,
     MATCHING,
     SPLIT,
@@ -22,7 +23,13 @@ from boolcomb.decompose import (
     vizing_matchings,
     xor_normal_form,
 )
-from boolcomb.errors import BudgetExceeded, NoBigTwinClass, NotEquivalenceGraph, NotIntersectionClosed
+from boolcomb.errors import (
+    BudgetExceeded,
+    NoBigTwinClass,
+    NotEquivalenceGraph,
+    NotIntersectionClosed,
+    SizeLimitExceeded,
+)
 from boolcomb.graphs import Graph, apply_boolean, combine, complement, partition_complement
 from boolcomb.invariants import max_degree, twin_number
 
@@ -30,7 +37,6 @@ from conftest import random_graph
 
 
 def assert_certified(d):
-    assert d.certified
     rebuilt = apply_boolean(d.f, d.part_graphs(), n=d.target.n)
     assert rebuilt.rows == d.target.rows
     for g, tag in d.parts:
@@ -83,6 +89,12 @@ class TestVizingMatchings:
     def test_small_graphs(self):
         for g in (Graph.empty(4), Graph.complete(1), Graph.cycle(4), Graph.complete(4)):
             assert_certified(vizing_matchings(g))
+
+    def test_complement_branch_has_alpha_1(self):
+        d = vizing_matchings(Graph.complete(5))
+        assert_certified(d)
+        assert d.alpha == 1 == d.f.value_at(0)
+        assert d.to_json_dict()["alpha"] == 1
 
 
 def blow_up(quotient_edges, sizes, clique_flags, n):
@@ -177,33 +189,38 @@ class TestXorNormalForm:
     def test_and_single_part(self):
         h1 = random_member(EQUIVALENCE, 6, 1)
         h2 = random_member(EQUIVALENCE, 6, 2)
-        alpha, parts = xor_normal_form(BooleanFunction.and_(2), [h1, h2], EQUIVALENCE)
-        assert alpha == 0
-        assert len(parts) == 1
-        assert parts[0].rows == combine("intersect", [h1, h2]).rows
+        d = xor_normal_form(BooleanFunction.and_(2), [h1, h2], EQUIVALENCE)
+        assert_certified(d)
+        assert d.alpha == 0 and len(d.parts) == 1
+        assert d.part_graphs()[0].rows == combine("intersect", [h1, h2]).rows
+        assert d.f == BooleanFunction.xor_(1)
 
     def test_or_three_parts_parity_check(self):
         h1 = random_member(EQUIVALENCE, 6, 3)
         h2 = random_member(EQUIVALENCE, 6, 4)
-        alpha, parts = xor_normal_form(BooleanFunction.or_(2), [h1, h2], EQUIVALENCE)
-        assert alpha == 0 and len(parts) == 3
+        d = xor_normal_form(BooleanFunction.or_(2), [h1, h2], EQUIVALENCE)
+        assert d.alpha == 0 and len(d.parts) == 3
+        assert d.f == BooleanFunction.xor_(3)
         target = combine("union", [h1, h2])
         for u, v in itertools.combinations(range(6), 2):
-            parity = sum(p.adj(u, v) for p in parts) % 2
+            parity = sum(p.adj(u, v) for p in d.part_graphs()) % 2
             assert parity == int(target.adj(u, v))
 
     def test_not_x1_absorbs_complete_graph_without_kn(self):
         h1 = random_member(MATCHING, 6, 5)
-        alpha, parts = xor_normal_form(BooleanFunction.not_(), [h1], MATCHING)
-        assert alpha == 1
-        assert len(parts) == 1 and parts[0].rows == h1.rows
+        d = xor_normal_form(BooleanFunction.not_(), [h1], MATCHING)
+        assert_certified(d)
+        assert d.alpha == 1 == d.f.value_at(0)
+        assert d.f == BooleanFunction.xor_(1).negate()
+        assert len(d.parts) == 1 and d.parts[0][0].rows == h1.rows
 
     def test_not_x1_emits_kn_for_equivalence(self):
         h1 = random_member(EQUIVALENCE, 6, 6)
-        alpha, parts = xor_normal_form(BooleanFunction.not_(), [h1], EQUIVALENCE)
-        assert alpha == 0
-        assert len(parts) == 2
-        assert any(p.rows == Graph.complete(6).rows for p in parts)
+        d = xor_normal_form(BooleanFunction.not_(), [h1], EQUIVALENCE)
+        assert_certified(d)
+        assert d.alpha == 0
+        assert len(d.parts) == 2
+        assert any(p.rows == Graph.complete(6).rows for p in d.part_graphs())
 
     def test_part_bound_and_membership(self, rng):
         tags = [EQUIVALENCE, MATCHING, CLASS_C, at_most_edges(3)]
@@ -212,24 +229,31 @@ class TestXorNormalForm:
             k = rng.randint(1, 3)
             graphs = [_random_tag_member(tag, 7, rng) for _ in range(k)]
             f = BooleanFunction(k, rng.randrange(1 << (1 << k)))
-            alpha, parts = xor_normal_form(f, graphs, tag)
-            assert len(parts) <= 1 << k
-            assert len(parts) <= len(anf(f).monomials)
-            target = apply_boolean(f, graphs, n=7)
-            rebuilt = combine("xor", parts) if parts else Graph.empty(7)
-            if alpha:
-                rebuilt = complement(rebuilt)
-            assert rebuilt.rows == target.rows
+            d = xor_normal_form(f, graphs, tag)
+            assert_certified(d)
+            assert len(d.parts) <= 1 << k
+            assert len(d.parts) <= len(anf(f).monomials)
+            assert d.f.arity == len(d.parts)
+            assert d.target.rows == apply_boolean(f, graphs, n=7).rows
+            assert all(t in (tag, COMPLETE) for _, t in d.parts)
 
     def test_union_class_c_with_matching(self, rng):
         graphs = [_random_tag_member(CLASS_C, 6, rng), random_member(MATCHING, 6, 7)]
         f = BooleanFunction.xor_(2)
-        alpha, parts = xor_normal_form(f, graphs, (CLASS_C, MATCHING))
-        assert alpha == 0
+        d = xor_normal_form(f, graphs, (CLASS_C, MATCHING))
+        assert_certified(d)
+        assert d.alpha == 0
 
     def test_rejects_non_closed_class(self):
         with pytest.raises(NotIntersectionClosed):
             xor_normal_form(BooleanFunction.and_(2), [Graph.empty(4), Graph.empty(4)], SPLIT)
+
+    def test_more_than_16_parts_is_refused(self):
+        f = BooleanFunction.from_text("5:0x977f7ffe")
+        assert len(anf(f).monomials) == 25
+        graphs = [random_member(EQUIVALENCE, 6, seed) for seed in range(5)]
+        with pytest.raises(SizeLimitExceeded, match="16"):
+            xor_normal_form(f, graphs, EQUIVALENCE)
 
 
 def _random_tag_member(tag, n, rng):

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from boolcomb.errors import SizeLimitExceeded
+from boolcomb.errors import EmptyInput, MismatchedVertexCount, SizeLimitExceeded
 from boolcomb.graphs import Graph, complement, induced_subgraph
 from boolcomb.invariants import (
     CHAIN_LIMIT,
@@ -116,6 +116,19 @@ class TestChromatic:
         for _ in range(30):
             g = random_graph(rng.randint(1, 7), rng.random(), rng)
             assert chromatic_number(g) == brute_chromatic_number(g)
+
+    def test_one_clique_search_per_call(self, monkeypatch):
+        import boolcomb.invariants as inv
+
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return maximum_clique(g)
+
+        monkeypatch.setattr(inv, "maximum_clique", counted)
+        assert chromatic_number(Graph.cycle(5)) == 3  # omega = 2 < greedy bound 3
+        assert len(calls) == 1
 
     def test_sandwich_bounds(self, rng):
         for _ in range(30):
@@ -424,6 +437,12 @@ class TestCommonHomogeneousSet:
     def test_complete_and_empty(self):
         s = common_homogeneous_set([Graph.complete(6), Graph.empty(6)])
         assert s == list(range(6))
+
+    def test_rejects_empty_and_mismatched_inputs(self):
+        with pytest.raises(EmptyInput):
+            common_homogeneous_set([])
+        with pytest.raises(MismatchedVertexCount):
+            common_homogeneous_set([Graph.empty(4), Graph.empty(5)])
 
     def test_c5_pair(self, rng):
         c5 = Graph.cycle(5)

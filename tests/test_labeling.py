@@ -4,7 +4,13 @@ import pytest
 
 from boolcomb.boolfn import BooleanFunction
 from boolcomb.classes import EQUIVALENCE, random_member
-from boolcomb.errors import ArityMismatch, MalformedLabel, NotEquivalenceGraph, SchemeRejectsGraph
+from boolcomb.errors import (
+    ArityMismatch,
+    MalformedLabel,
+    MismatchedVertexCount,
+    NotEquivalenceGraph,
+    SchemeRejectsGraph,
+)
 from boolcomb.graphs import Graph, apply_boolean
 from boolcomb.labeling import (
     ComposedScheme,
@@ -80,6 +86,8 @@ class TestCompose:
         g = random_member(EQUIVALENCE, 10, 12)
         with pytest.raises(ArityMismatch):
             compose(BooleanFunction.xor_(2), [EquivalenceScheme], [g])
+        with pytest.raises(MismatchedVertexCount):
+            compose(BooleanFunction.xor_(2), [EquivalenceScheme] * 2, [g, Graph.empty(9)])
         with pytest.raises(SchemeRejectsGraph):
             compose(
                 BooleanFunction.projection(1, 1), [EquivalenceScheme], [Graph.path(4)]
