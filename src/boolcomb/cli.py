@@ -30,7 +30,6 @@ from .graphs import Graph, apply_boolean, combine
 from .invariants import compute_params
 from .labeling import EquivalenceScheme, compose
 
-BUDGET_ENV = "BOOLCOMB_BUDGET"
 _SINGLE_GRAPH_DECOMPOSITIONS = {
     "vizing": vizing_matchings,
     "twin": twin_decomposition,
@@ -44,16 +43,6 @@ def _read_graph(text: str, fmt: str) -> Graph:
         if fmt == "graph6":
             text = text.strip()
     return parse_graph(text, fmt)
-
-
-def _budget_default() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return booldim_mod.DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise MalformedInput(f"{BUDGET_ENV} must be an integer, got {raw!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="class_tag", required=True, help="class tag, e.g. equiv")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--mode", choices=["union", "intersect", "xor"], help="restrict f to a fold")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=booldim_mod.DEFAULT_BUDGET)
 
     p = sub.add_parser("label", help="adjacency labels for a boolean combination")
     p.add_argument("--fn", help="boolean function, e.g. 2:0x6 (default: identity)")
@@ -154,6 +143,8 @@ def _dispatch(args) -> int:
                 raise MalformedInput("xornf needs --fn")
             f = BooleanFunction.from_text(args.fn)
             d = xor_normal_form(f, graphs, ClassTag.from_text(args.class_tag))
+        elif len(graphs) != 1:
+            raise MalformedInput(f"{args.method} decomposes one graph, got {len(graphs)}")
         else:
             d = _SINGLE_GRAPH_DECOMPOSITIONS[args.method](graphs[0])
         print(json.dumps(d.to_json_dict()))
@@ -177,11 +168,10 @@ def _dispatch(args) -> int:
     if args.command == "booldim":
         g = _read_graph(args.target, "graph6")
         tag = ClassTag.from_text(args.class_tag)
-        budget = args.budget if args.budget is not None else _budget_default()
         if args.mode:
-            witness = booldim_mod.restricted_dimension(g, tag, args.mode, args.kmax, budget=budget)
+            witness = booldim_mod.restricted_dimension(g, tag, args.mode, args.kmax, budget=args.budget)
         else:
-            witness = booldim_mod.boolean_dimension(g, tag, args.kmax, budget=budget)
+            witness = booldim_mod.boolean_dimension(g, tag, args.kmax, budget=args.budget)
         if witness is None:
             print(json.dumps({"found": False, "exhausted_k": args.kmax}))
         else:

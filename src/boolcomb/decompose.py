@@ -31,8 +31,6 @@ from .errors import (
 from .graphs import Graph, Partition, apply_boolean, combine, complement
 from .invariants import max_degree, twin_classes
 
-DEFAULT_BUDGET = MAX_ARITY
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -235,17 +233,17 @@ def _clique_on(n: int, mask: int) -> Graph:
     return Graph(n, tuple(mask ^ (1 << v) if (mask >> v) & 1 else 0 for v in range(n)))
 
 
-def twin_decomposition(g: Graph, budget: int = DEFAULT_BUDGET) -> Decomposition:
+def twin_decomposition(g: Graph) -> Decomposition:
     """Rebuild g from clique-plus-isolated-vertices graphs over its twin classes.
 
     One union part per complete pair of classes, one XOR part per class
     whose internal adjacency still disagrees; at most C(t,2) + t parts
-    for twin number t.
+    for twin number t, which must not exceed MAX_ARITY.
     """
     tc = twin_classes(g)
     t = len(tc.blocks)
-    if comb(t, 2) + t > budget:
-        raise BudgetExceeded(f"twin number {t} needs up to {comb(t, 2) + t} parts (> budget {budget})")
+    if comb(t, 2) + t > MAX_ARITY:
+        raise BudgetExceeded(f"twin number {t} needs up to {comb(t, 2) + t} parts (> {MAX_ARITY})")
     n = g.n
     blocks = [sorted(b) for b in tc.blocks]
     masks = []
@@ -289,67 +287,28 @@ def twin_decomposition(g: Graph, budget: int = DEFAULT_BUDGET) -> Decomposition:
 # -- clique + isolated-vertex decomposition ------------------------------------------------
 
 
-def class_L_decomposition(g: Graph, budget: int = DEFAULT_BUDGET) -> Decomposition:
+def class_L_decomposition(g: Graph) -> Decomposition:
     """Rebuild g from at most p graphs 'clique plus one isolated vertex',
-    where p counts the vertices outside the largest twin class."""
-    tc = twin_classes(g)
-    n = g.n
-    big = max(tc.blocks, key=len)
-    outside = sorted(set(range(n)) - set(big))
+    where p counts the vertices outside the largest twin class Q.
+
+    Part i is the clique on every vertex but the i-th outside vertex, so
+    a pair lies in every part except those of its outside endpoints.
+    f is 1 on the patterns of g's edges and 0 on every other pattern:
+    the pairs inside Q share one pattern, as do the pairs joining one
+    outside vertex to Q, and twins agree on each.
+    """
+    big = max(twin_classes(g).blocks, key=len, default=frozenset())
+    outside = [v for v in range(g.n) if v not in big]
     p = len(outside)
-    if p > budget:
-        raise NoBigTwinClass(f"largest twin class leaves {p} vertices (> budget {budget})")
-
-    q = sorted(big)
-    q_is_clique = len(q) >= 2 and g.adj(q[0], q[1]) or len(q) < 2
-    # vertices outside Q are complete or anticomplete to Q (twin class)
-    rep = q[0]
-    p1_bits = 0
-    p2_bits = 0
-    for idx, a in enumerate(outside):
-        if g.adj(a, rep):
-            p2_bits |= 1 << idx
-        else:
-            p1_bits |= 1 << idx
-
-    base_graphs = [_clique_on(n, ((1 << n) - 1) ^ (1 << a)) for a in outside]
-    all_bits = (1 << p) - 1
-
-    def evaluate(bits: int, e1: list[int], e2: list[int], clique_branch: bool) -> int:
-        and_p1 = (bits & p1_bits) == p1_bits
-        and_p2 = (bits & p2_bits) == p2_bits
-        value = 1 if (and_p1 and not and_p2) else 0
-        if clique_branch and (bits & all_bits) == all_bits:
-            value = 1
-        for pair in e1:
-            if bits & pair == 0:
-                value = 1
-        for pair in e2:
-            if bits & pair == 0:
-                value = 0
-        return value
-
-    # G'' agrees with g outside P; list the corrections needed inside P
-    prelim = BooleanFunction.from_values(
-        p, [evaluate(i, [], [], q_is_clique) for i in range(1 << p)]
-    )
-    rebuilt = apply_boolean(prelim, base_graphs, n=n)
-    e1: list[int] = []
-    e2: list[int] = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            a, b = outside[i], outside[j]
-            pair = (1 << i) | (1 << j)
-            if g.adj(a, b) and not rebuilt.adj(a, b):
-                e1.append(pair)
-            elif rebuilt.adj(a, b) and not g.adj(a, b):
-                e2.append(pair)
-
-    f = BooleanFunction.from_values(
-        p, [evaluate(i, e1, e2, q_is_clique) for i in range(1 << p)]
-    )
-    parts = [(h, CLASS_L) for h in base_graphs]
-    return _certify(g, f, parts)
+    if p > MAX_ARITY:
+        raise NoBigTwinClass(f"largest twin class leaves {p} vertices (> {MAX_ARITY})")
+    drop = {a: 1 << i for i, a in enumerate(outside)}
+    full = (1 << p) - 1
+    table = 0
+    for u, v in g.edges():
+        table |= 1 << (full ^ drop.get(u, 0) ^ drop.get(v, 0))
+    parts = [(_clique_on(g.n, ((1 << g.n) - 1) ^ (1 << a)), CLASS_L) for a in outside]
+    return _certify(g, BooleanFunction(p, table), parts)
 
 
 # -- XOR normal form over an intersection-closed class --------------------------------------

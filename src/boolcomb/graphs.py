@@ -118,9 +118,6 @@ class Graph:
             raise OutOfRangeVertex(f"pair ({u}, {v}) outside 0..{self.n - 1}")
         return bool((self.rows[u] >> v) & 1)
 
-    def neighbors_mask(self, v: int) -> int:
-        return self.rows[v]
-
     def neighbors(self, v: int) -> list[int]:
         return _bits(self.rows[v])
 
@@ -209,12 +206,6 @@ class Partition:
     @classmethod
     def singletons(cls, n: int) -> "Partition":
         return cls(n, tuple(frozenset([v]) for v in range(n)))
-
-    def block_of(self, v: int) -> frozenset[int]:
-        for block in self.blocks:
-            if v in block:
-                return block
-        raise OutOfRangeVertex(f"vertex {v} outside 0..{self.n - 1}")
 
     def equivalence_graph(self) -> Graph:
         """The graph whose maximal cliques are this partition's blocks."""

@@ -293,43 +293,24 @@ def twin_classes(g: Graph) -> Partition:
     """Partition into maximal classes of pairwise twins.
 
     Two vertices are twins when N(a) \\ {b} = N(b) \\ {a}.  Non-adjacent
-    twins share a row; adjacent twins share a closed row.  Grouping by
-    both keys and merging gives the classes in near-linear time.
+    twins share a row; adjacent twins share a closed row.  No vertex has
+    twins of both kinds: if b is a non-adjacent twin of a and c an
+    adjacent one, then c is in N(a) = N(b), so b is in N[c] = N[a].  The
+    groups of size >= 2 under either key are therefore the classes, and
+    every other vertex is a class of its own.
     """
-    n = g.n
-    if n == 0:
-        return Partition(0, ())
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    open_groups: dict[int, int] = {}
-    closed_groups: dict[int, int] = {}
-    for v in range(n):
-        open_key = g.rows[v]
-        closed_key = g.rows[v] | (1 << v)
-        if open_key in open_groups:
-            union(open_groups[open_key], v)
-        else:
-            open_groups[open_key] = v
-        if closed_key in closed_groups:
-            union(closed_groups[closed_key], v)
-        else:
-            closed_groups[closed_key] = v
-
-    blocks: dict[int, set[int]] = {}
-    for v in range(n):
-        blocks.setdefault(find(v), set()).add(v)
-    return Partition.from_blocks(n, blocks.values())
+    open_groups: dict[int, list[int]] = {}
+    closed_groups: dict[int, list[int]] = {}
+    for v, row in enumerate(g.rows):
+        open_groups.setdefault(row, []).append(v)
+        closed_groups.setdefault(row | 1 << v, []).append(v)
+    blocks = [b for groups in (open_groups, closed_groups) for b in groups.values() if len(b) > 1]
+    blocks += [
+        [v]
+        for v, row in enumerate(g.rows)
+        if len(open_groups[row]) == len(closed_groups[row | 1 << v]) == 1
+    ]
+    return Partition.from_blocks(g.n, blocks)
 
 
 def twin_number(g: Graph) -> int:

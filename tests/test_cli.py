@@ -164,6 +164,18 @@ class TestCli:
         assert data["certified"] is True
         assert all(tag == "d1" for _, tag in data["parts"])
 
+    @pytest.mark.parametrize("method", ["vizing", "twin", "classL"])
+    def test_decompose_single_graph_methods_refuse_several(self, capsys, method):
+        assert main(["decompose", "--method", method, "D~{", "Dhc"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert method in err and "2" in err
+
+    def test_decompose_class_l_empty_graph(self, capsys):
+        assert main(["decompose", "--method", "classL", "?"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["f"] == "0:0x0" and data["parts"] == []
+
     def test_decompose_xornf(self, capsys):
         h1 = Graph.from_edges(4, [(0, 1), (2, 3)])
         h2 = Graph.from_edges(4, [(1, 2)])
@@ -259,10 +271,9 @@ class TestCliContracts:
         monkeypatch.setattr(cli_mod, "verify_theorem", fake)
         assert main(["verify", "speed-bound"]) == 1
 
-    def test_budget_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("BOOLCOMB_BUDGET", "1")
+    def test_budget_option(self, capsys):
         target = graph_to_graph6(Graph.cycle(5))
-        code = main(["booldim", "--target", target, "--class", "equiv", "--kmax", "2"])
+        code = main(["booldim", "--target", target, "--class", "equiv", "--kmax", "2", "--budget", "1"])
         assert code == 2  # budget of 1 tuple is exceeded immediately
         assert "budget" in capsys.readouterr().err
 

@@ -31,7 +31,7 @@ from boolcomb.errors import (
     SizeLimitExceeded,
 )
 from boolcomb.graphs import Graph, apply_boolean, combine, complement, partition_complement
-from boolcomb.invariants import max_degree, twin_number
+from boolcomb.invariants import max_degree, twin_classes, twin_number
 
 from conftest import random_graph
 
@@ -180,9 +180,23 @@ class TestClassLDecomposition:
             assert_certified(d)
             assert len(d.parts) <= p
 
+    def test_every_graph_up_to_5_vertices(self):
+        for n in range(6):  # n = 0 included: no parts, f = 0:0x0
+            for mask in range(1 << (n * (n - 1) // 2)):
+                g = Graph.from_edge_mask(n, mask)
+                d = class_L_decomposition(g)
+                assert_certified(d)
+                assert len(d.parts) == n - max((len(b) for b in twin_classes(g).blocks), default=0)
+                # f is 1 exactly on the part patterns of g's edges
+                edge_patterns = {
+                    sum(h.adj(u, v) << i for i, h in enumerate(d.part_graphs())) for u, v in g.edges()
+                }
+                assert {i for i in range(1 << d.f.arity) if d.f.value_at(i)} == edge_patterns
+
     def test_no_big_twin_class(self):
+        # C18 has 18 singleton twin classes: p = 17 > MAX_ARITY
         with pytest.raises(NoBigTwinClass):
-            class_L_decomposition(Graph.cycle(12), budget=3)
+            class_L_decomposition(Graph.cycle(18))
 
 
 class TestXorNormalForm:

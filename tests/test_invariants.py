@@ -56,6 +56,15 @@ def brute_chromatic_number(g: Graph) -> int:
     raise AssertionError
 
 
+def brute_twin_classes(g: Graph) -> set[frozenset[int]]:
+    """Classes of the relation N(a) minus {b} = N(b) minus {a}, read off pair by pair."""
+
+    def twins(a: int, b: int) -> bool:
+        return set(g.neighbors(a)) - {b} == set(g.neighbors(b)) - {a}
+
+    return {frozenset(b for b in range(g.n) if twins(a, b)) for a in range(g.n)}
+
+
 def is_perfect_by_coloring(g: Graph) -> bool:
     """Slow cross-validation oracle: chi(H) = omega(H) on every induced subgraph.
 
@@ -290,6 +299,14 @@ class TestChainOracle:
 
 
 class TestTwins:
+    def test_against_brute_force(self, rng):
+        graphs = [
+            Graph.from_edge_mask(n, mask) for n in range(6) for mask in range(1 << comb(n, 2))
+        ]
+        graphs += [random_graph(rng.randint(0, 9), rng.random(), rng) for _ in range(200)]
+        for g in graphs:
+            assert set(twin_classes(g).blocks) == brute_twin_classes(g)
+
     def test_examples(self):
         assert twin_number(Graph.complete(6)) == 1
         assert twin_number(Graph.complete_multipartite([2, 3])) == 2
