@@ -82,7 +82,7 @@ class SchemeRejectsGraph(BoolcombError):
 
 
 class MalformedInput(BoolcombError):
-    """Parse failure in a textual graph format; carries the byte offset."""
+    """Malformed input or argument; a parse failure carries its byte offset."""
 
     def __init__(self, message, offset=None):
         if offset is not None:

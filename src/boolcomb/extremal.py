@@ -102,12 +102,12 @@ class HnkReport:
         return json.dumps(self.__dict__, sort_keys=True)
 
 
-def hnk_report(n: int, k: int, chi_node_budget: int = HNK_CHI_NODE_BUDGET) -> HnkReport:
+def hnk_report(n: int, k: int) -> HnkReport:
     """Exact clique/independence numbers against the analytic bounds.
 
     The chromatic number is exact when the branch-and-bound finishes
-    within its node budget; otherwise the report falls back to the
-    counting lower bound ceil(n^k / alpha).
+    within HNK_CHI_NODE_BUDGET nodes; otherwise the report falls back to
+    the counting lower bound ceil(n^k / alpha).
     """
     g = hnk(n, k)
     omega = clique_number(g)
@@ -120,7 +120,7 @@ def hnk_report(n: int, k: int, chi_node_budget: int = HNK_CHI_NODE_BUDGET) -> Hn
         alpha_bound = float(n * k)
     chi_lower = -(-(n**k) // alpha)
     try:
-        chi = chromatic_number(g, max_nodes=chi_node_budget)
+        chi = chromatic_number(g, max_nodes=HNK_CHI_NODE_BUDGET)
         chi_is_exact = True
     except (BudgetExceeded, SizeLimitExceeded):
         chi = chi_lower

@@ -371,15 +371,15 @@ def _refine_colors(g: Graph) -> list[int]:
     return colors
 
 
-def is_isomorphic(g: Graph, h: Graph, limit: int = ISO_DEFAULT_LIMIT) -> bool:
-    """Exact isomorphism test for small graphs (default cap n = 12).
+def is_isomorphic(g: Graph, h: Graph) -> bool:
+    """Exact isomorphism test for small graphs (capped at n = 12).
 
     Quick invariant rejections (order, size, degrees, refined colors)
     followed by a refinement-guided backtracking search for an explicit
     adjacency-preserving bijection.
     """
-    if g.n > limit or h.n > limit:
-        raise SizeLimitExceeded(f"isomorphism capped at n = {limit}")
+    if g.n > ISO_DEFAULT_LIMIT or h.n > ISO_DEFAULT_LIMIT:
+        raise SizeLimitExceeded(f"isomorphism capped at n = {ISO_DEFAULT_LIMIT}")
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
     if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):

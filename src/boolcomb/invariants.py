@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb
+from itertools import combinations
 from typing import Optional, Sequence
 
-from .errors import BudgetExceeded, SizeLimitExceeded
+from .errors import BudgetExceeded, MalformedInput, SizeLimitExceeded
 from .graphs import Graph, Partition, _bits, _require_same_n, complement, induced_subgraph
 
 CLIQUE_LIMIT = 64
@@ -321,40 +321,37 @@ def twin_number(g: Graph) -> int:
 
 
 def neighborhood_complexity(g: Graph, m: int) -> int:
-    """Shatter function of the neighborhood set system at argument m."""
-    from itertools import combinations
+    """Shatter function of the neighborhood set system at argument m.
 
+    The most traces N(v) & S over the m-sets S.  No m-set has more than
+    min(2^m, n) traces, so the scan stops once the best reaches that.
+    """
+    if m < 0:
+        raise MalformedInput(f"m = {m} is negative")
+    if g.n > VC_LIMIT:
+        raise SizeLimitExceeded(f"neighborhood solver capped at n = {VC_LIMIT}")
     if m > g.n:
         raise SizeLimitExceeded(f"m = {m} exceeds vertex count {g.n}")
+    ceiling = min(1 << m, g.n)
     best = 0
     for subset in combinations(range(g.n), m):
-        mask = 0
-        for v in subset:
-            mask |= 1 << v
-        traces = {g.rows[v] & mask for v in range(g.n)}
-        best = max(best, len(traces))
+        mask = sum(1 << v for v in subset)
+        best = max(best, len({row & mask for row in g.rows}))
+        if best == ceiling:
+            break
     return best
 
 
 def vc_dimension(g: Graph) -> int:
-    """VC dimension of the neighborhood set system (exhaustive shattering test)."""
-    from itertools import combinations
+    """VC dimension of the neighborhood set system.
 
-    if g.n > VC_LIMIT:
-        raise SizeLimitExceeded(f"VC solver capped at n = {VC_LIMIT}")
-    n = g.n
-    upper = 0
-    while (1 << (upper + 1)) <= n:
-        upper += 1
-    for d in range(min(upper, n), 0, -1):
-        for subset in combinations(range(n), d):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            traces = {g.rows[v] & mask for v in range(n)}
-            if len(traces) == 1 << d:
-                return d
-    return 0
+    Every subset of a shattered set is shattered, so this is the largest
+    d with neighborhood_complexity(g, d) = 2^d, found by scanning up.
+    """
+    d = 0
+    while 2 << d <= g.n and neighborhood_complexity(g, d + 1) == 2 << d:
+        d += 1
+    return d
 
 
 # -- perfectness ---------------------------------------------------------------------

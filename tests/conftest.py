@@ -1,8 +1,14 @@
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import settings
 
 from boolcomb.graphs import Graph
+
+# Every run draws the same examples (and keeps no example database).
+settings.register_profile("reproducible", derandomize=True)
+settings.load_profile("reproducible")
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -13,6 +19,13 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
         if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
 
 
 @pytest.fixture

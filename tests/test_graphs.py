@@ -1,5 +1,6 @@
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from boolcomb.graphs import (
     subgraph_complement,
 )
 
-from conftest import random_graph
+from conftest import random_graph, to_networkx
 
 
 class TestGraphBasics:
@@ -259,6 +260,36 @@ class TestIsomorphism:
     def test_size_cap(self):
         with pytest.raises(SizeLimitExceeded):
             is_isomorphic(Graph.empty(13), Graph.empty(13))
+
+    def test_against_networkx_to_n12(self, rng):
+        # a relabeled copy (isomorphic), the copy with one pair flipped (one
+        # edge more or less), and the copy after a 2-switch ab, cd -> ad, cb
+        # (same degree sequence, so the search runs past the degree check)
+        switched_apart = 0
+        for _ in range(60):
+            n = rng.randint(2, 12)
+            g = random_graph(n, rng.random(), rng)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            edges = set(h.edges())
+            u, v = sorted(rng.sample(range(n), 2))
+            flipped = Graph.from_edges(n, edges ^ {(u, v)})
+            assert is_isomorphic(g, h) and not is_isomorphic(g, flipped)
+            others = [h, flipped]
+            switches = [
+                (e, f)
+                for e, f in itertools.permutations(sorted(edges), 2)
+                if len({*e, *f}) == 4 and not h.adj(e[0], f[1]) and not h.adj(f[0], e[1])
+            ]
+            if switches:
+                (a, b), (c, d) = rng.choice(switches)
+                moved = {tuple(sorted((a, d))), tuple(sorted((c, b)))}
+                others.append(Graph.from_edges(n, edges - {(a, b), (c, d)} | moved))
+                switched_apart += not nx.is_isomorphic(to_networkx(g), to_networkx(others[-1]))
+            for other in others:
+                assert is_isomorphic(g, other) == nx.is_isomorphic(to_networkx(g), to_networkx(other))
+        assert switched_apart >= 5
 
 
 class TestPartitionType:

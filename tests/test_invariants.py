@@ -3,12 +3,20 @@ import json
 import random
 from math import comb
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boolcomb.errors import EmptyInput, MismatchedVertexCount, SizeLimitExceeded
+from boolcomb.errors import EmptyInput, MalformedInput, MismatchedVertexCount, SizeLimitExceeded
 from boolcomb.graphs import Graph, complement, induced_subgraph
 from boolcomb.invariants import (
+    BICLIQUE_LIMIT,
     CHAIN_LIMIT,
+    CHROMATIC_LIMIT,
+    CLIQUE_LIMIT,
+    PERFECT_LIMIT,
+    VC_LIMIT,
     biclique_number,
     chain_number,
     chromatic_number,
@@ -29,7 +37,7 @@ from boolcomb.invariants import (
     vc_dimension,
 )
 
-from conftest import random_graph
+from conftest import random_graph, to_networkx
 
 
 # -- independent oracles -------------------------------------------------------
@@ -80,6 +88,35 @@ def is_perfect_by_coloring(g: Graph) -> bool:
     return True
 
 
+def reference_neighborhood_complexity(g: Graph, m: int) -> int:
+    """Most traces N(v) & S over every m-set S, each built from scratch, no early exit."""
+    best = 0
+    for subset in itertools.combinations(range(g.n), m):
+        mask = 0
+        for v in subset:
+            mask |= 1 << v
+        traces = {g.rows[v] & mask for v in range(g.n)}
+        best = max(best, len(traces))
+    return best
+
+
+def reference_vc_dimension(g: Graph) -> int:
+    """Largest shattered set, scanning sizes down from floor(log2 n)."""
+    n = g.n
+    upper = 0
+    while (1 << (upper + 1)) <= n:
+        upper += 1
+    for d in range(min(upper, n), 0, -1):
+        for subset in itertools.combinations(range(n), d):
+            mask = 0
+            for v in subset:
+                mask |= 1 << v
+            traces = {g.rows[v] & mask for v in range(n)}
+            if len(traces) == 1 << d:
+                return d
+    return 0
+
+
 def brute_biclique_number(g: Graph) -> int:
     best = 0
     verts = range(g.n)
@@ -113,6 +150,12 @@ class TestCliqueIndependence:
     def test_size_cap(self):
         with pytest.raises(SizeLimitExceeded):
             clique_number(Graph.empty(65))
+
+    def test_against_networkx_to_n64(self, rng):
+        for n in (16, 32, 48, CLIQUE_LIMIT):
+            for p in (0.1, 0.5, 0.9):
+                g = random_graph(n, p, rng)
+                assert clique_number(g) == nx.max_weight_clique(to_networkx(g), weight=None)[1]
 
 
 class TestChromatic:
@@ -356,6 +399,18 @@ class TestNeighborhoodComplexity:
             traces = {star.rows[v] & mask for v in range(4)}
             assert len(traces) < 4
 
+    def test_size_cap_names_the_limit(self):
+        with pytest.raises(SizeLimitExceeded, match=f"n = {VC_LIMIT}"):
+            neighborhood_complexity(Graph.empty(VC_LIMIT + 1), 7)
+        with pytest.raises(SizeLimitExceeded, match=f"n = {VC_LIMIT}"):
+            vc_dimension(Graph.empty(VC_LIMIT + 1))
+
+    def test_argument_range(self):
+        with pytest.raises(MalformedInput, match="negative"):
+            neighborhood_complexity(Graph.cycle(5), -1)
+        with pytest.raises(SizeLimitExceeded):
+            neighborhood_complexity(Graph.cycle(5), 6)
+
     def test_sauer_shelah(self, rng):
         for _ in range(15):
             g = random_graph(rng.randint(1, 9), rng.random(), rng)
@@ -377,6 +432,35 @@ class TestVcOracle:
                     if len(traces) == 1 << r:
                         best = max(best, r)
             assert vc_dimension(g) == best
+
+
+# vertices 3..10 see the 8 subsets of {0, 1, 2}
+SHATTERS_THREE = Graph.from_edges(11, [(u, 3 + s) for s in range(8) for u in range(3) if s >> u & 1])
+
+
+def shatter_sample(rng: random.Random) -> list[Graph]:
+    """Every graph with n <= 5, 200 seeded graphs with n = 6-14, and SHATTERS_THREE."""
+    graphs = [Graph.from_edge_mask(n, mask) for n in range(6) for mask in range(1 << comb(n, 2))]
+    graphs += [random_graph(rng.randint(6, 14), rng.random(), rng) for _ in range(200)]
+    return graphs + [SHATTERS_THREE]
+
+
+class TestShatterOracles:
+    def test_complexity_matches_reference(self, rng):
+        ceilings = set()
+        for g in shatter_sample(rng):
+            for m in range(g.n + 1 if g.n <= 5 else 5):
+                nu = neighborhood_complexity(g, m)
+                assert nu == reference_neighborhood_complexity(g, m), (g.rows, m)
+                if nu == min(1 << m, g.n) and 0 < m < 4:
+                    ceilings.add("2^m" if 1 << m <= g.n else "n")
+        # the early exit at min(2^m, n) is taken under both bounds
+        assert ceilings == {"2^m", "n"}
+
+    def test_vc_matches_reference(self, rng):
+        for g in shatter_sample(rng):
+            assert vc_dimension(g) == reference_vc_dimension(g), g.rows
+        assert vc_dimension(SHATTERS_THREE) == 3
 
 
 class TestChromaticBudget:
@@ -487,3 +571,50 @@ class TestParamReport:
             assert r.strong_chain // 2 <= r.chain <= r.strong_chain
             if r.perfect:
                 assert r.chi == r.omega
+
+
+@st.composite
+def seeded_graphs(draw, max_n: int) -> Graph:
+    """A random graph on up to max_n vertices; n = max_n is drawn often."""
+    n = draw(st.one_of(st.just(max_n), st.integers(0, max_n)))
+    return random_graph(n, draw(st.floats(0, 1)), random.Random(draw(st.integers(0, 2**32 - 1))))
+
+
+def neighborhood_profile(g: Graph) -> list[int]:
+    return [neighborhood_complexity(g, m) for m in range(g.n + 1)]
+
+
+# each solver with the largest n it accepts (64 where it has no cap)
+RELABEL_SOLVERS = [
+    (compute_params, CHAIN_LIMIT),
+    (clique_number, CLIQUE_LIMIT),
+    (independence_number, CLIQUE_LIMIT),
+    (chromatic_number, CHROMATIC_LIMIT),
+    (max_degree, 64),
+    (degeneracy, 64),
+    (biclique_number, BICLIQUE_LIMIT),
+    (twin_number, 64),
+    (is_perfect, PERFECT_LIMIT),
+    (vc_dimension, VC_LIMIT),
+    (neighborhood_profile, VC_LIMIT),
+]
+
+
+class TestRelabelingAndDuality:
+    @pytest.mark.parametrize("solver, cap", RELABEL_SOLVERS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_invariant_under_relabeling(self, solver, cap, data):
+        g = data.draw(seeded_graphs(cap))
+        perm = data.draw(st.permutations(range(g.n)))
+        assert solver(g.relabel(perm)) == solver(g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(g=seeded_graphs(CLIQUE_LIMIT))
+    def test_clique_is_independence_of_complement(self, g):
+        assert clique_number(g) == independence_number(complement(g))
+
+    @settings(max_examples=50, deadline=None)
+    @given(g=seeded_graphs(PERFECT_LIMIT))
+    def test_perfect_iff_complement_perfect(self, g):
+        assert is_perfect(g) == is_perfect(complement(g))
