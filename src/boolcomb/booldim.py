@@ -28,9 +28,12 @@ DEFAULT_BUDGET = 10**8
 class DimWitness:
     """A certified representation: apply_boolean(f, parts) = target."""
 
-    k: int
     f: BooleanFunction
     parts: tuple[Graph, ...]
+
+    @property
+    def k(self) -> int:
+        return self.f.arity
 
     def to_json_dict(self) -> dict:
         return {
@@ -40,9 +43,14 @@ class DimWitness:
         }
 
 
-def _sorted_members(tag: ClassTag, n: int) -> list[Graph]:
-    # canonical order kills permutation symmetry in the multiset search
-    return sorted(enumerate_members(tag, n), key=graph_to_graph6)
+def _prepare(g: Graph, tag: ClassTag) -> tuple[list[Graph], list[int], int, int]:
+    """The class members on V(g), their edge masks, g's edge mask and the
+    mask of all pairs."""
+    # combinations_with_replacement already yields each multiset once; the
+    # graph6 order only fixes which witness is reported
+    members = sorted(enumerate_members(tag, g.n), key=graph_to_graph6)
+    full = (1 << (g.n * (g.n - 1) // 2)) - 1
+    return members, [h.edge_mask() for h in members], g.edge_mask(), full
 
 
 def _check_budget(m: int, k: int, budget: int) -> None:
@@ -57,28 +65,12 @@ def _check_budget(m: int, k: int, budget: int) -> None:
 def _verify(target: Graph, f: BooleanFunction, parts: tuple[Graph, ...]) -> DimWitness:
     if apply_boolean(f, list(parts), n=target.n).rows != target.rows:
         raise CertificationError("witness does not recombine to the target")
-    return DimWitness(f.arity, f, parts)
+    return DimWitness(f, parts)
 
 
-def exists_representation(
-    g: Graph,
-    tag: ClassTag,
-    k: int,
-    budget: int = DEFAULT_BUDGET,
-) -> Optional[DimWitness]:
-    """A witness that g is a function of k class members, or None.
-
-    The None answer is exhaustive over all multisets of k labeled
-    members on V(g) and all boolean functions of arity k.
-    """
-    n = g.n
-    members = _sorted_members(tag, n)
+def _search(g: Graph, prepared: tuple, k: int, budget: int) -> Optional[DimWitness]:
+    members, masks, target, full = prepared
     _check_budget(len(members), k, budget)
-    npairs = n * (n - 1) // 2
-    full = (1 << npairs) - 1
-    target = g.edge_mask()
-    masks = [h.edge_mask() for h in members]
-
     for combo in combinations_with_replacement(range(len(members)), k):
         ms = [masks[i] for i in combo]
         table = 0
@@ -102,6 +94,20 @@ def exists_representation(
     return None
 
 
+def exists_representation(
+    g: Graph,
+    tag: ClassTag,
+    k: int,
+    budget: int = DEFAULT_BUDGET,
+) -> Optional[DimWitness]:
+    """A witness that g is a function of k class members, or None.
+
+    The None answer is exhaustive over all multisets of k labeled
+    members on V(g) and all boolean functions of arity k.
+    """
+    return _search(g, _prepare(g, tag), k, budget)
+
+
 def boolean_dimension(
     g: Graph,
     tag: ClassTag,
@@ -113,8 +119,9 @@ def boolean_dimension(
     Arity-0 functions are excluded; constant targets appear at k = 1
     with a constant function.
     """
+    prepared = _prepare(g, tag)
     for k in range(1, k_max + 1):
-        witness = exists_representation(g, tag, k, budget=budget)
+        witness = _search(g, prepared, k, budget)
         if witness is not None:
             return witness
     return None
@@ -131,13 +138,8 @@ def restricted_dimension(
     intersection dimension (intersect), or XOR dimension (xor)."""
     if mode not in ("union", "intersect", "xor"):
         raise ValueError(f"unknown mode {mode!r}")
-    n = g.n
-    members = _sorted_members(tag, n)
-    target = g.edge_mask()
-    npairs = n * (n - 1) // 2
-    full = (1 << npairs) - 1
+    members, masks, target, full = _prepare(g, tag)
     pool = list(range(len(members)))
-    masks = [h.edge_mask() for h in members]
     if mode == "union":
         pool = [i for i in pool if masks[i] & ~target == 0]
     elif mode == "intersect":

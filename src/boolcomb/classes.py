@@ -190,12 +190,12 @@ def set_partitions(n: int) -> Iterator[Partition]:
     yield from rec(1, 0)
 
 
-def equivalence_members(n: int) -> Iterator[tuple[Graph, Partition]]:
-    """Labeled equivalence graphs with their block partitions; Bell(n) of them."""
+def equivalence_members(n: int) -> Iterator[Graph]:
+    """Labeled equivalence graphs, one per partition of {0..n-1}; Bell(n) of them."""
     if n > ENUM_VERTEX_LIMIT:
         raise SizeLimitExceeded(f"equivalence enumeration capped at n = {ENUM_VERTEX_LIMIT}")
     for p in set_partitions(n):
-        yield p.equivalence_graph(), p
+        yield p.equivalence_graph()
 
 
 def _matchings(n: int) -> Iterator[Graph]:
@@ -223,10 +223,9 @@ def enumerate_members(tag: ClassTag, n: int) -> Iterator[Graph]:
     if kind in ("equiv", "multipartite", "C", "L", "d1") and n > ENUM_VERTEX_LIMIT:
         raise SizeLimitExceeded(f"enumeration of {kind!r} capped at n = {ENUM_VERTEX_LIMIT}")
     if kind == "equiv":
-        for g, _ in equivalence_members(n):
-            yield g
+        yield from equivalence_members(n)
     elif kind == "multipartite":
-        for g, _ in equivalence_members(n):
+        for g in equivalence_members(n):
             yield complement(g)
     elif kind == "C":
         yield Graph.empty(n)

@@ -23,7 +23,7 @@ from .decompose import (
     vizing_matchings,
     xor_normal_form,
 )
-from .errors import BoolcombError, MalformedInput, UnknownTheorem
+from .errors import BoolcombError, MalformedInput
 from .extremal import DEFAULT_SEED, hnk, hnk_report, verify_all, verify_theorem
 from .gformats import emit_graph, parse_graph
 from .graphs import Graph, apply_boolean, combine
@@ -106,9 +106,6 @@ def main(argv: list[str]) -> int:
 
     try:
         return _dispatch(args)
-    except (UnknownTheorem, MalformedInput) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except BoolcombError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -261,7 +261,7 @@ def _binary_images(a: int, b: int, full: int) -> list[int]:
 
 def _perfect_2fn_equiv(seed: int) -> Iterator[dict]:
     n = 6
-    masks = [g.edge_mask() for g, _ in equivalence_members(n)]
+    masks = [g.edge_mask() for g in equivalence_members(n)]
     full = (1 << (n * (n - 1) // 2)) - 1
     cache: dict[int, bool] = {}
     for a in masks:
@@ -302,7 +302,7 @@ def _c5_not_2fn_equiv(seed: int) -> Iterator[dict]:
 
 def _speed_bound(seed: int) -> Iterator[dict]:
     for n in range(1, 6):
-        masks = [g.edge_mask() for g, _ in equivalence_members(n)]
+        masks = [g.edge_mask() for g in equivalence_members(n)]
         xors = {a ^ b for a in masks for b in masks}
         if math.log2(len(xors)) > 2 * math.log2(len(masks)) + 4:
             yield {"n": n, "count_Y": len(xors), "count_X": len(masks)}

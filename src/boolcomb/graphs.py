@@ -9,6 +9,7 @@ verification harness relies on for memoization.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -241,27 +242,19 @@ def _require_same_n(graphs: Sequence[Graph]) -> int:
     return n
 
 
+_FOLDS = {"union": operator.or_, "intersect": operator.and_, "xor": operator.xor}
+
+
 def combine(op: str, graphs: Sequence[Graph]) -> Graph:
     """Entrywise OR / AND / parity of the inputs' adjacencies."""
     n = _require_same_n(graphs)
-    if op == "union":
-        rows = [0] * n
-        for g in graphs:
-            for u in range(n):
-                rows[u] |= g.rows[u]
-    elif op == "intersect":
-        rows = list(graphs[0].rows)
-        for g in graphs[1:]:
-            for u in range(n):
-                rows[u] &= g.rows[u]
-    elif op == "xor":
-        rows = [0] * n
-        for g in graphs:
-            for u in range(n):
-                rows[u] ^= g.rows[u]
-    else:
+    fold = _FOLDS.get(op)
+    if fold is None:
         raise ValueError(f"unknown operator {op!r}")
-    return Graph(n, tuple(rows))
+    rows = graphs[0].rows
+    for g in graphs[1:]:
+        rows = tuple(map(fold, rows, g.rows))
+    return Graph(n, rows)
 
 
 def apply_boolean(f: BooleanFunction, graphs: Sequence[Graph], n: Optional[int] = None) -> Graph:
@@ -272,40 +265,35 @@ def apply_boolean(f: BooleanFunction, graphs: Sequence[Graph], n: Optional[int] 
     """
     if len(graphs) != f.arity:
         raise ArityMismatch(f"function arity {f.arity} but {len(graphs)} graphs")
-    if f.arity == 0:
-        if n is None:
-            raise EmptyInput("arity-0 function needs an explicit vertex count")
-        return Graph.complete(n) if f.value_at(0) else Graph.empty(n)
-    m = _require_same_n(graphs)
+    if f.arity:
+        m = _require_same_n(graphs)
+    elif n is None:
+        raise EmptyInput("arity-0 function needs an explicit vertex count")
+    else:
+        m = n
     if n is not None and n != m:
         raise MismatchedVertexCount(f"explicit n={n} but graphs have {m} vertices")
-    full = (1 << m) - 1
-    rows = [0] * m
-    if (1 << f.arity) <= 2 * m:
-        # row-parallel evaluation: OR of minterm slabs, word ops per row
-        true_points = [i for i in range(1 << f.arity) if f.value_at(i)]
-        for u in range(m):
-            acc = 0
-            for point in true_points:
-                term = full
-                for j, g in enumerate(graphs):
-                    r = g.rows[u]
-                    term &= r if (point >> j) & 1 else full ^ r
-                    if not term:
-                        break
-                acc |= term
-            rows[u] = acc & ~(1 << u)
-    else:
-        # high arity: evaluate pair by pair instead of minterm by minterm
-        for u in range(m):
-            for v in range(u + 1, m):
-                index = 0
-                for j, g in enumerate(graphs):
-                    if (g.rows[u] >> v) & 1:
-                        index |= 1 << j
-                if f.value_at(index):
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
+    table = f.table
+    rows = []
+    for u in range(m):
+        # split the other vertices by the inputs' bits at u; a region is
+        # kept only while nonempty, so there are at most m - 1 of them
+        regions = [(0, ((1 << m) - 1) ^ (1 << u))]
+        for j, g in enumerate(graphs):
+            r = g.rows[u]
+            split = []
+            for pattern, region in regions:
+                inside = region & r
+                if inside:
+                    split.append((pattern | 1 << j, inside))
+                if inside != region:
+                    split.append((pattern, region ^ inside))
+            regions = split
+        row = 0
+        for pattern, region in regions:
+            if (table >> pattern) & 1:
+                row |= region
+        rows.append(row)
     return Graph(m, tuple(rows))
 
 

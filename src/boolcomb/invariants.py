@@ -24,18 +24,19 @@ PERFECT_LIMIT = 14
 
 @dataclass(frozen=True)
 class ParamReport:
-    """Flat bundle of every parameter, for the `params` CLI subcommand."""
+    """Flat bundle of every parameter, for the `params` CLI subcommand;
+    None marks a field whose solver is past its size cap."""
 
-    omega: int
-    alpha: int
-    chi: int
+    omega: Optional[int]
+    alpha: Optional[int]
+    chi: Optional[int]
     max_degree: int
     degeneracy: int
-    biclique: int
-    chain: int
-    strong_chain: int
+    biclique: Optional[int]
+    chain: Optional[int]
+    strong_chain: Optional[int]
     twin_number: int
-    perfect: bool
+    perfect: Optional[bool]
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)
@@ -432,16 +433,23 @@ def is_homogeneous(g: Graph, vertices: Sequence[int]) -> bool:
 # -- the full report ----------------------------------------------------------------------
 
 
+def _capped(solver, g: Graph):
+    try:
+        return solver(g)
+    except SizeLimitExceeded:
+        return None
+
+
 def compute_params(g: Graph) -> ParamReport:
     return ParamReport(
-        omega=clique_number(g),
-        alpha=independence_number(g),
-        chi=chromatic_number(g),
+        omega=_capped(clique_number, g),
+        alpha=_capped(independence_number, g),
+        chi=_capped(chromatic_number, g),
         max_degree=max_degree(g),
         degeneracy=degeneracy(g),
-        biclique=biclique_number(g),
-        chain=chain_number(g),
-        strong_chain=strong_chain_number(g),
+        biclique=_capped(biclique_number, g),
+        chain=_capped(chain_number, g),
+        strong_chain=_capped(strong_chain_number, g),
         twin_number=twin_number(g),
-        perfect=is_perfect(g),
+        perfect=_capped(is_perfect, g),
     )

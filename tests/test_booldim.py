@@ -70,6 +70,19 @@ class TestBooleanDimension:
     def test_c5_none_up_to_2(self):
         assert boolean_dimension(Graph.cycle(5), EQUIVALENCE, 2) is None
 
+    def test_enumerates_the_class_once(self, monkeypatch):
+        from boolcomb import booldim
+
+        calls = []
+
+        def counting(tag, n):
+            calls.append((tag, n))
+            return enumerate_members(tag, n)
+
+        monkeypatch.setattr(booldim, "enumerate_members", counting)
+        assert boolean_dimension(Graph.cycle(5), EQUIVALENCE, 2) is None
+        assert calls == [(EQUIVALENCE, 5)]
+
     def test_star_wrt_class_c(self):
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         w = boolean_dimension(star, CLASS_C, 3)

@@ -110,6 +110,10 @@ class TestEnumeration:
             seen.add(key)
         assert len(seen) == 52
 
+    def test_equivalence_members_are_the_partition_graphs_in_order(self):
+        want = [p.equivalence_graph() for p in set_partitions(5)]
+        assert list(equivalence_members(5)) == want
+
     def test_class_c_count_n3(self):
         members = list(enumerate_members(CLASS_C, 3))
         assert len(members) == 5

@@ -222,6 +222,7 @@ class TestCli:
 
     def test_malformed_graph_exit_2(self, capsys):
         assert main(["params", "~~~~"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -238,6 +239,26 @@ class TestJsonSchemas:
     def test_params_output_validates(self, capsys):
         main(["params", graph_to_graph6(Graph.cycle(5))])
         _validate(json.loads(capsys.readouterr().out), "params.schema.json")
+
+    def test_params_past_the_chain_cap_reports_null(self, capsys):
+        from boolcomb import invariants
+
+        c13 = Graph.cycle(13)
+        assert main(["params", graph_to_graph6(c13)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        _validate(data, "params.schema.json")
+        assert data.pop("chain") is None and data.pop("strong_chain") is None
+        solvers = {
+            "omega": invariants.clique_number,
+            "alpha": invariants.independence_number,
+            "chi": invariants.chromatic_number,
+            "max_degree": invariants.max_degree,
+            "degeneracy": invariants.degeneracy,
+            "biclique": invariants.biclique_number,
+            "twin_number": invariants.twin_number,
+            "perfect": invariants.is_perfect,
+        }
+        assert data == {name: solver(c13) for name, solver in solvers.items()}
 
     def test_verify_output_validates(self, capsys):
         main(["verify", "speed-bound"])

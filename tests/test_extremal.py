@@ -166,7 +166,7 @@ class TestHnkIndependentSpotChecks:
 
 
 def _fake_witness(*args, **kwargs):
-    return DimWitness(1, BooleanFunction.projection(1, 1), (Graph.empty(1),))
+    return DimWitness(BooleanFunction.projection(1, 1), (Graph.empty(1),))
 
 
 def _perfect_result_recombines(cx):

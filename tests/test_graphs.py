@@ -29,6 +29,21 @@ from boolcomb.graphs import (
 from conftest import random_graph, to_networkx
 
 
+def reference_apply_boolean(f, graphs, n):
+    """G(u, v) = f(H1(u, v), ..., Hk(u, v)), evaluated one pair at a time."""
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            index = 0
+            for j, g in enumerate(graphs):
+                if (g.rows[u] >> v) & 1:
+                    index |= 1 << j
+            if f.value_at(index):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
+
+
 class TestGraphBasics:
     def test_validation_rejects_asymmetry(self):
         with pytest.raises(ValueError):
@@ -135,10 +150,35 @@ class TestApplyBoolean:
         parts = apply_boolean(f, [induced_subgraph(g, sub), induced_subgraph(h, sub)])
         assert whole.rows == parts.rows
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_agrees_with_pairwise_reference(self, data):
+        k = data.draw(st.integers(0, 6))
+        n = data.draw(st.integers(0, 12))
+        pairs = n * (n - 1) // 2
+        graphs = [Graph.from_edge_mask(n, data.draw(st.integers(0, (1 << pairs) - 1))) for _ in range(k)]
+        f = BooleanFunction(k, data.draw(st.integers(0, (1 << (1 << k)) - 1)))
+        explicit = n if k == 0 or data.draw(st.booleans()) else None
+        assert apply_boolean(f, graphs, n=explicit).rows == reference_apply_boolean(f, graphs, n).rows
+
+    @pytest.mark.parametrize("method", ["vizing", "twin", "classL"])
+    def test_agrees_with_pairwise_reference_on_many_parts(self, method, rng):
+        from boolcomb.decompose import class_L_decomposition, twin_decomposition, vizing_matchings
+
+        d = {
+            "vizing": lambda: vizing_matchings(random_graph(16, 0.5, rng)),
+            "twin": lambda: twin_decomposition(Graph.complete_multipartite([3, 2, 2, 2, 1])),
+            "classL": lambda: class_L_decomposition(random_graph(12, 0.5, rng)),
+        }[method]()
+        parts = d.part_graphs()
+        assert len(parts) >= 8
+        want = reference_apply_boolean(d.f, parts, d.target.n)
+        assert apply_boolean(d.f, parts, n=d.target.n).rows == want.rows == d.target.rows
+
     def test_high_arity_path_agrees_with_low_arity_path(self, rng):
-        # both evaluation strategies must give identical graphs
+        # the 5-ary XOR equals the chain of binary XORs
         graphs = [random_graph(5, 0.5, rng) for _ in range(5)]
-        f = BooleanFunction.xor_(5)  # 2^5 = 32 > 2 * 5 forces the pairwise path
+        f = BooleanFunction.xor_(5)
         direct = apply_boolean(f, graphs)
         acc = graphs[0]
         for g in graphs[1:]:
