@@ -13,7 +13,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby, permutations, product
 from typing import Callable, Iterator, Optional
 
 from .boolfn import BooleanFunction, enumerate_functions
@@ -41,12 +41,12 @@ from .invariants import (
     chain_number,
     chromatic_number,
     clique_number,
-    common_homogeneous_set,
     find_odd_hole,
     independence_number,
     is_homogeneous,
     is_perfect,
     neighborhood_complexity,
+    nested_homogeneous_sets,
     strong_chain_number,
 )
 
@@ -259,28 +259,116 @@ def _binary_images(a: int, b: int, full: int) -> list[int]:
     return out
 
 
-def _perfect_2fn_equiv(seed: int) -> Iterator[dict]:
-    n = 6
-    masks = [g.edge_mask() for g in equivalence_members(n)]
+def _line_runs(lines) -> list[list[tuple[int, ...]]]:
+    """Lines grouped by their sorted entries, which permuting the other side keeps."""
+    keyed = sorted(((sorted(line, reverse=True), line) for line in lines), reverse=True)
+    return [[line for _, line in run] for _, run in groupby(keyed, key=lambda kl: kl[0])]
+
+
+def _orbit_key(rows: list[tuple[int, ...]]) -> tuple:
+    """A key shared by a matrix and all its row and column permutations.
+
+    Permutations keep each line's sorted entries, so these order one
+    side's lines up to the order within runs of equal entries; the side
+    with fewer such orders is taken.  The key is the least matrix, with
+    the other side's lines sorted, over those orders.
+    """
+    row_runs, col_runs = _line_runs(rows), _line_runs(zip(*rows))
+    row_orders, col_orders = (
+        math.prod(math.factorial(len(run)) for run in runs) for runs in (row_runs, col_runs)
+    )
+    by_rows = row_orders < col_orders
+    return by_rows, min(
+        tuple(sorted(zip(*(line for part in choice for line in part)), reverse=True))
+        for choice in product(*(permutations(run) for run in (row_runs if by_rows else col_runs)))
+    )
+
+
+def _partition_pair_orbits(n: int) -> list[tuple[list[list[int]], list[list[int]]]]:
+    """One pair (A, B) of set partitions of range(n), n >= 1, per orbit under relabeling.
+
+    A pair is fixed, up to a common relabeling, by its intersection
+    matrix M[i][j] = |A_i & B_j| taken up to row and column permutations:
+    a nonnegative integer matrix with entry sum n and no zero row or
+    column.  The permutation of M that is greatest in row-major order
+    has rows and columns in decreasing lex order (swapping a line with a
+    greater next one would make it greater), and no row, sorted, exceeds
+    its first row (moving that row first and sorting the columns by it
+    would).  Only matrices of that shape are generated, row by row, and
+    _orbit_key drops the repeats among them (isomorph-free generation;
+    McKay, J. Algorithms 26, 1998).  Cell (i, j) takes the next M[i][j]
+    vertices.
+    """
+    reps: dict[tuple, list[tuple[int, ...]]] = {}
+    for c in range(1, n + 1):
+        # candidate rows in decreasing lex order (an entry above n - c + 1
+        # would leave too little for the other columns), each with lt/gt,
+        # the adjacent column pairs (j, j + 1) it puts out of / in order;
+        # reach, one past its last nonzero entry; top, its entries sorted
+        cands = [
+            (v, sum(v), sum(1 << j for j in range(c - 1) if v[j] < v[j + 1]),
+             sum(1 << j for j in range(c - 1) if v[j] > v[j + 1]),
+             max(j + 1 for j in range(c) if v[j]), tuple(sorted(v, reverse=True)))
+            for v in product(range(n - c + 1, -1, -1), repeat=c)
+            if 0 < sum(v) <= n
+        ]
+
+        def grow(start: int, left: int, rows: list[tuple[int, ...]], tied: int, covered: int):
+            # a column that is zero so far cannot precede a nonzero one (the
+            # order of the tied pair between them would fail), so the first
+            # `covered` columns are the nonzero ones, and each of the others
+            # needs one of the `left` units still to place
+            if left == 0:
+                reps.setdefault(_orbit_key(rows), rows.copy())
+                return
+            for i in range(start, len(cands)):
+                v, s, lt, gt, reach, top = cands[i]
+                now = max(covered, reach)
+                if s > left or tied & lt or c - now > left - s or (rows and top > rows[0]):
+                    continue
+                rows.append(v)
+                grow(i, left - s, rows, tied & ~gt, now)
+                rows.pop()
+
+        grow(0, n, [], (1 << (c - 1)) - 1, 0)
+    pairs = []
+    for rows in reps.values():
+        a: list[list[int]] = [[] for _ in rows]
+        b: list[list[int]] = [[] for _ in rows[0]]
+        v = 0
+        for i, row in enumerate(rows):
+            for j, count in enumerate(row):
+                a[i] += range(v, v + count)
+                b[j] += range(v, v + count)
+                v += count
+        pairs.append((a, b))
+    return pairs
+
+
+def _perfect_2fn_equiv(seed: int, n: int = 6) -> Iterator[dict]:
+    # perfectness is invariant under relabeling, so one pair per orbit of
+    # (H1, H2) under a common relabeling covers all Bell(n)^2 labeled pairs:
+    # the scope's 203^2 x 16 claim holds although 298 pairs are run at n = 6
     full = (1 << (n * (n - 1) // 2)) - 1
     cache: dict[int, bool] = {}
-    for a in masks:
-        for b in masks:
-            for table, out in enumerate(_binary_images(a, b, full)):
-                perfect = cache.get(out)
-                if perfect is None:
-                    # a graph and its complement are perfect together (no odd
-                    # hole, no odd antihole), and image 15 - t complements image t
-                    perfect = cache[out] = cache[full ^ out] = is_perfect(
-                        Graph.from_edge_mask(n, out)
-                    )
-                if not perfect:
-                    yield {
-                        "f": BooleanFunction(2, table).to_text(),
-                        "h1": graph_to_graph6(Graph.from_edge_mask(n, a)),
-                        "h2": graph_to_graph6(Graph.from_edge_mask(n, b)),
-                        "result": graph_to_graph6(Graph.from_edge_mask(n, out)),
-                    }
+    for blocks_a, blocks_b in _partition_pair_orbits(n):
+        a = Partition.from_blocks(n, blocks_a).equivalence_graph().edge_mask()
+        b = Partition.from_blocks(n, blocks_b).equivalence_graph().edge_mask()
+        for table, out in enumerate(_binary_images(a, b, full)):
+            perfect = cache.get(out)
+            if perfect is None:
+                # a graph and its complement are perfect together (no odd
+                # hole, no odd antihole), and image 15 - t complements image t
+                perfect = cache[out] = cache[full ^ out] = is_perfect(
+                    Graph.from_edge_mask(n, out)
+                )
+            if not perfect:
+                yield {
+                    "f": BooleanFunction(2, table).to_text(),
+                    "h1": graph_to_graph6(Graph.from_edge_mask(n, a)),
+                    "h2": graph_to_graph6(Graph.from_edge_mask(n, b)),
+                    "result": graph_to_graph6(Graph.from_edge_mask(n, out)),
+                }
 
 
 def _forbidden_multipartite(seed: int) -> Iterator[dict]:
@@ -348,7 +436,8 @@ def _eh_extraction(seed: int) -> Iterator[dict]:
                 random_member(EQUIVALENCE, n, seed + 97 * r + 13 * s + j)
                 for j in range(r)
             ]
-            final = common_homogeneous_set(graphs)
+            sets = nested_homogeneous_sets(graphs)
+            final = sets[-1]
             if not all(is_homogeneous(g, final) for g in graphs):
                 yield {
                     "graphs": [graph_to_graph6(g) for g in graphs],
@@ -358,7 +447,7 @@ def _eh_extraction(seed: int) -> Iterator[dict]:
                 continue
             # an equivalence graph on m vertices has a block of >= sqrt(m)
             # vertices or >= sqrt(m) blocks, so each step keeps >= ceil(sqrt(m))
-            sizes = [n] + [len(common_homogeneous_set(graphs[:i])) for i in range(1, r + 1)]
+            sizes = [n] + [len(part) for part in sets]
             for i in range(1, r + 1):
                 if sizes[i] ** 2 < sizes[i - 1]:
                     yield {

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -334,13 +335,24 @@ def neighborhood_complexity(g: Graph, m: int) -> int:
     if m > g.n:
         raise SizeLimitExceeded(f"m = {m} exceeds vertex count {g.n}")
     ceiling = min(1 << m, g.n)
+    rows = g.rows
     best = 0
-    for subset in combinations(range(g.n), m):
-        mask = sum(1 << v for v in subset)
-        best = max(best, len({row & mask for row in g.rows}))
-        if best == ceiling:
-            break
+    for mask in _subset_masks(g.n, m):
+        traces = len({row & mask for row in rows})
+        if traces > best:
+            best = traces
+            if best == ceiling:
+                break
     return best
+
+
+@lru_cache(maxsize=None)
+def _subset_masks(n: int, m: int) -> tuple[int, ...]:
+    """The m-subsets of range(n) as bitmasks, in lexicographic order.
+
+    Callers check n <= VC_LIMIT first, which bounds the cache.
+    """
+    return tuple(map(sum, combinations([1 << v for v in range(n)], m)))
 
 
 def vc_dimension(g: Graph) -> int:
@@ -407,21 +419,30 @@ def is_perfect(g: Graph) -> bool:
 # -- Erdos-Hajnal extraction ------------------------------------------------------------
 
 
-def common_homogeneous_set(graphs: Sequence[Graph]) -> list[int]:
-    """A vertex set on which every input graph is complete or empty.
+def nested_homogeneous_sets(graphs: Sequence[Graph]) -> list[list[int]]:
+    """The nested extraction's sets, one per input graph.
 
-    Nested extraction: repeatedly restrict to a maximum homogeneous set
-    of the next graph, taking the larger of max clique / max
-    independent set (ties to clique).
+    Start from all vertices and restrict, graph by graph, to a maximum
+    homogeneous set of the next graph, taking the larger of max clique /
+    max independent set (ties to clique).  The i-th set is homogeneous
+    in graphs[:i + 1]; each is sorted.
     """
     current = list(range(_require_same_n(graphs)))
+    sets = []
     for g in graphs:
         sub = induced_subgraph(g, current)
         cl = maximum_clique(sub)
         ind = maximum_independent_set(sub)
         chosen = cl if len(cl) >= len(ind) else ind
         current = [current[i] for i in chosen]
-    return sorted(current)
+        sets.append(current)
+    return sets
+
+
+def common_homogeneous_set(graphs: Sequence[Graph]) -> list[int]:
+    """A vertex set on which every input graph is complete or empty: the
+    last of nested_homogeneous_sets."""
+    return nested_homogeneous_sets(graphs)[-1]
 
 
 def is_homogeneous(g: Graph, vertices: Sequence[int]) -> bool:

@@ -1,16 +1,19 @@
 import math
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 import boolcomb.extremal
 from boolcomb.booldim import DimWitness
 from boolcomb.boolfn import BooleanFunction
-from boolcomb.classes import EQUIVALENCE, MULTIPARTITE, SPLIT, at_most_edges, is_member
+from boolcomb.classes import EQUIVALENCE, MULTIPARTITE, SPLIT, at_most_edges, equivalence_members, is_member
 from boolcomb.errors import MalformedInput, SizeLimitExceeded, UnknownTheorem, UnsupportedExpression
 from boolcomb.extremal import (
     ClassExpr,
     THEOREM_IDS,
+    _binary_images,
+    _partition_pair_orbits,
+    _perfect_2fn_equiv,
     hnk,
     hnk_as_xor,
     hnk_report,
@@ -18,8 +21,8 @@ from boolcomb.extremal import (
     verify_theorem,
 )
 from boolcomb.gformats import graph6_to_graph
-from boolcomb.graphs import Graph, apply_boolean, combine, is_isomorphic
-from boolcomb.invariants import chain_number, clique_number, independence_number, is_homogeneous
+from boolcomb.graphs import Graph, apply_boolean, combine, complement, is_isomorphic
+from boolcomb.invariants import chain_number, clique_number, independence_number, is_homogeneous, is_perfect
 
 
 def pairwise_hnk(n: int, k: int) -> Graph:
@@ -147,7 +150,7 @@ class TestCatalogue:
         b = verify_theorem("chain-sandwich", seed=99)
         assert a == b
 
-    @pytest.mark.parametrize("tid", [t for t in THEOREM_IDS if t != "perfect-2fn-equiv"])
+    @pytest.mark.parametrize("tid", THEOREM_IDS)
     def test_catalogue_passes(self, tid):
         check = verify_theorem(tid)
         assert check.passed, (tid, check.counterexample)
@@ -163,6 +166,110 @@ class TestHnkIndependentSpotChecks:
         g = hnk(2, 2)
         assert clique_number(g) == 2
         assert independence_number(g) == 2
+
+
+def labeled_perfect_2fn_equiv(n, perfect):
+    """Oracle: the first counterexample over all Bell(n)^2 labeled pairs x 16
+    functions, with each verdict cached under a mask and its complement."""
+    masks = [g.edge_mask() for g in equivalence_members(n)]
+    full = (1 << (n * (n - 1) // 2)) - 1
+    cache = {}
+    for a in masks:
+        for b in masks:
+            for table, out in enumerate(_binary_images(a, b, full)):
+                ok = cache.get(out)
+                if ok is None:
+                    ok = cache[out] = cache[full ^ out] = perfect(Graph.from_edge_mask(n, out))
+                if not ok:
+                    return table, a, b, out
+    return None
+
+
+def _canonical_mask(g):
+    """Least edge mask over all relabelings of g."""
+    pairs = list(combinations(range(g.n), 2))
+    best = None
+    for p in permutations(range(g.n)):
+        mask = sum(1 << i for i, (u, v) in enumerate(pairs) if g.rows[p[u]] >> p[v] & 1)
+        best = mask if best is None else min(best, mask)
+    return best
+
+
+def _relabelings(blocks, n):
+    """Every relabeling of a set partition, as normalized block-index vectors."""
+    label = [0] * n
+    for i, block in enumerate(blocks):
+        for v in block:
+            label[v] = i
+
+    def normalized(vector):
+        first = {}
+        return tuple(first.setdefault(x, len(first)) for x in vector)
+
+    return [normalized([label[q] for q in p]) for p in permutations(range(n))]
+
+
+class TestPerfectOrbits:
+    """The orbit loop of perfect-2fn-equiv against the labeled loop it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_orbits_partition_the_labeled_pairs(self, n):
+        # orbit-stabilizer: the orbits' sizes add up to Bell(n)^2, and together
+        # they hold every labeled pair exactly once
+        bell = sum(1 for _ in equivalence_members(n))
+        reps = _partition_pair_orbits(n)
+        if n == 6:
+            assert len(reps) == 298
+        seen = set()
+        total = 0
+        for a, b in reps:
+            orbit = set(zip(_relabelings(a, n), _relabelings(b, n)))
+            total += len(orbit)
+            seen |= orbit
+        assert total == len(seen) == bell**2
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_orbit_loop_sees_every_image_class(self, monkeypatch, n):
+        # any property that relabeling and complement keep gets the same
+        # verdict from both loops when they test the same classes of images
+        def recorder(classes):
+            def perfect(g):
+                classes.add(min(_canonical_mask(g), _canonical_mask(complement(g))))
+                return True
+            return perfect
+
+        labeled, orbits = set(), set()
+        assert labeled_perfect_2fn_equiv(n, recorder(labeled)) is None
+        monkeypatch.setattr(boolcomb.extremal, "is_perfect", recorder(orbits))
+        assert next(_perfect_2fn_equiv(0, n), None) is None
+        assert orbits == labeled
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("edges", [None, 2, 5])
+    def test_same_verdict_as_labeled_loop(self, monkeypatch, n, edges):
+        # None: the real check; k: a planted stand-in that flags the images
+        # with k edges or k non-edges
+        if edges is None:
+            perfect = is_perfect
+        else:
+            perfect = lambda g: edges not in (g.edge_count, g.n * (g.n - 1) // 2 - g.edge_count)
+        monkeypatch.setattr(boolcomb.extremal, "is_perfect", perfect)
+        found = next(_perfect_2fn_equiv(0, n), None)
+        assert (found is None) == (labeled_perfect_2fn_equiv(n, perfect) is None)
+        if found is not None:
+            _perfect_result_recombines(found)
+            assert not perfect(graph6_to_graph(found["result"]))
+
+    def test_effort_guard(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return is_perfect(g)
+
+        monkeypatch.setattr(boolcomb.extremal, "is_perfect", counting)
+        assert verify_theorem("perfect-2fn-equiv").passed
+        assert len(calls) <= 500
 
 
 def _fake_witness(*args, **kwargs):
@@ -207,8 +314,8 @@ PLANTED = [
     ("c5-not-2fn-equiv", "exists_representation", _fake_witness, None),
     ("chain-sandwich", "strong_chain_number", lambda g: 0, _chain_numbers_recompute),
     ("nbhd-product", "neighborhood_complexity", lambda g, m: 100, None),
-    ("eh-extraction", "common_homogeneous_set", lambda gs: list(range(gs[0].n)), _set_not_homogeneous),
-    ("eh-extraction/too-small", "common_homogeneous_set", lambda gs: [0], _step_below_sqrt),
+    ("eh-extraction", "nested_homogeneous_sets", lambda gs: [list(range(gs[0].n))] * len(gs), _set_not_homogeneous),
+    ("eh-extraction/too-small", "nested_homogeneous_sets", lambda gs: [[0]] * len(gs), _step_below_sqrt),
     ("e1-characterization", "at_most_edges", lambda k: at_most_edges(3), _image_has_many_edges_and_non_edges),
     ("empty-characterization", "apply_boolean", lambda f, gs, n=None: Graph.path(n), None),
     ("meyniel-split", "find_odd_hole", lambda g: [0, 1, 2, 3, 4], None),

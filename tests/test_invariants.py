@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boolcomb.invariants
 from boolcomb.errors import EmptyInput, MalformedInput, MismatchedVertexCount, SizeLimitExceeded
 from boolcomb.graphs import Graph, complement, induced_subgraph
 from boolcomb.invariants import (
@@ -17,6 +18,7 @@ from boolcomb.invariants import (
     CLIQUE_LIMIT,
     PERFECT_LIMIT,
     VC_LIMIT,
+    _subset_masks,
     biclique_number,
     chain_number,
     chromatic_number,
@@ -31,6 +33,7 @@ from boolcomb.invariants import (
     max_degree,
     maximum_clique,
     neighborhood_complexity,
+    nested_homogeneous_sets,
     strong_chain_number,
     twin_classes,
     twin_number,
@@ -411,6 +414,25 @@ class TestNeighborhoodComplexity:
         with pytest.raises(SizeLimitExceeded):
             neighborhood_complexity(Graph.cycle(5), 6)
 
+    def test_subset_mask_table_holds_the_m_sets(self):
+        for n in range(VC_LIMIT + 1):
+            for m in range(n + 1):
+                masks = _subset_masks(n, m)
+                assert len(masks) == comb(n, m)
+                assert set(masks) == {x for x in range(1 << n) if x.bit_count() == m}
+
+    def test_rejected_arguments_build_no_table(self, monkeypatch):
+        def no_table(n, m):
+            raise AssertionError(f"table built for n = {n}, m = {m}")
+
+        monkeypatch.setattr(boolcomb.invariants, "_subset_masks", no_table)
+        with pytest.raises(SizeLimitExceeded, match=f"n = {VC_LIMIT}"):
+            neighborhood_complexity(Graph.empty(VC_LIMIT + 1), 3)
+        with pytest.raises(SizeLimitExceeded):
+            neighborhood_complexity(Graph.cycle(5), 6)
+        with pytest.raises(MalformedInput):
+            neighborhood_complexity(Graph.cycle(5), -1)
+
     def test_sauer_shelah(self, rng):
         for _ in range(15):
             g = random_graph(rng.randint(1, 9), rng.random(), rng)
@@ -544,6 +566,19 @@ class TestCommonHomogeneousSet:
             common_homogeneous_set([])
         with pytest.raises(MismatchedVertexCount):
             common_homogeneous_set([Graph.empty(4), Graph.empty(5)])
+
+    def test_nested_sets_shrink_and_end_in_the_common_set(self, rng):
+        for _ in range(10):
+            n = rng.randint(1, 12)
+            graphs = [random_graph(n, rng.random(), rng) for _ in range(rng.randint(1, 4))]
+            sets = nested_homogeneous_sets(graphs)
+            assert len(sets) == len(graphs)
+            for i, part in enumerate(sets):
+                assert part == sorted(part)
+                assert set(part) <= set(sets[i - 1] if i else range(n))
+                assert all(is_homogeneous(g, part) for g in graphs[: i + 1])
+                assert sets[: i + 1] == nested_homogeneous_sets(graphs[: i + 1])
+            assert sets[-1] == common_homogeneous_set(graphs)
 
     def test_c5_pair(self, rng):
         c5 = Graph.cycle(5)
