@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .errors import NotAPermutation, SizeLimitExceeded, UnsupportedTag
-from .graphs import Graph, Partition, complement, induced_subgraph
+from .errors import MalformedInput, NotAPermutation, SizeLimitExceeded, UnsupportedTag
+from .graphs import Graph, Partition, complement
 
 ENUM_VERTEX_LIMIT = 9
 
@@ -86,12 +86,16 @@ def at_most_edges(k: int) -> ClassTag:
 # -- membership -------------------------------------------------------------------
 
 
-def _is_equivalence(g: Graph) -> bool:
-    for comp in g.components():
-        k = len(comp)
-        if induced_subgraph(g, comp).edge_count != k * (k - 1) // 2:
-            return False
-    return True
+def _blocks(g: Graph) -> Optional[list[int]]:
+    """g's blocks as vertex masks, by least vertex, or None if g is not an equivalence graph.
+
+    The candidate blocks are the distinct closed rows N[v] = rows[v] | 1 << v,
+    in first-seen order.  Each vertex lies in its own closed row, so the
+    candidates cover V, and they are disjoint, hence the cliques of an
+    equivalence relation, exactly when their sizes sum to n.
+    """
+    blocks = list(dict.fromkeys(row | 1 << v for v, row in enumerate(g.rows)))
+    return blocks if sum(b.bit_count() for b in blocks) == g.n else None
 
 
 def _is_split(g: Graph) -> bool:
@@ -107,40 +111,30 @@ def _is_split(g: Graph) -> bool:
 
 
 def _is_cograph(g: Graph) -> bool:
-    # P_4-free test by scanning 4-subsets; adequate at desk scale
+    # P_4-free test by scanning 4-subsets; adequate at desk scale.  The only
+    # graph on four vertices with degrees 1, 1, 2, 2 is the path.
+    rows = g.rows
     for quad in combinations(range(g.n), 4):
-        h = induced_subgraph(g, quad)
-        if h.edge_count != 3:
-            continue
-        degs = sorted(h.degree(v) for v in range(4))
-        if degs == [1, 1, 2, 2]:
+        q = sum(1 << v for v in quad)
+        if sorted((rows[v] & q).bit_count() for v in quad) == [1, 1, 2, 2]:
             return False
     return True
 
 
-def _is_class_c(g: Graph) -> bool:
-    big = [c for c in g.components() if len(c) > 1]
-    if len(big) > 1:
-        return False
-    return _is_equivalence(g)
-
-
-def _is_class_l(g: Graph) -> bool:
-    comps = g.components()
-    if len(comps) == 1:
-        k = g.n
-        return g.edge_count == k * (k - 1) // 2
-    if len(comps) == 2 and _is_equivalence(g):
-        return any(len(c) == 1 for c in comps)
-    return False
-
-
 def is_member(tag: ClassTag, g: Graph) -> bool:
+    """Whether g is in the class.
+
+    The equivalence-type classes are read off closed neighbourhoods (see
+    `_blocks`): equiv has blocks, multipartite is a complement that has
+    blocks, C (one clique plus isolated vertices) has at most one block of
+    two or more vertices, and L (K_n or K_{n-1}+K_1, K_0 included) is C
+    with at most two blocks.
+    """
     kind = tag.kind
     if kind == "equiv":
-        return _is_equivalence(g)
+        return _blocks(g) is not None
     if kind == "multipartite":
-        return _is_equivalence(complement(g))
+        return _blocks(complement(g)) is not None
     if kind == "split":
         return _is_split(g)
     if kind == "cograph":
@@ -151,10 +145,11 @@ def is_member(tag: ClassTag, g: Graph) -> bool:
         return all(g.degree(v) <= tag.param for v in range(g.n))
     if kind == "ek":
         return g.edge_count <= tag.param
-    if kind == "L":
-        return _is_class_l(g)
-    if kind == "C":
-        return _is_class_c(g)
+    if kind in ("C", "L"):
+        blocks = _blocks(g)
+        if blocks is None or sum(b & (b - 1) != 0 for b in blocks) > 1:
+            return False
+        return kind == "C" or len(blocks) <= 2
     if kind == "complete":
         return g.edge_count == g.n * (g.n - 1) // 2
     if kind == "empty":
@@ -167,6 +162,8 @@ def is_member(tag: ClassTag, g: Graph) -> bool:
 
 def set_partitions(n: int) -> Iterator[Partition]:
     """All partitions of {0..n-1}, by restricted-growth strings."""
+    if n < 0:
+        raise MalformedInput(f"vertex count must be nonnegative, got {n}")
     if n == 0:
         yield Partition(0, ())
         return
@@ -219,6 +216,8 @@ def _matchings(n: int) -> Iterator[Graph]:
 
 def enumerate_members(tag: ClassTag, n: int) -> Iterator[Graph]:
     """All labeled members of the class on vertex set {0..n-1}."""
+    if n < 0:
+        raise MalformedInput(f"vertex count must be nonnegative, got {n}")
     kind = tag.kind
     if kind in ("equiv", "multipartite", "C", "L", "d1") and n > ENUM_VERTEX_LIMIT:
         raise SizeLimitExceeded(f"enumeration of {kind!r} capped at n = {ENUM_VERTEX_LIMIT}")

@@ -16,9 +16,9 @@ from .classes import (
     CLASS_C,
     CLASS_L,
     COMPLETE,
-    EQUIVALENCE,
     MATCHING,
     ClassTag,
+    _blocks,
     is_member,
 )
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     NotEquivalenceGraph,
     NotIntersectionClosed,
 )
-from .graphs import Graph, Partition, apply_boolean, combine, complement
+from .graphs import Graph, Partition, _bits, apply_boolean, combine, complement
 from .invariants import max_degree, twin_classes
 
 
@@ -380,7 +380,8 @@ def partition_complementation_sequence(parts: Sequence[Graph]) -> list[Partition
     partition_complement over them from the empty graph yields their XOR."""
     out = []
     for g in parts:
-        if not is_member(EQUIVALENCE, g):
+        blocks = _blocks(g)
+        if blocks is None:
             raise NotEquivalenceGraph("every part must be an equivalence graph")
-        out.append(Partition.from_blocks(g.n, g.components()))
+        out.append(Partition.from_blocks(g.n, map(_bits, blocks)))
     return out

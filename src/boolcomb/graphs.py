@@ -146,24 +146,6 @@ class Graph:
             idx += self.n - 1 - u
         return mask
 
-    def components(self) -> list[list[int]]:
-        seen = 0
-        out = []
-        for s in range(self.n):
-            if (seen >> s) & 1:
-                continue
-            comp = 1 << s
-            frontier = 1 << s
-            while frontier:
-                nxt = 0
-                for v in _bits(frontier):
-                    nxt |= self.rows[v]
-                frontier = nxt & ~comp
-                comp |= frontier
-            seen |= comp
-            out.append(_bits(comp))
-        return out
-
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image under the permutation v -> perm[v]."""
         rows = [0] * self.n

@@ -1,7 +1,7 @@
 """Adjacency labeling schemes and their boolean-combination composer.
 
 The concrete base scheme labels an equivalence graph's vertices with
-their component index in ceil(log2 n) bits; two vertices are adjacent
+their block index in ceil(log2 n) bits; two vertices are adjacent
 iff their labels are equal.  Composition concatenates base labels and
 embeds the combining function's truth table in every label, so labels
 are self-describing up to the scheme descriptor.
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boolfn import BooleanFunction
-from .classes import EQUIVALENCE, is_member
+from .classes import EQUIVALENCE, _blocks, is_member
 from .errors import (
     ArityMismatch,
     MalformedLabel,
@@ -68,14 +68,13 @@ class EquivalenceScheme:
 
     @classmethod
     def encode(cls, g: Graph) -> list[Label]:
-        if not cls.accepts(g):
+        """Each vertex's label is the index of its block, blocks ordered by least vertex."""
+        blocks = _blocks(g)
+        if blocks is None:
             raise NotEquivalenceGraph("encoder requires an equivalence graph")
         w = cls.width(g.n)
-        index = [0] * g.n
-        for i, comp in enumerate(g.components()):
-            for v in comp:
-                index[v] = i
-        return [Label(w, index[v]) for v in range(g.n)]
+        index = {block: i for i, block in enumerate(blocks)}
+        return [Label(w, index[row | 1 << v]) for v, row in enumerate(g.rows)]
 
     @staticmethod
     def decode(a: int, b: int) -> bool:

@@ -22,7 +22,7 @@ from boolcomb.classes import (
     random_member,
     set_partitions,
 )
-from boolcomb.errors import NotAPermutation, SizeLimitExceeded, UnsupportedTag
+from boolcomb.errors import MalformedInput, NotAPermutation, SizeLimitExceeded, UnsupportedTag
 from boolcomb.graphs import Graph, complement
 
 from conftest import random_graph
@@ -40,7 +40,75 @@ def bell_numbers(limit):
         yield row[-1]
 
 
+def all_graphs(n):
+    return [Graph.from_edge_mask(n, mask) for mask in range(1 << (n * (n - 1) // 2))]
+
+
+def oracle_corpus(rng):
+    """Every graph on at most 5 vertices, then seeded graphs on 6-10 vertices:
+    random ones, planted equivalence, multipartite, C and L members, and each
+    planted member with one pair flipped."""
+    corpus = [g for n in range(6) for g in all_graphs(n)]
+    for n in range(6, 11):
+        for _ in range(4):
+            clique = rng.sample(range(n), rng.randint(2, n))
+            planted = [
+                random_member(EQUIVALENCE, n, rng.randrange(1 << 30)),
+                random_member(MULTIPARTITE, n, rng.randrange(1 << 30)),
+                Graph.from_edges(n, itertools.combinations(clique, 2)),
+                Graph.from_edges(n, itertools.combinations(range(n - 1), 2)).relabel(
+                    rng.sample(range(n), n)
+                ),
+            ]
+            corpus.append(random_graph(n, rng.random(), rng))
+            corpus += planted
+            for g in planted:
+                flip = 1 << rng.randrange(n * (n - 1) // 2)
+                corpus.append(Graph.from_edge_mask(n, g.edge_mask() ^ flip))
+    return corpus
+
+
+def transitive(n, related):
+    return all(
+        related(u, w)
+        for u, v, w in itertools.product(range(n), repeat=3)
+        if related(u, v) and related(v, w)
+    )
+
+
+def edge_set(g):
+    return set(g.edges())
+
+
+def clique_on(vertices):
+    return set(itertools.combinations(sorted(vertices), 2))
+
+
+DEFINITIONS = {
+    # adjacency-or-equality is an equivalence relation
+    EQUIVALENCE: lambda g: transitive(g.n, lambda u, v: u == v or g.adj(u, v)),
+    # non-adjacency-or-equality is an equivalence relation
+    MULTIPARTITE: lambda g: transitive(g.n, lambda u, v: u == v or not g.adj(u, v)),
+    # one clique on the non-isolated vertices, the rest isolated
+    CLASS_C: lambda g: edge_set(g) == clique_on(v for v in range(g.n) if g.degree(v)),
+    # K_n, or K_{n-1} plus one isolated vertex
+    CLASS_L: lambda g: edge_set(g) == clique_on(range(g.n))
+    or any(edge_set(g) == clique_on(set(range(g.n)) - {a}) for a in range(g.n)),
+    # no ordered 4-tuple a-b-c-d induces a path
+    COGRAPH: lambda g: not any(
+        g.adj(a, b) and g.adj(b, c) and g.adj(c, d)
+        and not (g.adj(a, c) or g.adj(b, d) or g.adj(a, d))
+        for a, b, c, d in itertools.permutations(range(g.n), 4)
+    ),
+}
+
+
 class TestMembership:
+    @pytest.mark.parametrize("tag", list(DEFINITIONS), ids=lambda t: t.to_text())
+    def test_predicate_matches_definition(self, tag, rng):
+        for g in oracle_corpus(rng):
+            assert is_member(tag, g) == DEFINITIONS[tag](g), (tag.to_text(), g.n, g.rows)
+
     def test_equivalence_vs_class_c(self):
         g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])  # K3 + K2
         assert is_member(EQUIVALENCE, g)
@@ -133,9 +201,21 @@ class TestEnumeration:
         assert all(is_member(at_most_edges(1), g) for g in members)
 
     def test_every_member_passes_its_predicate(self):
-        for tag in (EQUIVALENCE, MULTIPARTITE, CLASS_C, CLASS_L, MATCHING):
-            for g in enumerate_members(tag, 5):
-                assert is_member(tag, g)
+        # the enumeration yields, without repeats, exactly the labeled members
+        tags = (EQUIVALENCE, MULTIPARTITE, CLASS_C, CLASS_L, MATCHING, COMPLETE, EMPTY)
+        for n in range(6):
+            every = all_graphs(n)
+            for tag in (*tags, at_most_edges(1), at_most_edges(2)):
+                got = [g.rows for g in enumerate_members(tag, n)]
+                assert len(got) == len(set(got)), (tag, n)
+                assert set(got) == {g.rows for g in every if is_member(tag, g)}, (tag, n)
+
+    def test_negative_n_is_malformed(self):
+        with pytest.raises(MalformedInput):
+            list(set_partitions(-1))
+        for tag in (EQUIVALENCE, CLASS_L, COMPLETE, at_most_edges(1)):
+            with pytest.raises(MalformedInput):
+                list(enumerate_members(tag, -1))
 
     def test_size_cap(self):
         with pytest.raises(SizeLimitExceeded):

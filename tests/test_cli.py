@@ -210,6 +210,13 @@ class TestCli:
         assert len(lines) == 15
         assert len(set(lines)) == 15
 
+    @pytest.mark.parametrize("tag", ["equiv", "multipartite", "C", "L", "d1", "ek:1", "complete", "empty"])
+    def test_enumerate_negative_n_is_a_usage_error(self, tag, capsys):
+        assert main(["enumerate", "--class", tag, "--n", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_label_subcommand(self, capsys):
         g6 = graph_to_graph6(parse_graph("E???", "graph6"))  # empty graph on 6 vertices
         assert main(["label", "--fn", "2:0x6", g6, g6]) == 0

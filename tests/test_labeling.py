@@ -42,6 +42,10 @@ class TestEquivalenceScheme:
         for u, v in itertools.combinations(range(100), 2):
             assert EquivalenceScheme.decode(labels[u].value, labels[v].value) == g.adj(u, v)
 
+    def test_block_indices_in_order_of_least_vertex(self):
+        g = Graph.from_edges(6, [(0, 3), (0, 5), (3, 5), (1, 4)])  # blocks {0,3,5} {1,4} {2}
+        assert [lab.value for lab in encode_equivalence(g)] == [0, 1, 2, 0, 1, 0]
+
     def test_rejects_non_equivalence(self):
         with pytest.raises(NotEquivalenceGraph):
             encode_equivalence(Graph.path(3))
