@@ -2,14 +2,25 @@
 is a boolean combination of k members of a reference class.
 
 The search runs over unordered part multisets (the function absorbs
-permutations) and decides feasibility per tuple by a single-valuedness
-test: the mapping from observed adjacency patterns to required target
-bits must be a function.  Unobserved patterns default to 0, so no loop
-over all 2^(2^k) functions is ever needed.
+permutations) and decides feasibility per multiset by a
+single-valuedness test: the mapping from observed adjacency patterns to
+required target bits must be a function.  Unobserved patterns default
+to 0, so no loop over all 2^(2^k) functions is ever needed.
+
+The unrestricted and XOR searches fix the first k - 1 parts and find
+the last one instead of enumerating it.  For XOR the last part is
+target ^ xor(prefix), looked up by edge mask.  Unrestricted, the prefix
+cuts the pairs into 2^(k-1) regions, and the last part B must meet each
+of the c regions R that the target splits in T ∩ R or R ∖ T.  When
+every nonempty region is split, B is one of 2^c unions, each looked up;
+otherwise the members from the prefix's last index on are scanned
+against the prefix's regions.  Either way every multiset is still
+decided, and the lexicographically first one is reported.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
@@ -17,11 +28,12 @@ from typing import Optional
 
 from .boolfn import BooleanFunction
 from .classes import ClassTag, enumerate_members
-from .errors import BudgetExceeded, CertificationError
+from .errors import BudgetExceeded, CertificationError, MalformedInput
 from .gformats import graph_to_graph6
 from .graphs import Graph, apply_boolean
 
 DEFAULT_BUDGET = 10**8
+_FOLDS = {"union": BooleanFunction.or_, "intersect": BooleanFunction.and_, "xor": BooleanFunction.xor_}
 
 
 @dataclass(frozen=True)
@@ -43,23 +55,49 @@ class DimWitness:
         }
 
 
-def _prepare(g: Graph, tag: ClassTag) -> tuple[list[Graph], list[int], int, int]:
-    """The class members on V(g), their edge masks, g's edge mask and the
-    mask of all pairs."""
+@dataclass(frozen=True)
+class _Prepared:
+    """The class members on V(g) in graph6 order, their edge masks, the
+    positions of each mask among them, g's edge mask and the mask of all
+    pairs."""
+
+    members: list[Graph]
+    masks: list[int]
+    index: dict[int, list[int]]
+    target: int
+    full: int
+
+    def least_at(self, mask: int, lo: int) -> Optional[int]:
+        """The least position >= lo of a member with this edge mask."""
+        positions = self.index.get(mask, ())
+        at = bisect_left(positions, lo)
+        return positions[at] if at < len(positions) else None
+
+
+def _prepare(g: Graph, tag: ClassTag) -> _Prepared:
     # combinations_with_replacement already yields each multiset once; the
     # graph6 order only fixes which witness is reported
     members = sorted(enumerate_members(tag, g.n), key=graph_to_graph6)
-    full = (1 << (g.n * (g.n - 1) // 2)) - 1
-    return members, [h.edge_mask() for h in members], g.edge_mask(), full
+    masks = [h.edge_mask() for h in members]
+    index: dict[int, list[int]] = {}
+    for i, mask in enumerate(masks):
+        index.setdefault(mask, []).append(i)
+    return _Prepared(members, masks, index, g.edge_mask(), (1 << (g.n * (g.n - 1) // 2)) - 1)
 
 
 def _check_budget(m: int, k: int, budget: int) -> None:
-    # the searches enumerate multisets: C(m + k - 1, k), not m^k tuples
+    # the searches decide multisets: C(m + k - 1, k), not m^k tuples, and a
+    # search that walks (k - 1)-prefixes still decides every one of them
     count = comb(m + k - 1, k)
     if count > budget:
         raise BudgetExceeded(
             f"{count} multisets of {k} from {m} candidates exceed the budget of {budget}"
         )
+
+
+def _check_k_max(k_max: int) -> None:
+    if k_max < 0:
+        raise MalformedInput(f"k_max must be >= 0, got {k_max}")
 
 
 def _verify(target: Graph, f: BooleanFunction, parts: tuple[Graph, ...]) -> DimWitness:
@@ -68,29 +106,109 @@ def _verify(target: Graph, f: BooleanFunction, parts: tuple[Graph, ...]) -> DimW
     return DimWitness(f, parts)
 
 
-def _search(g: Graph, prepared: tuple, k: int, budget: int) -> Optional[DimWitness]:
-    members, masks, target, full = prepared
-    _check_budget(len(members), k, budget)
-    for combo in combinations_with_replacement(range(len(members)), k):
-        ms = [masks[i] for i in combo]
-        table = 0
-        feasible = True
-        for pattern in range(1 << k):
-            region = full
-            for j in range(k):
-                region &= ms[j] if (pattern >> j) & 1 else full ^ ms[j]
-            hit = region & target
-            if hit == 0:
-                continue
-            if hit == region:
-                table |= 1 << pattern
-            else:
-                feasible = False
-                break
-        if feasible:
-            f = BooleanFunction(k, table)
-            parts = tuple(members[i] for i in combo)
-            return _verify(g, f, parts)
+def _table(ms: list[int], target: int, full: int) -> int:
+    """The truth table of the f with f(ms) = target, unobserved patterns 0;
+    the caller has checked that f exists."""
+    table = 0
+    for pattern in range(1 << len(ms)):
+        region = full
+        for j, mask in enumerate(ms):
+            region &= mask if (pattern >> j) & 1 else full ^ mask
+        if region and region & target == region:
+            table |= 1 << pattern
+    return table
+
+
+def _last_part(p: _Prepared, prefix: tuple[int, ...]) -> Optional[int]:
+    """The least position >= the prefix's last index whose member B makes
+    prefix + (B,) a function of the target, or None.
+
+    The prefix cuts the pairs into regions.  B must meet each region R
+    that the target splits in exactly T ∩ R or R ∖ T; on the other,
+    free, regions any B will do."""
+    lo = prefix[-1] if prefix else 0
+    masks = p.masks
+    regions = [p.full]
+    for i in prefix:
+        regions = [r & masks[i] for r in regions] + [r & ~masks[i] for r in regions]
+    split = []  # (region, the target's part of it, the rest of it)
+    cover = 0  # the union of the split regions
+    free = False
+    for region in regions:
+        hit = region & p.target
+        if hit and hit != region:
+            split.append((region, hit, region ^ hit))
+            cover |= region
+        elif region:
+            free = True
+    if 1 << len(split) > len(masks) - lo:
+        # more ways to meet the split regions than members left: test each
+        for i in range(lo, len(masks)):
+            if all(masks[i] & region in (hit, miss) for region, hit, miss in split):
+                return i
+        return None
+    completions = [0]  # every allowed B ∩ cover
+    for _, hit, miss in split:
+        completions = [b | hit for b in completions] + [b | miss for b in completions]
+    if not free:
+        # cover holds every pair, so B is a completion: look it up
+        found = [i for b in completions if (i := p.least_at(b, lo)) is not None]
+        return min(found, default=None)
+    allowed = set(completions)
+    for i in range(lo, len(masks)):
+        if masks[i] & cover in allowed:
+            return i
+    return None
+
+
+def _xor_last_part(p: _Prepared, prefix: tuple[int, ...]) -> Optional[int]:
+    """The least position >= the prefix's last index whose member XORs
+    with the prefix to the target, or None."""
+    need = p.target
+    for i in prefix:
+        need ^= p.masks[i]
+    return p.least_at(need, prefix[-1] if prefix else 0)
+
+
+def _first_combo(p: _Prepared, k: int, budget: int, last_part) -> Optional[tuple[int, ...]]:
+    """The lexicographically first multiset of k positions that last_part
+    completes, or None; each (k - 1)-prefix, in order, is asked once."""
+    _check_budget(len(p.members), k, budget)
+    for prefix in combinations_with_replacement(range(len(p.members)), k - 1):
+        last = last_part(p, prefix)
+        if last is not None:
+            return prefix + (last,)
+    return None
+
+
+def _search(g: Graph, p: _Prepared, k: int, budget: int) -> Optional[DimWitness]:
+    combo = _first_combo(p, k, budget, _last_part)
+    if combo is None:
+        return None
+    f = BooleanFunction(k, _table([p.masks[i] for i in combo], p.target, p.full))
+    return _verify(g, f, tuple(p.members[i] for i in combo))
+
+
+def _fold_combo(p: _Prepared, mode: str, k: int, budget: int) -> Optional[tuple[int, ...]]:
+    """Union or intersection: every part lies inside (union) or contains
+    (intersect) the target, so only those members are enumerated."""
+    masks, target = p.masks, p.target
+    if mode == "union":
+        pool = [i for i, mask in enumerate(masks) if mask & ~target == 0]
+    else:
+        pool = [i for i, mask in enumerate(masks) if target & ~mask == 0]
+    _check_budget(len(pool), k, budget)
+    for combo in combinations_with_replacement(pool, k):
+        if mode == "union":
+            acc = 0
+            for i in combo:
+                acc |= masks[i]
+        else:
+            acc = p.full
+            for i in combo:
+                acc &= masks[i]
+        if acc == target:
+            return combo
     return None
 
 
@@ -105,6 +223,8 @@ def exists_representation(
     The None answer is exhaustive over all multisets of k labeled
     members on V(g) and all boolean functions of arity k.
     """
+    if k < 1:
+        raise MalformedInput(f"k must be >= 1, got {k}")
     return _search(g, _prepare(g, tag), k, budget)
 
 
@@ -119,6 +239,7 @@ def boolean_dimension(
     Arity-0 functions are excluded; constant targets appear at k = 1
     with a constant function.
     """
+    _check_k_max(k_max)
     prepared = _prepare(g, tag)
     for k in range(1, k_max + 1):
         witness = _search(g, prepared, k, budget)
@@ -136,36 +257,15 @@ def restricted_dimension(
 ) -> Optional[DimWitness]:
     """Dimension with f fixed to a fold: cover number (union),
     intersection dimension (intersect), or XOR dimension (xor)."""
-    if mode not in ("union", "intersect", "xor"):
+    if mode not in _FOLDS:
         raise ValueError(f"unknown mode {mode!r}")
-    members, masks, target, full = _prepare(g, tag)
-    pool = list(range(len(members)))
-    if mode == "union":
-        pool = [i for i in pool if masks[i] & ~target == 0]
-    elif mode == "intersect":
-        pool = [i for i in pool if target & ~masks[i] == 0]
-
+    _check_k_max(k_max)
+    prepared = _prepare(g, tag)
     for k in range(1, k_max + 1):
-        _check_budget(len(pool), k, budget)
-        for combo in combinations_with_replacement(pool, k):
-            if mode == "union":
-                acc = 0
-                for i in combo:
-                    acc |= masks[i]
-            elif mode == "intersect":
-                acc = full
-                for i in combo:
-                    acc &= masks[i]
-            else:
-                acc = 0
-                for i in combo:
-                    acc ^= masks[i]
-            if acc == target:
-                fold = {
-                    "union": BooleanFunction.or_,
-                    "intersect": BooleanFunction.and_,
-                    "xor": BooleanFunction.xor_,
-                }[mode](k)
-                parts = tuple(members[i] for i in combo)
-                return _verify(g, fold, parts)
+        if mode == "xor":
+            combo = _first_combo(prepared, k, budget, _xor_last_part)
+        else:
+            combo = _fold_combo(prepared, mode, k, budget)
+        if combo is not None:
+            return _verify(g, _FOLDS[mode](k), tuple(prepared.members[i] for i in combo))
     return None

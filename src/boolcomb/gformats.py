@@ -120,7 +120,7 @@ def edgelist_text_to_graph(text: str) -> Graph:
     except ValueError:
         raise MalformedInput("edge list header must be two integers", offset=0)
     offset = len(lines[0]) + 1
-    edges = []
+    edges = set()  # as (low, high), so a repeat in either orientation shows
     for line in lines[1:]:
         stripped = line.strip()
         if stripped:
@@ -133,7 +133,10 @@ def edgelist_text_to_graph(text: str) -> Graph:
                 raise MalformedInput("edge endpoints must be integers", offset=offset)
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise MalformedInput(f"bad edge ({u}, {v})", offset=offset)
-            edges.append((u, v))
+            edge = (min(u, v), max(u, v))
+            if edge in edges:
+                raise MalformedInput(f"repeated edge ({u}, {v})", offset=offset)
+            edges.add(edge)
         offset += len(line) + 1
     if len(edges) != m:
         raise MalformedInput(f"header promises {m} edges, found {len(edges)}", offset=offset)

@@ -61,8 +61,9 @@ class Graph:
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        full = (1 << n) - 1
-        return cls(n, tuple(full ^ (1 << u) for u in range(n)))
+        # no shift by n before range(n) is known nonempty, so a negative n
+        # reaches the size check like every other constructor
+        return cls(n, tuple(((1 << n) - 1) ^ (1 << u) for u in range(n)))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

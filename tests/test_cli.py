@@ -107,6 +107,13 @@ class TestEdgeList:
         with pytest.raises(MalformedInput):
             edgelist_text_to_graph("2 5\n0 1\n")
 
+    @pytest.mark.parametrize("repeat", ["1 0", "0 1"])
+    def test_repeated_edge_is_malformed(self, repeat):
+        # the second line starts at byte 8, in either orientation
+        with pytest.raises(MalformedInput, match=r"repeated edge .*byte offset 8") as info:
+            edgelist_text_to_graph(f"3 2\n0 1\n{repeat}\n")
+        assert info.value.offset == 8
+
     def test_parse_emit_dispatch(self):
         g = Graph.cycle(5)
         assert parse_graph(emit_graph(g, "graph6"), "graph6").rows == g.rows
@@ -216,6 +223,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_booldim_negative_kmax_is_a_usage_error(self, capsys):
+        target = graph_to_graph6(Graph.cycle(4))
+        for mode in ([], ["--mode", "xor"]):
+            assert main(["booldim", "--target", target, "--class", "equiv", "--kmax", "-1", *mode]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "Traceback" not in captured.err
 
     def test_label_subcommand(self, capsys):
         g6 = graph_to_graph6(parse_graph("E???", "graph6"))  # empty graph on 6 vertices

@@ -53,6 +53,11 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(1, (0b1,))
 
+    @pytest.mark.parametrize("build", [Graph.empty, Graph.complete, Graph.cycle, Graph.path])
+    def test_negative_vertex_count_is_a_size_error(self, build):
+        with pytest.raises(SizeLimitExceeded):
+            build(-1)
+
     def test_edge_mask_roundtrip(self, rng):
         for _ in range(50):
             g = random_graph(rng.randint(0, 9), rng.random(), rng)
