@@ -38,6 +38,7 @@ from .errors import (
 from .gformats import graph_to_graph6
 from .graphs import Graph, Partition, apply_boolean, combine
 from .invariants import (
+    _capped,
     chain_number,
     chromatic_number,
     clique_number,
@@ -90,12 +91,12 @@ def hnk_as_xor(n: int, k: int) -> list[Graph]:
 class HnkReport:
     n: int
     k: int
-    omega: int
-    alpha: int
-    chi: int
+    omega: Optional[int]
+    alpha: Optional[int]
+    chi: Optional[int]
     omega_bound: float
     alpha_bound: float
-    chi_lower: int
+    chi_lower: Optional[int]
     chi_is_exact: bool
 
     def to_json(self) -> str:
@@ -107,18 +108,19 @@ def hnk_report(n: int, k: int) -> HnkReport:
 
     The chromatic number is exact when the branch-and-bound finishes
     within HNK_CHI_NODE_BUDGET nodes; otherwise the report falls back to
-    the counting lower bound ceil(n^k / alpha).
+    the counting lower bound ceil(n^k / alpha).  Past the clique cap,
+    omega, alpha, chi_lower and chi are None.
     """
     g = hnk(n, k)
-    omega = clique_number(g)
-    alpha = independence_number(g)
+    omega = _capped(clique_number, g)
+    alpha = _capped(independence_number, g)
     if k % 2 == 0:
         omega_bound = float(n * k)
         alpha_bound = (2 * math.e * n) ** (k / 2)
     else:
         omega_bound = (2 * math.e * n) ** ((k - 1) / 2)
         alpha_bound = float(n * k)
-    chi_lower = -(-(n**k) // alpha)
+    chi_lower = None if alpha is None else -(-(n**k) // max(alpha, 1))
     try:
         chi = chromatic_number(g, max_nodes=HNK_CHI_NODE_BUDGET)
         chi_is_exact = True

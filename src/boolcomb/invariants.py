@@ -129,24 +129,54 @@ def degeneracy(g: Graph) -> int:
 # -- chromatic number -----------------------------------------------------------
 
 
+def _count(planes: list[int], inc: int) -> None:
+    # add one to the bit-sliced counter of every vertex in inc (ripple carry)
+    for i, plane in enumerate(planes):
+        planes[i], inc = plane ^ inc, plane & inc
+    if inc:
+        planes.append(inc)
+
+
+class _Dsatur:
+    """DSATUR state (Brelaz 1979) on bit masks: colour c is free for v iff
+    bit v of near[c], the vertices adjacent to class c, is clear; sat and deg
+    are bit-sliced counters (plane i holds bit i of every vertex's count)."""
+
+    def __init__(self, g: Graph):
+        self.rows = g.rows
+        self.uncolored = (1 << g.n) - 1
+        self.near = [0] * (g.n + 1)
+        self.sat: list[int] = []
+        self.deg: list[int] = []
+        for row in g.rows:
+            _count(self.deg, row)
+
+    def pick(self) -> int:
+        # highest saturation, then highest degree, then lowest index
+        cand = self.uncolored
+        for planes in (self.sat, self.deg):
+            for plane in reversed(planes):
+                if cand & plane:
+                    cand &= plane
+        return (cand & -cand).bit_length() - 1
+
+    def color(self, v: int, c: int) -> None:
+        self.uncolored ^= 1 << v
+        _count(self.sat, self.rows[v] & ~self.near[c])
+        self.near[c] |= self.rows[v]
+
+
 def _greedy_coloring_bound(g: Graph) -> int:
     # DSATUR greedy; upper bound used to seed the exact search
-    n = g.n
-    colors = [0] * n  # 0 = uncolored
-    sat: list[set[int]] = [set() for _ in range(n)]
+    d = _Dsatur(g)
     used = 0
-    for _ in range(n):
-        v = max(
-            (w for w in range(n) if not colors[w]),
-            key=lambda w: (len(sat[w]), g.degree(w), -w),
-        )
+    for _ in range(g.n):
+        v = d.pick()
         c = 1
-        while c in sat[v]:
+        while d.near[c] >> v & 1:
             c += 1
-        colors[v] = c
+        d.color(v, c)
         used = max(used, c)
-        for w in g.neighbors(v):
-            sat[w].add(c)
     return used
 
 
@@ -163,54 +193,37 @@ def chromatic_number(g: Graph, max_nodes: Optional[int] = None) -> int:
     if n == 0:
         return 0
     clique = maximum_clique(g)
-    lower = len(clique)
     upper = _greedy_coloring_bound(g)
-    if lower == upper:
-        return lower
+    if len(clique) == upper:
+        return upper
 
-    rows = g.rows
     best = upper
-    colors = [0] * n
     nodes = 0
+    d = _Dsatur(g)
     for i, v in enumerate(clique):
-        colors[v] = i + 1
+        d.color(v, i + 1)
 
-    def admissible(v: int) -> set[int]:
-        return {colors[w] for w in _bits(rows[v]) if colors[w]}
-
-    def pick() -> int:
-        # highest saturation, then highest degree, then lowest index
-        cand = -1
-        key = (-1, -1, 0)
-        for v in range(n):
-            if colors[v]:
-                continue
-            k = (len(admissible(v)), rows[v].bit_count(), -v)
-            if k > key:
-                key = k
-                cand = v
-        return cand
-
-    def solve(colored: int, used: int):
+    def solve(used: int):
         nonlocal best, nodes
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise BudgetExceeded(f"chromatic search exceeded {max_nodes} nodes")
         if used >= best:
             return
-        if colored == n:
+        if not d.uncolored:
             best = used
             return
-        v = pick()
-        taken = admissible(v)
+        v = d.pick()
         for c in range(1, min(used + 1, best - 1) + 1):
-            if c in taken:
+            if d.near[c] >> v & 1:
                 continue
-            colors[v] = c
-            solve(colored + 1, max(used, c))
-            colors[v] = 0
+            saved = d.near[c], d.sat[:]
+            d.color(v, c)
+            solve(max(used, c))
+            d.near[c], d.sat = saved
+            d.uncolored ^= 1 << v
 
-    solve(len(clique), len(clique))
+    solve(len(clique))
     return best
 
 

@@ -211,6 +211,23 @@ class TestCli:
         assert data["omega"] == 2 and data["chi"] == 2
         assert data["chi_is_exact"] is True
 
+    def test_hnk_report_at_the_clique_cap(self, capsys):
+        # 64 vertices: omega and alpha are exact, chi falls back to the
+        # counting bound past the chromatic cap
+        assert main(["hnk", "4", "3", "--report"]) == 0
+        assert capsys.readouterr().out == (
+            '{"alpha": 6, "alpha_bound": 12.0, "chi": 11, "chi_is_exact": false, '
+            '"chi_lower": 11, "k": 3, "n": 4, "omega": 4, "omega_bound": 21.74625462767236}\n'
+        )
+
+    def test_hnk_report_past_the_clique_cap(self, capsys):
+        # 125 vertices: the solver fields print null, the bounds are kept
+        assert main(["hnk", "5", "3", "--report"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [data[key] for key in ("omega", "alpha", "chi_lower", "chi")] == [None] * 4
+        assert (data["omega_bound"], data["alpha_bound"]) == (pytest.approx(27.18281828459045), 15.0)
+        assert data["chi_is_exact"] is False
+
     def test_enumerate(self, capsys):
         assert main(["enumerate", "--class", "equiv", "--n", "4"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

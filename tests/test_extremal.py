@@ -7,7 +7,7 @@ import boolcomb.extremal
 from boolcomb.booldim import DimWitness
 from boolcomb.boolfn import BooleanFunction
 from boolcomb.classes import EQUIVALENCE, MULTIPARTITE, SPLIT, at_most_edges, equivalence_members, is_member
-from boolcomb.errors import MalformedInput, SizeLimitExceeded, UnknownTheorem, UnsupportedExpression
+from boolcomb.errors import BudgetExceeded, MalformedInput, SizeLimitExceeded, UnknownTheorem, UnsupportedExpression
 from boolcomb.extremal import (
     ClassExpr,
     THEOREM_IDS,
@@ -22,7 +22,14 @@ from boolcomb.extremal import (
 )
 from boolcomb.gformats import graph6_to_graph
 from boolcomb.graphs import Graph, apply_boolean, combine, complement, is_isomorphic
-from boolcomb.invariants import chain_number, clique_number, independence_number, is_homogeneous, is_perfect
+from boolcomb.invariants import (
+    chain_number,
+    chromatic_number,
+    clique_number,
+    independence_number,
+    is_homogeneous,
+    is_perfect,
+)
 
 
 def pairwise_hnk(n: int, k: int) -> Graph:
@@ -94,8 +101,19 @@ class TestHnkReport:
         assert (hnk_report(2, 3).omega, hnk_report(2, 3).alpha) == (4, 2)
         r33 = hnk_report(3, 3)
         assert (r33.omega, r33.alpha) == (4, 4)
-        if r33.chi_is_exact:
-            assert r33.chi == 7
+        assert r33.chi_is_exact
+        assert r33.chi == 7
+
+    def test_h33_search_tree_is_pinned(self):
+        # the exact search on H(3,3) visits 1,950 nodes; the count pins
+        # the branching order that HNK_CHI_NODE_BUDGET is measured in
+        with pytest.raises(BudgetExceeded):
+            chromatic_number(hnk(3, 3), max_nodes=1949)
+        assert chromatic_number(hnk(3, 3), max_nodes=1950) == 7
+
+    def test_empty_graph(self):
+        r = hnk_report(0, 2)
+        assert (r.omega, r.alpha, r.chi_lower, r.chi, r.chi_is_exact) == (0, 0, 0, 0, True)
 
 
 class TestChiBinding:

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boolcomb.invariants
-from boolcomb.errors import EmptyInput, MalformedInput, MismatchedVertexCount, SizeLimitExceeded
+from boolcomb.errors import (
+    BudgetExceeded,
+    EmptyInput,
+    MalformedInput,
+    MismatchedVertexCount,
+    SizeLimitExceeded,
+)
+from boolcomb.extremal import hnk
 from boolcomb.graphs import Graph, complement, induced_subgraph
 from boolcomb.invariants import (
     BICLIQUE_LIMIT,
@@ -18,6 +25,7 @@ from boolcomb.invariants import (
     CLIQUE_LIMIT,
     PERFECT_LIMIT,
     VC_LIMIT,
+    _greedy_coloring_bound,
     _subset_masks,
     biclique_number,
     chain_number,
@@ -55,16 +63,91 @@ def brute_clique_number(g: Graph) -> int:
     return best
 
 
+def set_partitions(n: int):
+    # every partition of range(n), as a restricted growth string of block ids
+    if n == 0:
+        yield ()
+        return
+    for head in set_partitions(n - 1):
+        for block in range(max(head, default=-1) + 2):
+            yield head + (block,)
+
+
 def brute_chromatic_number(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    for k in range(1, g.n + 1):
-        for assignment in itertools.product(range(k), repeat=g.n):
-            if set(assignment) != set(range(min(k, g.n))):
+    # fewest blocks over every partition of V with no edge inside a block
+    edges = list(g.edges())
+    return min(
+        max(blocks, default=-1) + 1
+        for blocks in set_partitions(g.n)
+        if all(blocks[u] != blocks[v] for u, v in edges)
+    )
+
+
+def reference_greedy_coloring_bound(g: Graph) -> int:
+    # DSATUR greedy with a Python set of neighbour colours per vertex
+    n = g.n
+    colors = [0] * n  # 0 = uncolored
+    sat: list[set[int]] = [set() for _ in range(n)]
+    used = 0
+    for _ in range(n):
+        v = max(
+            (w for w in range(n) if not colors[w]),
+            key=lambda w: (len(sat[w]), g.degree(w), -w),
+        )
+        c = 1
+        while c in sat[v]:
+            c += 1
+        colors[v] = c
+        used = max(used, c)
+        for w in g.neighbors(v):
+            sat[w].add(c)
+    return used
+
+
+def reference_chromatic_search(g: Graph) -> tuple[int, int]:
+    """DSATUR branch and bound that rebuilds each vertex's neighbour
+    colours at every node: (chi, number of search-tree nodes)."""
+    n = g.n
+    if n == 0:
+        return 0, 0
+    clique = maximum_clique(g)
+    upper = reference_greedy_coloring_bound(g)
+    if len(clique) == upper:
+        return upper, 0
+    rows = g.rows
+    best = upper
+    colors = [0] * n
+    nodes = 0
+    for i, v in enumerate(clique):
+        colors[v] = i + 1
+
+    def admissible(v: int) -> set[int]:
+        return {colors[w] for w in range(n) if rows[v] >> w & 1 and colors[w]}
+
+    def pick() -> int:
+        # highest saturation, then highest degree, then lowest index
+        uncolored = [v for v in range(n) if not colors[v]]
+        return max(uncolored, key=lambda v: (len(admissible(v)), g.degree(v), -v))
+
+    def solve(colored: int, used: int):
+        nonlocal best, nodes
+        nodes += 1
+        if used >= best:
+            return
+        if colored == n:
+            best = used
+            return
+        v = pick()
+        taken = admissible(v)
+        for c in range(1, min(used + 1, best - 1) + 1):
+            if c in taken:
                 continue
-            if all(assignment[u] != assignment[v] for u, v in g.edges()):
-                return k
-    raise AssertionError
+            colors[v] = c
+            solve(colored + 1, max(used, c))
+            colors[v] = 0
+
+    solve(len(clique), len(clique))
+    return best, nodes
 
 
 def brute_twin_classes(g: Graph) -> set[frozenset[int]]:
@@ -168,9 +251,9 @@ class TestChromatic:
         assert chromatic_number(Graph.complete_multipartite([3, 3])) == 2
 
     def test_against_brute_force(self, rng):
-        for _ in range(30):
-            g = random_graph(rng.randint(1, 7), rng.random(), rng)
-            assert chromatic_number(g) == brute_chromatic_number(g)
+        for _ in range(60):
+            g = random_graph(rng.randint(1, 8), rng.random(), rng)
+            assert chromatic_number(g) == brute_chromatic_number(g), g.rows
 
     def test_one_clique_search_per_call(self, monkeypatch):
         import boolcomb.invariants as inv
@@ -485,10 +568,45 @@ class TestShatterOracles:
         assert vc_dimension(SHATTERS_THREE) == 3
 
 
+def assert_matches_reference_search(g: Graph) -> None:
+    # same greedy bound, same chi, and a search tree of the same size:
+    # the budget that the reference search needs is exactly enough
+    chi, nodes = reference_chromatic_search(g)
+    assert _greedy_coloring_bound(g) == reference_greedy_coloring_bound(g), g.rows
+    assert chromatic_number(g, max_nodes=nodes) == chi, g.rows
+    if nodes:
+        with pytest.raises(BudgetExceeded):
+            chromatic_number(g, max_nodes=nodes - 1)
+
+
+class TestChromaticOracle:
+    def test_every_small_graph(self):
+        for n in range(6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                assert_matches_reference_search(g)
+
+    def test_seeded_graphs(self, rng):
+        for _ in range(200):
+            assert_matches_reference_search(random_graph(rng.randint(1, 14), rng.uniform(0.2, 0.8), rng))
+
+    def test_seeded_searches(self, rng):
+        # most small graphs end at the clique = greedy bound check; these
+        # 40 each need a search tree, so the branching order is compared
+        searched = 0
+        while searched < 40:
+            g = random_graph(rng.randint(15, 24), rng.uniform(0.2, 0.8), rng)
+            searched += reference_chromatic_search(g)[1] > 0
+            assert_matches_reference_search(g)
+
+    def test_hnk_family(self):
+        for n, k in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)):
+            assert_matches_reference_search(hnk(n, k))
+
+
 class TestChromaticBudget:
     def test_budget_exceeded(self):
-        from boolcomb.errors import BudgetExceeded
-
         with pytest.raises(BudgetExceeded):
             chromatic_number(Graph.cycle(5), max_nodes=0)
 
