@@ -1,8 +1,8 @@
 """Boolean combinations of graphs, verified at desk scale."""
 
-from .boolfn import AnfForm, BooleanFunction, anf, enumerate_functions, from_anf, is_monotone, monotone_dnf
+from .boolfn import AnfForm, BooleanFunction, anf, enumerate_functions, from_anf
 from .booldim import DimWitness, boolean_dimension, exists_representation, restricted_dimension
-from .classes import ClassTag, enumerate_members, is_member, permutation_graph, random_member
+from .classes import ClassTag, enumerate_members, is_member, random_member
 from .decompose import (
     Decomposition,
     class_L_decomposition,
@@ -30,9 +30,7 @@ from .graphs import (
     combine,
     complement,
     induced_subgraph,
-    is_isomorphic,
     partition_complement,
-    subgraph_complement,
 )
 from .invariants import (
     ParamReport,
@@ -53,6 +51,6 @@ from .invariants import (
     twin_number,
     vc_dimension,
 )
-from .labeling import ComposedScheme, Label, compose, decode, encode_equivalence
+from .labeling import ComposedScheme, Label, compose, decode
 
 __version__ = "0.1.0"

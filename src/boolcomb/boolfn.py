@@ -1,4 +1,4 @@
-"""k-ary boolean functions with truth-table, ANF, and monotone-DNF views.
+"""k-ary boolean functions with truth-table and ANF views.
 
 A function of arity k is stored as a truth table packed into a single
 integer of 2^k bits.  The input vector (x_1, ..., x_k) is read as the
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import ArityMismatch, MalformedInput, NotMonotone, OutOfRangeVariable, SizeLimitExceeded
+from .errors import ArityMismatch, MalformedInput, OutOfRangeVariable, SizeLimitExceeded
 
 MAX_ARITY = 16
 _ENUM_MAX_ARITY = 4
@@ -34,7 +34,7 @@ class BooleanFunction:
     def __post_init__(self):
         _check_arity(self.arity)
         if not 0 <= self.table < (1 << (1 << self.arity)):
-            raise MalformedInput(f"table 0x{self.table:x} longer than 2^{self.arity} bits")
+            raise MalformedInput(f"table {self.table:#x} does not fit in 2^{self.arity} bits")
 
     def value_at(self, index: int) -> int:
         """Output bit for the input vector encoded as an integer."""
@@ -96,10 +96,6 @@ class BooleanFunction:
                 table |= 1 << i
         return cls(arity, table)
 
-    @classmethod
-    def not_(cls) -> "BooleanFunction":
-        return cls(1, 0b01)
-
     def negate(self) -> "BooleanFunction":
         return BooleanFunction(self.arity, self.table ^ ((1 << (1 << self.arity)) - 1))
 
@@ -118,9 +114,6 @@ class BooleanFunction:
             table = int(parts[1], 16)
         except ValueError as exc:
             raise MalformedInput(f"cannot parse boolean function {text!r}") from exc
-        _check_arity(arity)
-        if table >= (1 << (1 << arity)):
-            raise MalformedInput(f"table in {text!r} longer than 2^{arity} bits")
         return cls(arity, table)
 
 
@@ -175,30 +168,6 @@ def from_anf(a: AnfForm) -> BooleanFunction:
         bits[index] = 1
     _mobius_transform(bits, k)
     return BooleanFunction.from_values(k, bits)
-
-
-def is_monotone(f: BooleanFunction) -> bool:
-    for b in range(f.arity):
-        step = 1 << b
-        for i in range(1 << f.arity):
-            if not i & step and f.value_at(i) > f.value_at(i | step):
-                return False
-    return True
-
-
-def monotone_dnf(f: BooleanFunction) -> frozenset[frozenset[int]]:
-    """Prime implicants of a monotone function: its minimal true points."""
-    if not is_monotone(f):
-        raise NotMonotone(f"{f.to_text()} is not monotone")
-    k = f.arity
-    true_points = [i for i in range(1 << k) if f.value_at(i)]
-    minimal = []
-    for p in true_points:
-        if not any(q != p and q & p == q for q in true_points):
-            minimal.append(p)
-    return frozenset(
-        frozenset(j + 1 for j in range(k) if (p >> j) & 1) for p in minimal
-    )
 
 
 def enumerate_functions(k: int) -> Iterator[BooleanFunction]:

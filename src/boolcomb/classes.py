@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .errors import MalformedInput, NotAPermutation, SizeLimitExceeded, UnsupportedTag
+from .errors import MalformedInput, SizeLimitExceeded, UnsupportedTag
 from .graphs import Graph, Partition, complement
 
 ENUM_VERTEX_LIMIT = 9
@@ -345,19 +345,3 @@ def random_member(tag: ClassTag, n: int, seed: int) -> Graph:
                 degs[v] += 1
         return Graph.from_edges(n, edges)
     raise UnsupportedTag(f"no sampler for class {kind!r}")
-
-
-# -- permutation graphs ----------------------------------------------------------------
-
-
-def permutation_graph(pi: list[int]) -> Graph:
-    """Inversion graph: i ~ j iff (i - j) and (pi(i) - pi(j)) have opposite signs."""
-    n = len(pi)
-    if sorted(pi) != list(range(n)):
-        raise NotAPermutation(f"{pi!r} is not a permutation of 0..{n - 1}")
-    edges = [
-        (i, j)
-        for i, j in combinations(range(n), 2)
-        if (i - j) * (pi[i] - pi[j]) < 0
-    ]
-    return Graph.from_edges(n, edges)

@@ -45,9 +45,6 @@ class Decomposition:
         """The constant term of f's ANF: whether a pair in no part is an edge."""
         return self.f.value_at(0)
 
-    def part_graphs(self) -> list[Graph]:
-        return [g for g, _ in self.parts]
-
     def to_json_dict(self) -> dict:
         from .gformats import graph_to_graph6
 

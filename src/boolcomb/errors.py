@@ -33,19 +33,11 @@ class BudgetExceeded(BoolcombError):
     pass
 
 
-class NotMonotone(BoolcombError):
-    pass
-
-
 class OutOfRangeVariable(BoolcombError):
     pass
 
 
 class NotEquivalenceGraph(BoolcombError):
-    pass
-
-
-class NotAPermutation(BoolcombError):
     pass
 
 

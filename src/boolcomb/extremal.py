@@ -38,7 +38,7 @@ from .errors import (
 from .gformats import graph_to_graph6
 from .graphs import Graph, Partition, apply_boolean, combine
 from .invariants import (
-    _capped,
+    CLIQUE_LIMIT,
     chain_number,
     chromatic_number,
     clique_number,
@@ -66,17 +66,22 @@ def hnk(n: int, k: int) -> Graph:
     return combine("xor", [Graph.empty(n**k), *parts])
 
 
+def _hnk_size(n: int, k: int) -> int:
+    """n^k, once n and k are checked against the H(n,k) arguments and cap."""
+    if n < 0 or k < 0:
+        raise MalformedInput(f"H(n,k) needs n, k >= 0, got n={n}, k={k}")
+    if n**k > HNK_VERTEX_LIMIT:
+        raise SizeLimitExceeded(f"{n}^{k} vertices exceed the cap of {HNK_VERTEX_LIMIT}")
+    return n**k
+
+
 def hnk_as_xor(n: int, k: int) -> list[Graph]:
     """The k coordinate equivalence graphs whose XOR is hnk(n, k).
 
     Tuple t is vertex sum(t[c] * n**(k-1-c)), the order of
     itertools.product.
     """
-    if n < 0 or k < 0:
-        raise MalformedInput(f"H(n,k) needs n, k >= 0, got n={n}, k={k}")
-    if n**k > HNK_VERTEX_LIMIT:
-        raise SizeLimitExceeded(f"{n}^{k} vertices exceed the cap of {HNK_VERTEX_LIMIT}")
-    size = n**k
+    size = _hnk_size(n, k)
     graphs = []
     for coord in range(k):
         stride = n ** (k - 1 - coord)
@@ -109,24 +114,27 @@ def hnk_report(n: int, k: int) -> HnkReport:
     The chromatic number is exact when the branch-and-bound finishes
     within HNK_CHI_NODE_BUDGET nodes; otherwise the report falls back to
     the counting lower bound ceil(n^k / alpha).  Past the clique cap,
-    omega, alpha, chi_lower and chi are None.
+    omega, alpha, chi_lower and chi are None, and no graph is built.
     """
-    g = hnk(n, k)
-    omega = _capped(clique_number, g)
-    alpha = _capped(independence_number, g)
+    size = _hnk_size(n, k)
     if k % 2 == 0:
         omega_bound = float(n * k)
         alpha_bound = (2 * math.e * n) ** (k / 2)
     else:
         omega_bound = (2 * math.e * n) ** ((k - 1) / 2)
         alpha_bound = float(n * k)
-    chi_lower = None if alpha is None else -(-(n**k) // max(alpha, 1))
-    try:
-        chi = chromatic_number(g, max_nodes=HNK_CHI_NODE_BUDGET)
-        chi_is_exact = True
-    except (BudgetExceeded, SizeLimitExceeded):
-        chi = chi_lower
-        chi_is_exact = False
+    omega = alpha = chi_lower = chi = None
+    chi_is_exact = False
+    if size <= CLIQUE_LIMIT:
+        g = hnk(n, k)
+        omega = clique_number(g)
+        alpha = independence_number(g)
+        chi_lower = -(-size // max(alpha, 1))
+        try:
+            chi = chromatic_number(g, max_nodes=HNK_CHI_NODE_BUDGET)
+            chi_is_exact = True
+        except (BudgetExceeded, SizeLimitExceeded):
+            chi = chi_lower
     return HnkReport(
         n=n,
         k=k,

@@ -24,7 +24,12 @@ from .errors import (
 )
 
 MAX_VERTICES = 1 << 16
-ISO_DEFAULT_LIMIT = 12
+
+
+def _check_vertex_count(n: int) -> None:
+    # the constructors call this before building n rows
+    if not 0 <= n <= MAX_VERTICES:
+        raise SizeLimitExceeded(f"vertex count {n} outside [0, {MAX_VERTICES}]")
 
 
 @dataclass(frozen=True)
@@ -35,8 +40,7 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise SizeLimitExceeded(f"vertex count {self.n} outside [0, {MAX_VERTICES}]")
+        _check_vertex_count(self.n)
         if len(self.rows) != self.n:
             raise ValueError("row count does not match vertex count")
         full = (1 << self.n) - 1
@@ -57,16 +61,17 @@ class Graph:
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
+        _check_vertex_count(n)
         return cls(n, tuple(0 for _ in range(n)))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        # no shift by n before range(n) is known nonempty, so a negative n
-        # reaches the size check like every other constructor
+        _check_vertex_count(n)
         return cls(n, tuple(((1 << n) - 1) ^ (1 << u) for u in range(n)))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_vertex_count(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -79,15 +84,18 @@ class Graph:
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
+        _check_vertex_count(n)
         return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
     @classmethod
     def path(cls, n: int) -> "Graph":
+        _check_vertex_count(n)
         return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
     @classmethod
     def complete_multipartite(cls, sizes: Sequence[int]) -> "Graph":
         n = sum(sizes)
+        _check_vertex_count(n)
         rows = [0] * n
         start = 0
         full = (1 << n) - 1
@@ -101,6 +109,7 @@ class Graph:
     @classmethod
     def from_edge_mask(cls, n: int, mask: int) -> "Graph":
         """Inverse of :meth:`edge_mask`; pairs (u, v), u < v, in lexicographic order."""
+        _check_vertex_count(n)
         rows = [0] * n
         for u in range(n):
             width = n - 1 - u
@@ -147,16 +156,6 @@ class Graph:
             idx += self.n - 1 - u
         return mask
 
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """Image under the permutation v -> perm[v]."""
-        rows = [0] * self.n
-        for u in range(self.n):
-            r = 0
-            for v in _bits(self.rows[u]):
-                r |= 1 << perm[v]
-            rows[perm[u]] = r
-        return Graph(self.n, tuple(rows))
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -186,10 +185,6 @@ class Partition:
     def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
         normalized = sorted((frozenset(b) for b in blocks), key=lambda b: min(b) if b else -1)
         return cls(n, tuple(normalized))
-
-    @classmethod
-    def singletons(cls, n: int) -> "Partition":
-        return cls(n, tuple(frozenset([v]) for v in range(n)))
 
     def equivalence_graph(self) -> Graph:
         """The graph whose maximal cliques are this partition's blocks."""
@@ -285,19 +280,6 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple(full ^ row ^ (1 << u) for u, row in enumerate(g.rows)))
 
 
-def subgraph_complement(g: Graph, subset: Iterable[int]) -> Graph:
-    """Flip all edges inside `subset`; equals XOR with the clique on it."""
-    mask = 0
-    for v in subset:
-        if not 0 <= v < g.n:
-            raise OutOfRangeVertex(f"vertex {v} outside 0..{g.n - 1}")
-        mask |= 1 << v
-    rows = list(g.rows)
-    for v in _bits(mask):
-        rows[v] ^= mask ^ (1 << v)
-    return Graph(g.n, tuple(rows))
-
-
 def partition_complement(g: Graph, p: Partition) -> Graph:
     """Flip the edges inside every block; XOR with the block equivalence graph."""
     if p.n != g.n:
@@ -321,73 +303,3 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
             if (row >> v) & 1:
                 rows[i] |= 1 << j
     return Graph(k, tuple(rows))
-
-
-# -- isomorphism -----------------------------------------------------------------
-
-
-def _refine_colors(g: Graph) -> list[int]:
-    """Iterated degree refinement (1-WL); returns stable vertex colors."""
-    colors = [g.degree(v) for v in range(g.n)]
-    for _ in range(g.n):
-        signatures = [
-            (colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
-            for v in range(g.n)
-        ]
-        palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new = [palette[sig] for sig in signatures]
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test for small graphs (capped at n = 12).
-
-    Quick invariant rejections (order, size, degrees, refined colors)
-    followed by a refinement-guided backtracking search for an explicit
-    adjacency-preserving bijection.
-    """
-    if g.n > ISO_DEFAULT_LIMIT or h.n > ISO_DEFAULT_LIMIT:
-        raise SizeLimitExceeded(f"isomorphism capped at n = {ISO_DEFAULT_LIMIT}")
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):
-        return False
-    gc = _refine_colors(g)
-    hc = _refine_colors(h)
-    if sorted(gc) != sorted(hc):
-        return False
-
-    by_color: dict[int, list[int]] = {}
-    for v in range(h.n):
-        by_color.setdefault(hc[v], []).append(v)
-    order = sorted(range(g.n), key=lambda v: (len(by_color[gc[v]]), gc[v], v))
-
-    mapping = [-1] * g.n
-    used = [False] * h.n
-
-    def backtrack(i: int) -> bool:
-        if i == g.n:
-            return True
-        u = order[i]
-        for w in by_color[gc[u]]:
-            if used[w]:
-                continue
-            ok = True
-            for j in range(i):
-                p = order[j]
-                if g.adj(u, p) != h.adj(w, mapping[p]):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = w
-                used[w] = True
-                if backtrack(i + 1):
-                    return True
-                used[w] = False
-                mapping[u] = -1
-        return False
-
-    return backtrack(0)

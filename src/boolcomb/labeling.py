@@ -39,14 +39,6 @@ class Label:
         ndigits = max(1, (self.length + 3) // 4)
         return f"{self.value:0{ndigits}x}"
 
-    @classmethod
-    def from_hex(cls, text: str, length: int) -> "Label":
-        try:
-            value = int(text, 16)
-        except ValueError as exc:
-            raise MalformedLabel(f"bad hex label {text!r}") from exc
-        return cls(length, value)
-
 
 def label_width(n: int) -> int:
     """ceil(log2 n), but at least 1 bit."""
@@ -82,10 +74,6 @@ class EquivalenceScheme:
 
 
 BASE_SCHEMES = {EquivalenceScheme.name: EquivalenceScheme}
-
-
-def encode_equivalence(g: Graph) -> list[Label]:
-    return EquivalenceScheme.encode(g)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,15 @@ def to_networkx(g: Graph) -> nx.Graph:
     return out
 
 
+def isomorphic(g: Graph, h: Graph) -> bool:
+    return nx.is_isomorphic(to_networkx(g), to_networkx(h))
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Image of g under the vertex permutation v -> perm[v]."""
+    return Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xB001)

@@ -11,12 +11,9 @@ from boolcomb.boolfn import (
     anf,
     enumerate_functions,
     from_anf,
-    is_monotone,
-    monotone_dnf,
 )
 from boolcomb.errors import (
     MalformedInput,
-    NotMonotone,
     OutOfRangeVariable,
     SizeLimitExceeded,
 )
@@ -91,41 +88,6 @@ class TestAnf:
         assert len(anf(dense).monomials) == 1 << k
 
 
-class TestMonotone:
-    def test_and_is_monotone_with_single_implicant(self):
-        f = BooleanFunction.and_(2)
-        assert is_monotone(f)
-        assert monotone_dnf(f) == frozenset({frozenset({1, 2})})
-
-    def test_majority_prime_implicants_by_brute_force(self):
-        maj = BooleanFunction.from_values(3, [1 if bin(i).count("1") >= 2 else 0 for i in range(8)])
-        got = monotone_dnf(maj)
-        assert got == frozenset({frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})})
-        # evaluating the DNF reproduces the function on all inputs
-        for i in range(8):
-            val = any(all((i >> (v - 1)) & 1 for v in mono) for mono in got)
-            assert int(val) == maj.value_at(i)
-
-    def test_xor_not_monotone(self):
-        f = BooleanFunction.xor_(2)
-        assert not is_monotone(f)
-        with pytest.raises(NotMonotone):
-            monotone_dnf(f)
-
-    def test_dnf_matches_function_for_all_monotone_k3(self):
-        for f in enumerate_functions(3):
-            if not is_monotone(f):
-                continue
-            dnf = monotone_dnf(f)
-            for i in range(8):
-                val = any(all((i >> (v - 1)) & 1 for v in mono) for mono in dnf)
-                assert int(val) == f.value_at(i)
-            # implicants are minimal under inclusion
-            for a in dnf:
-                for b in dnf:
-                    assert a == b or not (a < b)
-
-
 class TestEnumerationAndText:
     def test_counts(self):
         assert sum(1 for _ in enumerate_functions(0)) == 2
@@ -172,6 +134,16 @@ class TestEnumerationAndText:
             BooleanFunction.from_text("2:0x1f")
         with pytest.raises(MalformedInput):
             BooleanFunction.from_text("nonsense")
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("2:-0x1", MalformedInput, "table -0x1 does not fit in 2^2 bits"),
+        ("2:0x1ff", MalformedInput, "table 0x1ff does not fit in 2^2 bits"),
+        ("17:0x1", SizeLimitExceeded, "arity 17 outside [0, 16]"),
+    ])
+    def test_text_is_checked_by_the_constructor(self, text, error, message):
+        with pytest.raises(error) as caught:
+            BooleanFunction.from_text(text)
+        assert str(caught.value) == message
 
     def test_call_checks_arity(self):
         f = BooleanFunction.xor_(2)

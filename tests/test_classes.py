@@ -18,14 +18,13 @@ from boolcomb.classes import (
     enumerate_members,
     equivalence_members,
     is_member,
-    permutation_graph,
     random_member,
     set_partitions,
 )
-from boolcomb.errors import MalformedInput, NotAPermutation, SizeLimitExceeded, UnsupportedTag
+from boolcomb.errors import MalformedInput, SizeLimitExceeded, UnsupportedTag
 from boolcomb.graphs import Graph, complement
 
-from conftest import random_graph
+from conftest import random_graph, relabel
 
 
 def bell_numbers(limit):
@@ -56,9 +55,7 @@ def oracle_corpus(rng):
                 random_member(EQUIVALENCE, n, rng.randrange(1 << 30)),
                 random_member(MULTIPARTITE, n, rng.randrange(1 << 30)),
                 Graph.from_edges(n, itertools.combinations(clique, 2)),
-                Graph.from_edges(n, itertools.combinations(range(n - 1), 2)).relabel(
-                    rng.sample(range(n), n)
-                ),
+                relabel(Graph.from_edges(n, itertools.combinations(range(n - 1), 2)), rng.sample(range(n), n)),
             ]
             corpus.append(random_graph(n, rng.random(), rng))
             corpus += planted
@@ -270,25 +267,6 @@ class TestRandomMembers:
     def test_unsupported_sampler(self):
         with pytest.raises(UnsupportedTag):
             random_member(CLASS_L, 5, 0)
-
-
-class TestPermutationGraphs:
-    def test_identity_and_reversal(self):
-        assert permutation_graph([0, 1, 2, 3]).edge_count == 0
-        assert permutation_graph([3, 2, 1, 0]).rows == Graph.complete(4).rows
-
-    def test_inversion_count(self):
-        pi = [2, 0, 1]
-        inversions = sum(
-            1
-            for i, j in itertools.combinations(range(3), 2)
-            if (pi[i] - pi[j]) * (i - j) < 0
-        )
-        assert permutation_graph(pi).edge_count == inversions == 2
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(NotAPermutation):
-            permutation_graph([0, 0, 1])
 
 
 class TestTagText:

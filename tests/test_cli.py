@@ -24,7 +24,7 @@ from boolcomb.gformats import (
 )
 from boolcomb.graphs import Graph, apply_boolean
 
-from conftest import random_graph
+from conftest import isomorphic, random_graph
 
 
 class TestGraph6:
@@ -130,9 +130,7 @@ class TestCli:
     def test_hnk_22_is_c4(self, capsys):
         assert main(["hnk", "2", "2"]) == 0
         out = capsys.readouterr().out.strip()
-        from boolcomb.graphs import is_isomorphic
-
-        assert is_isomorphic(graph6_to_graph(out), Graph.cycle(4))
+        assert isomorphic(graph6_to_graph(out), Graph.cycle(4))
 
     def test_combine_fn(self, capsys):
         g6 = graph_to_graph6(Graph.cycle(5))
@@ -256,6 +254,13 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["scheme"]["label_bits"] == 8 + 4 + 2 * 3
         assert len(data["labels"]) == 6
+
+    @pytest.mark.parametrize("n", [2**62, 10**30])
+    def test_huge_edgelist_header_is_a_usage_error(self, n, capsys):
+        assert main(["params", "--format", "edgelist", f"{n} 0\n"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: vertex count {n} outside [0, 65536]\n"
 
     def test_usage_error_exit_2(self):
         assert main(["params"]) == 2

@@ -35,9 +35,11 @@ from boolcomb.invariants import max_degree, twin_classes, twin_number
 
 from conftest import random_graph
 
+NOT = BooleanFunction(1, 0b01)
+
 
 def assert_certified(d):
-    rebuilt = apply_boolean(d.f, d.part_graphs(), n=d.target.n)
+    rebuilt = apply_boolean(d.f, [g for g, _ in d.parts], n=d.target.n)
     assert rebuilt.rows == d.target.rows
     for g, tag in d.parts:
         assert is_member(tag, g)
@@ -189,7 +191,7 @@ class TestClassLDecomposition:
                 assert len(d.parts) == n - max((len(b) for b in twin_classes(g).blocks), default=0)
                 # f is 1 exactly on the part patterns of g's edges
                 edge_patterns = {
-                    sum(h.adj(u, v) << i for i, h in enumerate(d.part_graphs())) for u, v in g.edges()
+                    sum(h.adj(u, v) << i for i, (h, _) in enumerate(d.parts)) for u, v in g.edges()
                 }
                 assert {i for i in range(1 << d.f.arity) if d.f.value_at(i)} == edge_patterns
 
@@ -206,7 +208,7 @@ class TestXorNormalForm:
         d = xor_normal_form(BooleanFunction.and_(2), [h1, h2], EQUIVALENCE)
         assert_certified(d)
         assert d.alpha == 0 and len(d.parts) == 1
-        assert d.part_graphs()[0].rows == combine("intersect", [h1, h2]).rows
+        assert d.parts[0][0].rows == combine("intersect", [h1, h2]).rows
         assert d.f == BooleanFunction.xor_(1)
 
     def test_or_three_parts_parity_check(self):
@@ -217,12 +219,12 @@ class TestXorNormalForm:
         assert d.f == BooleanFunction.xor_(3)
         target = combine("union", [h1, h2])
         for u, v in itertools.combinations(range(6), 2):
-            parity = sum(p.adj(u, v) for p in d.part_graphs()) % 2
+            parity = sum(p.adj(u, v) for p, _ in d.parts) % 2
             assert parity == int(target.adj(u, v))
 
     def test_not_x1_absorbs_complete_graph_without_kn(self):
         h1 = random_member(MATCHING, 6, 5)
-        d = xor_normal_form(BooleanFunction.not_(), [h1], MATCHING)
+        d = xor_normal_form(NOT, [h1], MATCHING)
         assert_certified(d)
         assert d.alpha == 1 == d.f.value_at(0)
         assert d.f == BooleanFunction.xor_(1).negate()
@@ -230,11 +232,11 @@ class TestXorNormalForm:
 
     def test_not_x1_emits_kn_for_equivalence(self):
         h1 = random_member(EQUIVALENCE, 6, 6)
-        d = xor_normal_form(BooleanFunction.not_(), [h1], EQUIVALENCE)
+        d = xor_normal_form(NOT, [h1], EQUIVALENCE)
         assert_certified(d)
         assert d.alpha == 0
         assert len(d.parts) == 2
-        assert any(p.rows == Graph.complete(6).rows for p in d.part_graphs())
+        assert any(p.rows == Graph.complete(6).rows for p, _ in d.parts)
 
     def test_part_bound_and_membership(self, rng):
         tags = [EQUIVALENCE, MATCHING, CLASS_C, at_most_edges(3)]

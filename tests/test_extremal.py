@@ -21,7 +21,7 @@ from boolcomb.extremal import (
     verify_theorem,
 )
 from boolcomb.gformats import graph6_to_graph
-from boolcomb.graphs import Graph, apply_boolean, combine, complement, is_isomorphic
+from boolcomb.graphs import Graph, apply_boolean, combine, complement
 from boolcomb.invariants import (
     chain_number,
     chromatic_number,
@@ -30,6 +30,8 @@ from boolcomb.invariants import (
     is_homogeneous,
     is_perfect,
 )
+
+from conftest import isomorphic
 
 
 def pairwise_hnk(n: int, k: int) -> Graph:
@@ -49,7 +51,7 @@ class TestHnk:
             assert hnk(n, 1).edge_count == 0
 
     def test_h22_is_c4(self):
-        assert is_isomorphic(hnk(2, 2), Graph.cycle(4))
+        assert isomorphic(hnk(2, 2), Graph.cycle(4))
 
     def test_xor_form_matches(self):
         for n, k in ((2, 2), (3, 2), (2, 3), (3, 3)):
@@ -114,6 +116,29 @@ class TestHnkReport:
     def test_empty_graph(self):
         r = hnk_report(0, 2)
         assert (r.omega, r.alpha, r.chi_lower, r.chi, r.chi_is_exact) == (0, 0, 0, 0, True)
+
+    @pytest.mark.parametrize("n, k", [(5, 3), (32, 2), (8, 4)])
+    def test_past_the_clique_cap_builds_no_graph(self, n, k, monkeypatch):
+        def refuse(n, k):
+            raise AssertionError(f"H({n},{k}) built past the clique cap")
+
+        monkeypatch.setattr(boolcomb.extremal, "hnk", refuse)
+        r = hnk_report(n, k)
+        assert (r.omega, r.alpha, r.chi_lower, r.chi, r.chi_is_exact) == (None, None, None, None, False)
+        even = k % 2 == 0
+        assert r.omega_bound == pytest.approx(n * k if even else (2 * math.e * n) ** ((k - 1) / 2))
+        assert r.alpha_bound == pytest.approx((2 * math.e * n) ** (k / 2) if even else n * k)
+
+    @pytest.mark.parametrize("n, k, error", [
+        (-10, 2, MalformedInput),
+        (-10, 20, MalformedInput),  # the sign is checked before the size
+        (2, 13, SizeLimitExceeded),
+    ])
+    def test_arguments_are_checked_first(self, n, k, error):
+        with pytest.raises(error):
+            hnk_report(n, k)
+        with pytest.raises(error):
+            hnk_as_xor(n, k)
 
 
 class TestChiBinding:

@@ -48,7 +48,7 @@ from boolcomb.invariants import (
     vc_dimension,
 )
 
-from conftest import random_graph, to_networkx
+from conftest import random_graph, relabel, to_networkx
 
 
 # -- independent oracles -------------------------------------------------------
@@ -288,6 +288,13 @@ class TestDegreeLike:
         for _ in range(20):
             g = random_graph(rng.randint(1, 10), rng.random(), rng)
             assert degeneracy(g) <= max_degree(g)
+
+    def test_degeneracy_against_networkx_core_number(self, rng):
+        # the degeneracy is the largest k with a nonempty k-core
+        graphs = [Graph.from_edge_mask(n, mask) for n in range(6) for mask in range(1 << comb(n, 2))]
+        graphs += [random_graph(rng.randint(0, 64), rng.random(), rng) for _ in range(100)]
+        for g in graphs:
+            assert degeneracy(g) == max(nx.core_number(to_networkx(g)).values(), default=0)
 
 
 class TestBiclique:
@@ -702,7 +709,7 @@ class TestCommonHomogeneousSet:
         c5 = Graph.cycle(5)
         perm = list(range(5))
         rng.shuffle(perm)
-        graphs = [c5, c5.relabel(perm)]
+        graphs = [c5, relabel(c5, perm)]
         s = common_homogeneous_set(graphs)
         assert len(s) >= 2
         assert all(is_homogeneous(g, s) for g in graphs)
@@ -760,7 +767,7 @@ class TestRelabelingAndDuality:
     def test_invariant_under_relabeling(self, solver, cap, data):
         g = data.draw(seeded_graphs(cap))
         perm = data.draw(st.permutations(range(g.n)))
-        assert solver(g.relabel(perm)) == solver(g)
+        assert solver(relabel(g, perm)) == solver(g)
 
     @settings(max_examples=50, deadline=None)
     @given(g=seeded_graphs(CLIQUE_LIMIT))

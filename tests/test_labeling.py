@@ -18,16 +18,15 @@ from boolcomb.labeling import (
     Label,
     compose,
     decode,
-    encode_equivalence,
     label_width,
 )
 
 
 class TestEquivalenceScheme:
     def test_complete_and_empty(self):
-        labels = encode_equivalence(Graph.complete(8))
+        labels = EquivalenceScheme.encode(Graph.complete(8))
         assert len({lab.value for lab in labels}) == 1
-        labels = encode_equivalence(Graph.empty(8))
+        labels = EquivalenceScheme.encode(Graph.empty(8))
         assert len({lab.value for lab in labels}) == 8
 
     def test_width_formula(self):
@@ -38,17 +37,17 @@ class TestEquivalenceScheme:
 
     def test_decoder_reproduces_adjacency_n100(self):
         g = random_member(EQUIVALENCE, 100, 31)
-        labels = encode_equivalence(g)
+        labels = EquivalenceScheme.encode(g)
         for u, v in itertools.combinations(range(100), 2):
             assert EquivalenceScheme.decode(labels[u].value, labels[v].value) == g.adj(u, v)
 
     def test_block_indices_in_order_of_least_vertex(self):
         g = Graph.from_edges(6, [(0, 3), (0, 5), (3, 5), (1, 4)])  # blocks {0,3,5} {1,4} {2}
-        assert [lab.value for lab in encode_equivalence(g)] == [0, 1, 2, 0, 1, 0]
+        assert [lab.value for lab in EquivalenceScheme.encode(g)] == [0, 1, 2, 0, 1, 0]
 
     def test_rejects_non_equivalence(self):
         with pytest.raises(NotEquivalenceGraph):
-            encode_equivalence(Graph.path(3))
+            EquivalenceScheme.encode(Graph.path(3))
 
 
 class TestCompose:
@@ -56,7 +55,7 @@ class TestCompose:
         g = random_member(EQUIVALENCE, 20, 5)
         f = BooleanFunction.projection(1, 1)
         labels, scheme = compose(f, [EquivalenceScheme], [g])
-        base = encode_equivalence(g)
+        base = EquivalenceScheme.encode(g)
         for u, v in itertools.combinations(range(20), 2):
             assert decode(scheme, labels[u], labels[v]) == EquivalenceScheme.decode(
                 base[u].value, base[v].value
@@ -125,4 +124,5 @@ class TestCompose:
 
     def test_hex_roundtrip(self):
         lab = Label(14, 0x2A5)
-        assert Label.from_hex(lab.to_hex(), 14) == lab
+        assert lab.to_hex() == "02a5"
+        assert Label(14, int(lab.to_hex(), 16)) == lab

@@ -1,0 +1,73 @@
+"""Every name a library module imports is used in that module.
+
+A stdlib stand-in for a linter's unused-import rule: each module of
+src/boolcomb except the package's __init__ (whose imports are its
+exports) is parsed with ast, and every imported name must be read
+somewhere in it, in code or in a string annotation.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "boolcomb"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    quoted = [
+        ast.parse(a.value, mode="eval")
+        for a in annotations
+        if isinstance(a, ast.Constant) and isinstance(a.value, str)
+    ]
+    return {
+        node.id
+        for root in (tree, *quoted)
+        for node in ast.walk(root)
+        if isinstance(node, ast.Name)
+    }
+
+
+def unused_imports(source: str) -> set[str]:
+    tree = ast.parse(source)
+    return imported_names(tree) - used_names(tree)
+
+
+def test_modules_are_found():
+    assert {p.name for p in MODULES} >= {"graphs.py", "boolfn.py", "classes.py", "extremal.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == set()
+
+
+def test_an_unused_import_is_caught():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .errors import NotMonotone, SizeLimitExceeded\n"
+        "from .graphs import Graph\n"
+        "def f(g: 'Graph') -> int:\n"
+        "    raise SizeLimitExceeded(os.sep)\n"
+    )
+    assert unused_imports(source) == {"NotMonotone"}
