@@ -95,9 +95,11 @@ def _check_budget(m: int, k: int, budget: int) -> None:
         )
 
 
-def _check_k_max(k_max: int) -> None:
+def _check_limits(k_max: int, budget: int) -> None:
     if k_max < 0:
         raise MalformedInput(f"k_max must be >= 0, got {k_max}")
+    if budget < 0:
+        raise MalformedInput(f"budget must be >= 0, got {budget}")
 
 
 def _verify(target: Graph, f: BooleanFunction, parts: tuple[Graph, ...]) -> DimWitness:
@@ -239,7 +241,7 @@ def boolean_dimension(
     Arity-0 functions are excluded; constant targets appear at k = 1
     with a constant function.
     """
-    _check_k_max(k_max)
+    _check_limits(k_max, budget)
     prepared = _prepare(g, tag)
     for k in range(1, k_max + 1):
         witness = _search(g, prepared, k, budget)
@@ -259,7 +261,7 @@ def restricted_dimension(
     intersection dimension (intersect), or XOR dimension (xor)."""
     if mode not in _FOLDS:
         raise ValueError(f"unknown mode {mode!r}")
-    _check_k_max(k_max)
+    _check_limits(k_max, budget)
     prepared = _prepare(g, tag)
     for k in range(1, k_max + 1):
         if mode == "xor":

@@ -70,6 +70,8 @@ def _hnk_size(n: int, k: int) -> int:
     """n^k, once n and k are checked against the H(n,k) arguments and cap."""
     if n < 0 or k < 0:
         raise MalformedInput(f"H(n,k) needs n, k >= 0, got n={n}, k={k}")
+    if k > 12:  # 2^13 > HNK_VERTEX_LIMIT: no n >= 2 fits; refused before any power
+        raise SizeLimitExceeded(f"k = {k} exceeds 12, the largest k with 2^k <= {HNK_VERTEX_LIMIT}")
     if n**k > HNK_VERTEX_LIMIT:
         raise SizeLimitExceeded(f"{n}^{k} vertices exceed the cap of {HNK_VERTEX_LIMIT}")
     return n**k

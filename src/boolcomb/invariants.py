@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, MalformedInput, SizeLimitExceeded
@@ -130,11 +131,21 @@ def degeneracy(g: Graph) -> int:
 
 
 def _count(planes: list[int], inc: int) -> None:
-    # add one to the bit-sliced counter of every vertex in inc (ripple carry)
+    # add one to the bit-sliced counter of every member of inc (ripple carry)
     for i, plane in enumerate(planes):
         planes[i], inc = plane ^ inc, plane & inc
     if inc:
         planes.append(inc)
+
+
+def _narrow(cand: int, planes: list[int]) -> tuple[int, int]:
+    # the members of cand with the largest bit-sliced count, and that count
+    top = 0
+    for i in range(len(planes) - 1, -1, -1):
+        if cand & planes[i]:
+            cand &= planes[i]
+            top |= 1 << i
+    return cand, top
 
 
 class _Dsatur:
@@ -153,11 +164,8 @@ class _Dsatur:
 
     def pick(self) -> int:
         # highest saturation, then highest degree, then lowest index
-        cand = self.uncolored
-        for planes in (self.sat, self.deg):
-            for plane in reversed(planes):
-                if cand & plane:
-                    cand &= plane
+        cand, _ = _narrow(self.uncolored, self.sat)
+        cand, _ = _narrow(cand, self.deg)
         return (cand & -cand).bit_length() - 1
 
     def color(self, v: int, c: int) -> None:
@@ -338,8 +346,10 @@ def twin_number(g: Graph) -> int:
 def neighborhood_complexity(g: Graph, m: int) -> int:
     """Shatter function of the neighborhood set system at argument m.
 
-    The most traces N(v) & S over the m-sets S.  No m-set has more than
-    min(2^m, n) traces, so the scan stops once the best reaches that.
+    The most traces N(v) & S over the m-sets S, counted for every S at
+    once (bit i of a mask stands for the i-th m-set in combinations
+    order): S has one trace per distinct row that differs on S from every
+    earlier distinct row.
     """
     if m < 0:
         raise MalformedInput(f"m = {m} is negative")
@@ -347,25 +357,33 @@ def neighborhood_complexity(g: Graph, m: int) -> int:
         raise SizeLimitExceeded(f"neighborhood solver capped at n = {VC_LIMIT}")
     if m > g.n:
         raise SizeLimitExceeded(f"m = {m} exceeds vertex count {g.n}")
-    ceiling = min(1 << m, g.n)
-    rows = g.rows
-    best = 0
-    for mask in _subset_masks(g.n, m):
-        traces = len({row & mask for row in rows})
-        if traces > best:
-            best = traces
-            if best == ceiling:
-                break
-    return best
+    low, high = _meet_tables(g.n, m)
+    every = (1 << comb(g.n, m)) - 1
+    rows = list(dict.fromkeys(g.rows))
+    planes: list[int] = []
+    for v, row in enumerate(rows):
+        lead = every  # the m-sets on which row leads its trace class
+        for other in rows[:v]:
+            d = other ^ row
+            lead &= low[d & 127] | high[d >> 7]
+        _count(planes, lead)
+    return _narrow(every, planes)[1]
 
 
 @lru_cache(maxsize=None)
-def _subset_masks(n: int, m: int) -> tuple[int, ...]:
-    """The m-subsets of range(n) as bitmasks, in lexicographic order.
+def _meet_tables(n: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Masks over the m-subsets of range(n), in combinations order: low[d]
+    holds the subsets that meet d, and high[d] those that meet d << 7.
 
-    Callers check n <= VC_LIMIT first, which bounds the cache.
+    Callers check n <= VC_LIMIT = 14 first, which bounds both halves to
+    128 entries and the cache to every (n, m) with m <= n <= 14.
     """
-    return tuple(map(sum, combinations([1 << v for v in range(n)], m)))
+    subsets = list(combinations(range(n), m))
+    halves: list[list[int]] = [[0], [0]]
+    for x in range(n):
+        mask = sum(1 << i for i, s in enumerate(subsets) if x in s)
+        halves[x // 7] += [t | mask for t in halves[x // 7]]
+    return tuple(halves[0]), tuple(halves[1])
 
 
 def vc_dimension(g: Graph) -> int:

@@ -159,6 +159,16 @@ class TestArguments:
             with pytest.raises(MalformedInput, match="k_max"):
                 restricted_dimension(Graph.cycle(4), EQUIVALENCE, mode, -1)
 
+    def test_negative_budget_is_malformed(self):
+        for k_max in (0, 2):
+            with pytest.raises(MalformedInput, match="budget must be >= 0, got -1"):
+                boolean_dimension(Graph.cycle(4), EQUIVALENCE, k_max, budget=-1)
+            for mode in ("union", "intersect", "xor"):
+                with pytest.raises(MalformedInput, match="budget must be >= 0, got -1"):
+                    restricted_dimension(Graph.cycle(4), EQUIVALENCE, mode, k_max, budget=-1)
+        with pytest.raises(BudgetExceeded):
+            boolean_dimension(Graph.cycle(4), EQUIVALENCE, 2, budget=0)
+
     def test_k_max_zero_finds_nothing(self):
         assert boolean_dimension(Graph.cycle(4), EQUIVALENCE, 0) is None
         for mode in ("union", "intersect", "xor"):

@@ -226,6 +226,19 @@ class TestCli:
         assert (data["omega_bound"], data["alpha_bound"]) == (pytest.approx(27.18281828459045), 15.0)
         assert data["chi_is_exact"] is False
 
+    @pytest.mark.parametrize("argv", [
+        ["hnk", "1", "2000", "--report"],
+        ["hnk", "0", "13"],
+        ["hnk", "1", "13"],
+        ["hnk", "0", "13", "--report"],
+        ["hnk", "1", "13", "--report"],
+    ])
+    def test_hnk_k_past_twelve_is_refused(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: k = {argv[2]} exceeds 12, the largest k with 2^k <= 4096\n"
+
     def test_enumerate(self, capsys):
         assert main(["enumerate", "--class", "equiv", "--n", "4"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -238,6 +251,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_booldim_negative_budget_is_a_usage_error(self, capsys):
+        target = graph_to_graph6(Graph.cycle(4))
+        for mode in ([], ["--mode", "xor"], ["--mode", "union"]):
+            argv = ["booldim", "--target", target, "--class", "equiv", "--kmax", "2", "--budget", "-1"]
+            assert main([*argv, *mode]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: budget must be >= 0, got -1\n"
 
     def test_booldim_negative_kmax_is_a_usage_error(self, capsys):
         target = graph_to_graph6(Graph.cycle(4))

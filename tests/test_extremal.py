@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations, permutations, product
 
 import pytest
@@ -133,12 +134,29 @@ class TestHnkReport:
         (-10, 2, MalformedInput),
         (-10, 20, MalformedInput),  # the sign is checked before the size
         (2, 13, SizeLimitExceeded),
+        (-1, 10**7, MalformedInput),
+        (0, 13, SizeLimitExceeded),
+        (1, 13, SizeLimitExceeded),
     ])
     def test_arguments_are_checked_first(self, n, k, error):
         with pytest.raises(error):
             hnk_report(n, k)
         with pytest.raises(error):
             hnk_as_xor(n, k)
+
+    def test_huge_k_is_refused_before_any_power(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a coordinate graph was built")
+
+        monkeypatch.setattr(boolcomb.extremal.Partition, "from_blocks", refuse)
+        start = time.perf_counter()
+        for n in (10, 1, 0):
+            with pytest.raises(SizeLimitExceeded, match="k = 10000000 exceeds 12"):
+                hnk_report(n, 10**7)
+            with pytest.raises(SizeLimitExceeded, match="k = 10000000 exceeds 12"):
+                hnk_as_xor(n, 10**7)
+        # n**k alone takes seconds at k = 10^7
+        assert time.perf_counter() - start < 1
 
 
 class TestChiBinding:

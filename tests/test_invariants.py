@@ -16,8 +16,10 @@ from boolcomb.errors import (
     MismatchedVertexCount,
     SizeLimitExceeded,
 )
-from boolcomb.extremal import hnk
-from boolcomb.graphs import Graph, complement, induced_subgraph
+from boolcomb.boolfn import enumerate_functions
+from boolcomb.classes import EQUIVALENCE, random_member
+from boolcomb.extremal import DEFAULT_SEED, hnk
+from boolcomb.graphs import Graph, apply_boolean, complement, induced_subgraph
 from boolcomb.invariants import (
     BICLIQUE_LIMIT,
     CHAIN_LIMIT,
@@ -26,7 +28,7 @@ from boolcomb.invariants import (
     PERFECT_LIMIT,
     VC_LIMIT,
     _greedy_coloring_bound,
-    _subset_masks,
+    _meet_tables,
     biclique_number,
     chain_number,
     chromatic_number,
@@ -505,17 +507,26 @@ class TestNeighborhoodComplexity:
             neighborhood_complexity(Graph.cycle(5), 6)
 
     def test_subset_mask_table_holds_the_m_sets(self):
+        # bit i of an entry is the i-th m-set in combinations order; low[d]
+        # holds the m-sets that meet d, high[d] those that meet d << 7
         for n in range(VC_LIMIT + 1):
             for m in range(n + 1):
-                masks = _subset_masks(n, m)
-                assert len(masks) == comb(n, m)
-                assert set(masks) == {x for x in range(1 << n) if x.bit_count() == m}
+                subsets = [sum(1 << v for v in s) for s in itertools.combinations(range(n), m)]
+                low, high = _meet_tables(n, m)
+                assert (len(low), len(high)) == (1 << min(n, 7), 1 << max(n - 7, 0))
+                for x in range(n):
+                    entry = low[1 << x] if x < 7 else high[1 << (x - 7)]
+                    assert entry == sum(1 << i for i, s in enumerate(subsets) if s >> x & 1)
+                for half in (low, high):
+                    assert half[0] == 0
+                    for d in range(1, len(half)):
+                        assert half[d] == half[d & (d - 1)] | half[d & -d]
 
     def test_rejected_arguments_build_no_table(self, monkeypatch):
         def no_table(n, m):
             raise AssertionError(f"table built for n = {n}, m = {m}")
 
-        monkeypatch.setattr(boolcomb.invariants, "_subset_masks", no_table)
+        monkeypatch.setattr(boolcomb.invariants, "_meet_tables", no_table)
         with pytest.raises(SizeLimitExceeded, match=f"n = {VC_LIMIT}"):
             neighborhood_complexity(Graph.empty(VC_LIMIT + 1), 3)
         with pytest.raises(SizeLimitExceeded):
@@ -566,8 +577,26 @@ class TestShatterOracles:
                 assert nu == reference_neighborhood_complexity(g, m), (g.rows, m)
                 if nu == min(1 << m, g.n) and 0 < m < 4:
                     ceilings.add("2^m" if 1 << m <= g.n else "n")
-        # the early exit at min(2^m, n) is taken under both bounds
+        # the sample holds graphs that reach the ceiling min(2^m, n) under both of its bounds
         assert ceilings == {"2^m", "n"}
+
+    def test_every_m_on_large_graphs(self, rng):
+        for _ in range(20):
+            g = random_graph(rng.randint(12, 14), rng.random(), rng)
+            for m in range(g.n + 1):
+                assert neighborhood_complexity(g, m) == reference_neighborhood_complexity(g, m), (g.rows, m)
+
+    def test_matches_reference_on_the_nbhd_product_inputs(self):
+        # the 450 graphs that the nbhd-product check draws at DEFAULT_SEED
+        graphs = []
+        for s in range(25):
+            h1 = random_member(EQUIVALENCE, 10, DEFAULT_SEED + 31 * s)
+            h2 = random_member(EQUIVALENCE, 10, DEFAULT_SEED + 31 * s + 17)
+            graphs += [h1, h2] + [apply_boolean(f, [h1, h2]) for f in enumerate_functions(2)]
+        assert len(graphs) == 450
+        for g in graphs:
+            for m in range(5):
+                assert neighborhood_complexity(g, m) == reference_neighborhood_complexity(g, m), (g.rows, m)
 
     def test_vc_matches_reference(self, rng):
         for g in shatter_sample(rng):
