@@ -227,6 +227,7 @@ def exists_representation(
     """
     if k < 1:
         raise MalformedInput(f"k must be >= 1, got {k}")
+    _check_limits(k, budget)
     return _search(g, _prepare(g, tag), k, budget)
 
 

@@ -45,60 +45,80 @@ def _read_graph(text: str, fmt: str) -> Graph:
     return parse_graph(text, fmt)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_FORMAT = ("--format", dict(default="graph6", choices=["graph6", "edgelist"]))
+
+# name -> (help, [(argument, add_argument keywords), ...]), in usage order
+_SUBCOMMANDS = {
+    "params": ("exact parameter report for a graph", [
+        ("graph", dict(help="graph6 string, or - for stdin")),
+        _FORMAT,
+    ]),
+    "combine": ("boolean combination of graphs", [
+        ("--op", dict(required=True, help="union | intersect | xor | fn:<arity>:<hex>")),
+        ("graphs", dict(nargs="+", help="graph6 strings")),
+        _FORMAT,
+    ]),
+    "decompose": ("certified decompositions", [
+        ("--method", dict(required=True, choices=["vizing", "twin", "classL", "xornf", "pcseq"])),
+        ("graphs", dict(nargs="+", help="graph6 strings (xornf/pcseq take several)")),
+        ("--fn", dict(help="boolean function for xornf, e.g. 2:0xe")),
+        ("--class", dict(dest="class_tag", default="equiv", help="class tag for xornf")),
+        _FORMAT,
+    ]),
+    "hnk": ("the odd-agreements graph on [n]^k", [
+        ("n", dict(type=int)),
+        ("k", dict(type=int)),
+        ("--report", dict(action="store_true", help="emit the bounds report instead of graph6")),
+    ]),
+    "verify": ("run theorem checks", [
+        ("theorem", dict(help="a catalogue id, or 'all'")),
+        ("--seed", dict(type=int, default=DEFAULT_SEED)),
+    ]),
+    "booldim": ("boolean dimension search", [
+        ("--target", dict(required=True, help="graph6 string")),
+        ("--class", dict(dest="class_tag", required=True, help="class tag, e.g. equiv")),
+        ("--kmax", dict(type=int, required=True)),
+        ("--mode", dict(choices=["union", "intersect", "xor"], help="restrict f to a fold")),
+        ("--budget", dict(type=int, default=booldim_mod.DEFAULT_BUDGET)),
+    ]),
+    "label": ("adjacency labels for a boolean combination", [
+        ("--fn", dict(help="boolean function, e.g. 2:0x6 (default: identity)")),
+        ("graphs", dict(nargs="+", help="graph6 strings of equivalence graphs")),
+        _FORMAT,
+    ]),
+    "enumerate": ("all labeled members of a class", [
+        ("--class", dict(dest="class_tag", required=True)),
+        ("--n", dict(type=int, required=True)),
+    ]),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv.  When argv[0] names a subcommand, only its
+    subparser is built, under the full metavar so that usage lines are
+    unchanged.  Otherwise all are built with no metavar, so that errors
+    about the command still call it `command`."""
     parser = argparse.ArgumentParser(
         prog="boolcomb",
         description="Boolean combinations of graphs: operators, decompositions, "
         "exact invariants, and desk-scale theorem checks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("params", help="exact parameter report for a graph")
-    p.add_argument("graph", help="graph6 string, or - for stdin")
-    p.add_argument("--format", default="graph6", choices=["graph6", "edgelist"])
-
-    p = sub.add_parser("combine", help="boolean combination of graphs")
-    p.add_argument("--op", required=True, help="union | intersect | xor | fn:<arity>:<hex>")
-    p.add_argument("graphs", nargs="+", help="graph6 strings")
-    p.add_argument("--format", default="graph6", choices=["graph6", "edgelist"])
-
-    p = sub.add_parser("decompose", help="certified decompositions")
-    p.add_argument("--method", required=True, choices=["vizing", "twin", "classL", "xornf", "pcseq"])
-    p.add_argument("graphs", nargs="+", help="graph6 strings (xornf/pcseq take several)")
-    p.add_argument("--fn", help="boolean function for xornf, e.g. 2:0xe")
-    p.add_argument("--class", dest="class_tag", default="equiv", help="class tag for xornf")
-    p.add_argument("--format", default="graph6", choices=["graph6", "edgelist"])
-
-    p = sub.add_parser("hnk", help="the odd-agreements graph on [n]^k")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--report", action="store_true", help="emit the bounds report instead of graph6")
-
-    p = sub.add_parser("verify", help="run theorem checks")
-    p.add_argument("theorem", help="a catalogue id, or 'all'")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    p = sub.add_parser("booldim", help="boolean dimension search")
-    p.add_argument("--target", required=True, help="graph6 string")
-    p.add_argument("--class", dest="class_tag", required=True, help="class tag, e.g. equiv")
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--mode", choices=["union", "intersect", "xor"], help="restrict f to a fold")
-    p.add_argument("--budget", type=int, default=booldim_mod.DEFAULT_BUDGET)
-
-    p = sub.add_parser("label", help="adjacency labels for a boolean combination")
-    p.add_argument("--fn", help="boolean function, e.g. 2:0x6 (default: identity)")
-    p.add_argument("graphs", nargs="+", help="graph6 strings of equivalence graphs")
-    p.add_argument("--format", default="graph6", choices=["graph6", "edgelist"])
-
-    p = sub.add_parser("enumerate", help="all labeled members of a class")
-    p.add_argument("--class", dest="class_tag", required=True)
-    p.add_argument("--n", type=int, required=True)
-
+    if argv and argv[0] in _SUBCOMMANDS:
+        names = [argv[0]]
+        metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
+    else:
+        names, metavar = list(_SUBCOMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, arguments = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for argument, keywords in arguments:
+            p.add_argument(argument, **keywords)
     return parser
 
 
 def main(argv: list[str]) -> int:
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

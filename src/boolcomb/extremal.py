@@ -121,7 +121,7 @@ def hnk_report(n: int, k: int) -> HnkReport:
     size = _hnk_size(n, k)
     if k % 2 == 0:
         omega_bound = float(n * k)
-        alpha_bound = (2 * math.e * n) ** (k / 2)
+        alpha_bound = (2 * math.e * n) ** (k / 2) if k else 1.0  # n^0, n past float range
     else:
         omega_bound = (2 * math.e * n) ** ((k - 1) / 2)
         alpha_bound = float(n * k)
@@ -430,7 +430,9 @@ def _nbhd_product(seed: int) -> Iterator[dict]:
             g = apply_boolean(f, [h1, h2])
             for m in range(1, 5):
                 nu_g = neighborhood_complexity(g, m)
-                if nu_g > nu1[m - 1] * nu2[m - 1] or nu_g > (m + 1) ** 2:
+                # one vertex x has traces {} (from x) and {x} (iff x has a neighbour)
+                exact = m > 1 or nu_g == 1 + any(g.rows)
+                if not exact or nu_g > nu1[m - 1] * nu2[m - 1] or nu_g > (m + 1) ** 2:
                     yield {
                         "f": f.to_text(),
                         "h1": graph_to_graph6(h1),
@@ -587,7 +589,7 @@ _CATALOGUE: dict[str, tuple[str, Callable[[int], Iterator[dict]]]] = {
     ),
     "nbhd-product": (
         "25 seeded equivalence-graph pairs at n=10, all 16 binary functions, m <= 4: "
-        "nu_G(m) <= nu_H1(m)*nu_H2(m) and <= (m+1)^2",
+        "nu_G(m) <= nu_H1(m)*nu_H2(m) and <= (m+1)^2, and nu_G(1) = 1 + [G has an edge]",
         _nbhd_product,
     ),
     "eh-extraction": (

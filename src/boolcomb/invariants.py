@@ -270,32 +270,48 @@ def _chain_search(g: Graph, strong: bool) -> int:
     Branch and bound over two candidate bitmasks, bitboard style: the
     next a comes from `cand_a`, the unused vertices adjacent to no
     earlier b; the next b from `cand_b`, the unused vertices adjacent
-    to every earlier a (and, unless strong, to the new a).  Every later
-    pair draws its a from `cand_a` and its b from `cand_b`, disjointly,
-    so popcounts bound the depth still reachable.
+    to every earlier a (and, unless strong, to the new a).  Two bounds
+    prune it.  Per a: every b from this pair on (strong: every later b)
+    lies in `cand_b & rows[a]`, so a chain that takes a next is at most
+    depth + |cand_b & rows[a]| (+1 if strong) long; the a's are tried in
+    decreasing order of that bound, up to the first that cannot beat the
+    best.  Per pair: every later pair draws its a from the child's
+    `cand_a` and its b from its `cand_b`, disjointly, so popcounts bound
+    the pairs still to come; the bound is tested before the call.  The
+    a's after the next b all miss it, so a b with too few non-neighbours
+    in `cand_a` to beat the best is not tried as the next b.
     """
     n = g.n
     if n > CHAIN_LIMIT:
         raise SizeLimitExceeded(f"chain solver capped at n = {CHAIN_LIMIT}")
     rows = g.rows
+    full = (1 << n) - 1
+    away = [full & ~rows[v] & ~(1 << v) for v in range(n)]  # non-neighbours of v but v
     best = 0
 
     def extend(depth: int, cand_a: int, cand_b: int):
         nonlocal best
-        best = max(best, depth)
-        reach = min(cand_a.bit_count(), cand_b.bit_count(), (cand_a | cand_b).bit_count() // 2)
-        if depth + reach <= best:
-            return
-        for a in _bits(cand_a):
+        d1 = depth + 1
+        order = sorted([((cand_b & rows[a]).bit_count(), a) for a in _bits(cand_a)], reverse=True)
+        seen = -1
+        for size, a in order:
+            if depth + size + strong <= best:
+                break
+            if seen != best:  # the b-side filter drops nothing while best < d1
+                seen = best
+                firsts = cand_b if best < d1 else sum(
+                    1 << b for b in _bits(cand_b) if d1 + (cand_a & away[b]).bit_count() > best)
             bit_a = 1 << a
-            b_pool = cand_b & ~bit_a
-            if not strong:
-                b_pool &= rows[a]
-            for b in _bits(b_pool):
-                gone = bit_a | (1 << b)
-                extend(depth + 1, cand_a & ~gone & ~rows[b], cand_b & ~gone & rows[a])
+            later = cand_b & rows[a]
+            pool = (cand_b & ~bit_a if strong else later) & firsts
+            if pool:
+                best = max(best, d1)
+            for b in _bits(pool):
+                next_a = cand_a & away[b] & ~bit_a
+                next_b = later & ~(1 << b)
+                if d1 + min(next_a.bit_count(), next_b.bit_count(), (next_a | next_b).bit_count() // 2) > best:
+                    extend(d1, next_a, next_b)
 
-    full = (1 << n) - 1
     extend(0, full, full)
     return best
 

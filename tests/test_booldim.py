@@ -174,6 +174,14 @@ class TestArguments:
         for mode in ("union", "intersect", "xor"):
             assert restricted_dimension(Graph.cycle(4), EQUIVALENCE, mode, 0) is None
 
+    def test_negative_budget_is_malformed_for_one_arity(self):
+        with pytest.raises(MalformedInput, match="budget must be >= 0, got -1"):
+            exists_representation(Graph.cycle(4), EQUIVALENCE, 2, budget=-1)
+        with pytest.raises(MalformedInput, match="k must be >= 1"):  # the arity is checked first
+            exists_representation(Graph.cycle(4), EQUIVALENCE, 0, budget=-1)
+        with pytest.raises(BudgetExceeded):
+            exists_representation(Graph.cycle(4), EQUIVALENCE, 2, budget=0)
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_arity_below_one_is_malformed(self, k):
         with pytest.raises(MalformedInput, match="k must be >= 1"):

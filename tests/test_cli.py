@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolcomb.boolfn import BooleanFunction
-from boolcomb.cli import main
+from boolcomb.cli import _SUBCOMMANDS, _build_parser, main
 from boolcomb.errors import MalformedInput
 from boolcomb.extremal import hnk
 from boolcomb.gformats import (
@@ -226,6 +227,16 @@ class TestCli:
         assert (data["omega_bound"], data["alpha_bound"]) == (pytest.approx(27.18281828459045), 15.0)
         assert data["chi_is_exact"] is False
 
+    def test_hnk_report_at_k_zero_with_a_huge_n(self, capsys):
+        # n^0 = 1 passes the cap; n itself is past the float range
+        n = 10**400
+        assert main(["hnk", str(n), "0", "--report"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        data = json.loads(captured.out)
+        assert (data["n"], data["omega"], data["alpha"], data["chi"]) == (n, 1, 1, 1)
+        assert (data["omega_bound"], data["alpha_bound"]) == (0.0, 1.0)
+
     @pytest.mark.parametrize("argv", [
         ["hnk", "1", "2000", "--report"],
         ["hnk", "0", "13"],
@@ -290,6 +301,52 @@ class TestCli:
     def test_malformed_graph_exit_2(self, capsys):
         assert main(["params", "~~~~"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# help and usage errors: each about one subcommand, or about the command itself
+PARSER_CASES = [
+    *([name, "--help"] for name in _SUBCOMMANDS),
+    ["--help"],
+    [],
+    ["nope"],
+    ["verify", "x", "extra"],
+    ["verify", "--seed"],
+    ["params"],
+    ["params", "x", "--format", "csv"],
+    ["hnk", "3"],
+    ["hnk", "a", "2"],
+    ["booldim", "--target", "C~"],
+    ["decompose", "--method", "zz", "C~"],
+    ["enumerate", "--class", "equiv", "--n", "x"],
+    ["label", "--bogus"],
+]
+
+
+class TestParserParity:
+    """`main` builds only the subparser that argv[0] names; what it prints
+    and returns must be what the parser with every subcommand gives."""
+
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_matches_the_full_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser([]).parse_args(argv)
+        want = capsys.readouterr()
+        assert want.out or want.err
+        assert main(argv) == (exc.value.code or 0)
+        got = capsys.readouterr()
+        assert (got.out, got.err) == (want.out, want.err)
+
+    @pytest.mark.parametrize("argv, built", [
+        (["params", "C~"], ["params"]),
+        (["verify", "all", "extra"], ["verify"]),
+        (["-h"], list(_SUBCOMMANDS)),
+        (["nope"], list(_SUBCOMMANDS)),
+        ([], list(_SUBCOMMANDS)),
+    ])
+    def test_builds_only_the_named_subparser(self, argv, built):
+        parser = _build_parser(argv)
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == built
 
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -366,8 +423,8 @@ class TestCliContracts:
         assert "budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed, digest", [
-        ("1729", "0624bb86519644dd10c814c22b7b5110a129fa3e7f19c271b99890d3c2713cac"),
-        ("7", "b5d9ed6c8a7eb8c1d5c9cadf4e91e2c70b6668fb74f0b240f38a1149e6e0ba5d"),
+        ("1729", "627b076e7074c0a341de85d09ef66cb82ddb4066c237312766c33ac5d138a8b4"),
+        ("7", "f23d3193e7bb3a992f37646155ea6a7692006140dece250e638907302a4d1dd6"),
     ], ids=["seed1729", "seed7"])
     def test_verify_all_output_is_pinned(self, capsys, seed, digest):
         # any change to the catalogue output must update these digests

@@ -118,6 +118,13 @@ class TestHnkReport:
         r = hnk_report(0, 2)
         assert (r.omega, r.alpha, r.chi_lower, r.chi, r.chi_is_exact) == (0, 0, 0, 0, True)
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 10**400], ids=["0", "1", "7", "10**400"])
+    def test_k_zero_is_one_vertex(self, n):
+        # H(n, 0) is K_1; n^0 = 1 even where n is past the float range
+        r = hnk_report(n, 0)
+        assert (r.omega, r.alpha, r.chi_lower, r.chi, r.chi_is_exact) == (1, 1, 1, 1, True)
+        assert (r.omega_bound, r.alpha_bound) == (0.0, 1.0)
+
     @pytest.mark.parametrize("n, k", [(5, 3), (32, 2), (8, 4)])
     def test_past_the_clique_cap_builds_no_graph(self, n, k, monkeypatch):
         def refuse(n, k):
@@ -347,6 +354,18 @@ def _chain_numbers_recompute(cx):
     assert chain_number(graph6_to_graph(cx["graph"])) == cx["ch"] > cx["sch"]
 
 
+def _count_dropping_final_carry(planes, inc):
+    for i, plane in enumerate(planes):
+        planes[i], inc = plane ^ inc, plane & inc
+
+
+def _nu1_is_not_exact(cx):
+    # checked without the (patched) kernel: nu_G(1) = 1 + [G has an edge]
+    f = BooleanFunction.from_text(cx["f"])
+    g = apply_boolean(f, [graph6_to_graph(cx["h1"]), graph6_to_graph(cx["h2"])])
+    assert cx["m"] == 1 and cx["nu"] != 1 + any(g.rows)
+
+
 def _set_not_homogeneous(cx):
     graphs = [graph6_to_graph(g) for g in cx["graphs"]]
     assert not all(is_homogeneous(g, cx["set"]) for g in graphs)
@@ -366,15 +385,16 @@ def _image_has_many_edges_and_non_edges(cx):
     assert min(g.edge_count, g.n * (g.n - 1) // 2 - g.edge_count) > 4
 
 
-# (catalogue id, optionally "/variant", name patched in boolcomb.extremal, wrong
-# stand-in, re-verification); speed-bound is absent: |{a ^ b}| <= |X|^2 holds for
-# any X, so no stand-in can break it
+# (catalogue id, optionally "/variant", name patched in boolcomb.extremal or, when
+# dotted, in boolcomb, wrong stand-in, re-verification); speed-bound is absent:
+# |{a ^ b}| <= |X|^2 holds for any X, so no stand-in can break it
 PLANTED = [
     ("perfect-2fn-equiv", "is_perfect", lambda g: False, _perfect_result_recombines),
     ("forbidden-multipartite", "restricted_dimension", _fake_witness, None),
     ("c5-not-2fn-equiv", "exists_representation", _fake_witness, None),
     ("chain-sandwich", "strong_chain_number", lambda g: 0, _chain_numbers_recompute),
     ("nbhd-product", "neighborhood_complexity", lambda g, m: 100, None),
+    ("nbhd-product/undercount", "invariants._count", _count_dropping_final_carry, _nu1_is_not_exact),
     ("eh-extraction", "nested_homogeneous_sets", lambda gs: [list(range(gs[0].n))] * len(gs), _set_not_homogeneous),
     ("eh-extraction/too-small", "nested_homogeneous_sets", lambda gs: [[0]] * len(gs), _step_below_sqrt),
     ("e1-characterization", "at_most_edges", lambda k: at_most_edges(3), _image_has_many_edges_and_non_edges),
@@ -388,7 +408,7 @@ class TestPlantedFailures:
 
     @pytest.mark.parametrize("tid, name, fake, reverify", PLANTED, ids=[p[0] for p in PLANTED])
     def test_planted_bug_is_reported(self, monkeypatch, tid, name, fake, reverify):
-        monkeypatch.setattr(boolcomb.extremal, name, fake)
+        monkeypatch.setattr(f"boolcomb.{name}" if "." in name else f"boolcomb.extremal.{name}", fake)
         check = verify_theorem(tid.split("/")[0])
         assert check.passed is False
         assert check.counterexample

@@ -420,6 +420,35 @@ def reference_chain_search(g: Graph, strong: bool) -> int:
     return best
 
 
+def reference_popcount_chain_search(g: Graph, strong: bool) -> int:
+    """Oracle: the earlier bitmask solver, bounded by node popcounts alone."""
+    n = g.n
+    rows = g.rows
+    best = 0
+
+    def extend(depth: int, cand_a: int, cand_b: int):
+        nonlocal best
+        best = max(best, depth)
+        reach = min(cand_a.bit_count(), cand_b.bit_count(), (cand_a | cand_b).bit_count() // 2)
+        if depth + reach <= best:
+            return
+        for a in range(n):
+            if not (cand_a >> a) & 1:
+                continue
+            bit_a = 1 << a
+            b_pool = cand_b & ~bit_a
+            if not strong:
+                b_pool &= rows[a]
+            for b in range(n):
+                if (b_pool >> b) & 1:
+                    gone = bit_a | (1 << b)
+                    extend(depth + 1, cand_a & ~gone & ~rows[b], cand_b & ~gone & rows[a])
+
+    full = (1 << n) - 1
+    extend(0, full, full)
+    return best
+
+
 class TestChainOracle:
     def test_matches_brute_force(self, rng):
         for _ in range(30):
@@ -434,6 +463,26 @@ class TestChainOracle:
             g = random_graph(rng.randint(low, high), rng.random(), rng)
             assert chain_number(g) == reference_chain_search(g, strong=False)
             assert strong_chain_number(g) == reference_chain_search(g, strong=True)
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_matches_popcount_search(self, p):
+        rng = random.Random(f"chain:{p}")
+        for n in range(CHAIN_LIMIT + 1):
+            for _ in range(15):
+                g = random_graph(n, p, rng)
+                assert chain_number(g) == reference_popcount_chain_search(g, strong=False)
+                assert strong_chain_number(g) == reference_popcount_chain_search(g, strong=True)
+
+    @pytest.mark.parametrize("g, ch, sch", [
+        *((half_graph(k), k, k) for k in range(1, 7)),
+        *((Graph.empty(n), 0, min(n // 2, 1)) for n in (0, 1, 2, 7, 12)),
+        *((Graph.complete(n), min(n // 2, 1), min(n // 2, 1)) for n in (0, 1, 2, 7, 12)),
+    ])
+    def test_extreme_graphs(self, g, ch, sch):
+        # a second a must miss the first b: the complete graph has no chain of 2
+        assert (chain_number(g), strong_chain_number(g)) == (ch, sch)
+        assert reference_popcount_chain_search(g, strong=False) == ch
+        assert reference_popcount_chain_search(g, strong=True) == sch
 
 
 class TestTwins:
