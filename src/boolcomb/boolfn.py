@@ -172,6 +172,7 @@ def from_anf(a: AnfForm) -> BooleanFunction:
 
 def enumerate_functions(k: int) -> Iterator[BooleanFunction]:
     """All 2^(2^k) functions of arity k, in truth-table integer order."""
+    _check_arity(k)
     if k > _ENUM_MAX_ARITY:
         raise SizeLimitExceeded(f"refusing to enumerate 2^(2^{k}) functions (k > {_ENUM_MAX_ARITY})")
     for table in range(1 << (1 << k)):

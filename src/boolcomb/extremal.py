@@ -14,9 +14,9 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, groupby, permutations, product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
-from .boolfn import BooleanFunction, enumerate_functions
+from .boolfn import BooleanFunction
 from .booldim import exists_representation, restricted_dimension
 from .classes import (
     EQUIVALENCE,
@@ -36,9 +36,10 @@ from .errors import (
     UnsupportedExpression,
 )
 from .gformats import graph_to_graph6
-from .graphs import Graph, Partition, apply_boolean, combine
+from .graphs import Graph, Partition, combine
 from .invariants import (
     CLIQUE_LIMIT,
+    _shatter_counts,
     chain_number,
     chromatic_number,
     clique_number,
@@ -46,7 +47,6 @@ from .invariants import (
     independence_number,
     is_homogeneous,
     is_perfect,
-    neighborhood_complexity,
     nested_homogeneous_sets,
     strong_chain_number,
 )
@@ -261,14 +261,38 @@ def _random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _binary_images(a: int, b: int, full: int) -> list[int]:
-    """The 16 edge masks f(a, b), indexed by f's truth table."""
-    na, nb = full ^ a, full ^ b
-    region = (na & nb, a & nb, na & b, a & b)
-    out = [0] * 16
-    for t in range(1, 16):
-        out[t] = out[t & (t - 1)] | region[(t & -t).bit_length() - 1]
+def _images(masks: Sequence[int], full: int) -> list[int]:
+    """The images f(masks) within full of every f of arity len(masks),
+    indexed by f's truth table.
+
+    full splits into the 2^k regions of its bits by the masks' bits,
+    pattern bit j set inside masks[j]; the image of truth table t is the
+    union of the regions at t's set bits, filled by doubling.
+    """
+    regions = [full]
+    for mask in masks:
+        for i in range(len(regions)):
+            region = regions[i]
+            regions.append(region & mask)
+            regions[i] = region ^ regions[-1]
+    out = [0]
+    for region in regions:
+        for image in out[:]:
+            out.append(image | region)
     return out
+
+
+def _block_mask(n: int, blocks: Sequence[Sequence[int]]) -> int:
+    """The edge mask of the equivalence graph on range(n) with these blocks,
+    each listed in increasing order: pair (u, v), u < v, is bit
+    u(2n - u - 1)/2 + v - u - 1 (Graph.edge_mask's order)."""
+    mask = 0
+    for block in blocks:
+        for i, u in enumerate(block):
+            base = u * (2 * n - u - 1) // 2 - u - 1
+            for v in block[i + 1:]:
+                mask |= 1 << (base + v)
+    return mask
 
 
 def _line_runs(lines) -> list[list[tuple[int, ...]]]:
@@ -364,9 +388,8 @@ def _perfect_2fn_equiv(seed: int, n: int = 6) -> Iterator[dict]:
     full = (1 << (n * (n - 1) // 2)) - 1
     cache: dict[int, bool] = {}
     for blocks_a, blocks_b in _partition_pair_orbits(n):
-        a = Partition.from_blocks(n, blocks_a).equivalence_graph().edge_mask()
-        b = Partition.from_blocks(n, blocks_b).equivalence_graph().edge_mask()
-        for table, out in enumerate(_binary_images(a, b, full)):
+        a, b = _block_mask(n, blocks_a), _block_mask(n, blocks_b)
+        for table, out in enumerate(_images((a, b), full)):
             perfect = cache.get(out)
             if perfect is None:
                 # a graph and its complement are perfect together (no odd
@@ -421,20 +444,23 @@ def _chain_sandwich(seed: int) -> Iterator[dict]:
 
 def _nbhd_product(seed: int) -> Iterator[dict]:
     n = 10
+    full = (1 << n) - 1
+    ms = range(1, 5)
     for s in range(25):
         h1 = random_member(EQUIVALENCE, n, seed + 31 * s)
         h2 = random_member(EQUIVALENCE, n, seed + 31 * s + 17)
-        nu1 = [neighborhood_complexity(h1, m) for m in range(1, 5)]
-        nu2 = [neighborhood_complexity(h2, m) for m in range(1, 5)]
-        for f in enumerate_functions(2):
-            g = apply_boolean(f, [h1, h2])
-            for m in range(1, 5):
-                nu_g = neighborhood_complexity(g, m)
+        nu1 = _shatter_counts(h1, ms)
+        nu2 = _shatter_counts(h2, ms)
+        # row u of all 16 images f(h1, h2) at once, then one graph per f
+        by_vertex = [_images((h1.rows[u], h2.rows[u]), full ^ 1 << u) for u in range(n)]
+        for table, rows in enumerate(zip(*by_vertex)):
+            g = Graph(n, rows)
+            for m, nu_g in zip(ms, _shatter_counts(g, ms)):
                 # one vertex x has traces {} (from x) and {x} (iff x has a neighbour)
                 exact = m > 1 or nu_g == 1 + any(g.rows)
                 if not exact or nu_g > nu1[m - 1] * nu2[m - 1] or nu_g > (m + 1) ** 2:
                     yield {
-                        "f": f.to_text(),
+                        "f": BooleanFunction(2, table).to_text(),
                         "h1": graph_to_graph6(h1),
                         "h2": graph_to_graph6(h2),
                         "m": m,
@@ -482,7 +508,7 @@ def _e1_characterization(seed: int) -> Iterator[dict]:
         full = (1 << npairs) - 1
         for h1, a in zip(members, masks):
             for h2, b in zip(members, masks):
-                for table, out in enumerate(_binary_images(a, b, full)):
+                for table, out in enumerate(_images((a, b), full)):
                     edges = out.bit_count()
                     if edges > t and npairs - edges > t:
                         yield {
@@ -495,13 +521,14 @@ def _e1_characterization(seed: int) -> Iterator[dict]:
 
 def _empty_characterization(seed: int) -> Iterator[dict]:
     for n in range(1, 7):
-        empty = Graph.empty(n)
+        full = (1 << n) - 1
         npairs = n * (n - 1) // 2
         for k in range(0, 4):
-            for f in enumerate_functions(k):
-                g = apply_boolean(f, [empty] * k, n=n)
-                if g.edge_count not in (0, npairs):
-                    yield {"n": n, "f": f.to_text()}
+            # row u of f(empty, ..., empty) for every f of arity k at once
+            by_vertex = [_images([0] * k, full ^ 1 << u) for u in range(n)]
+            for table, rows in enumerate(zip(*by_vertex)):
+                if sum(row.bit_count() for row in rows) // 2 not in (0, npairs):
+                    yield {"n": n, "f": BooleanFunction(k, table).to_text()}
 
 
 def split_intersection_color_classes(

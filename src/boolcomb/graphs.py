@@ -165,6 +165,7 @@ class Partition:
     blocks: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        _check_vertex_count(self.n)
         seen = 0
         for block in self.blocks:
             if not block:

@@ -104,6 +104,13 @@ class TestEnumerationAndText:
         with pytest.raises(SizeLimitExceeded):
             list(enumerate_functions(5))
 
+    def test_negative_arity_is_a_size_error(self):
+        # the same refusal as BooleanFunction(-1, 0)
+        with pytest.raises(SizeLimitExceeded, match=r"arity -1 outside \[0, 16\]"):
+            list(enumerate_functions(-1))
+        with pytest.raises(SizeLimitExceeded, match=r"arity -1 outside \[0, 16\]"):
+            BooleanFunction(-1, 0)
+
     @pytest.mark.parametrize(
         "build, arity",
         [

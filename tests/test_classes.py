@@ -264,6 +264,11 @@ class TestRandomMembers:
             assert is_member(MULTIPARTITE, random_member(MULTIPARTITE, 8, seed))
             assert is_member(bounded_degree(3), random_member(bounded_degree(3), 10, seed))
 
+    @pytest.mark.parametrize("tag", [EQUIVALENCE, MULTIPARTITE, SPLIT, MATCHING, bounded_degree(3)], ids=ClassTag.to_text)
+    def test_negative_n_is_a_size_error(self, tag):
+        with pytest.raises(SizeLimitExceeded, match=r"vertex count -1 outside \[0, 65536\]"):
+            random_member(tag, -1, 0)
+
     def test_unsupported_sampler(self):
         with pytest.raises(UnsupportedTag):
             random_member(CLASS_L, 5, 0)

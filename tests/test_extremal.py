@@ -6,13 +6,22 @@ import pytest
 
 import boolcomb.extremal
 from boolcomb.booldim import DimWitness
-from boolcomb.boolfn import BooleanFunction
-from boolcomb.classes import EQUIVALENCE, MULTIPARTITE, SPLIT, at_most_edges, equivalence_members, is_member
+from boolcomb.boolfn import BooleanFunction, enumerate_functions
+from boolcomb.classes import (
+    EQUIVALENCE,
+    MULTIPARTITE,
+    SPLIT,
+    at_most_edges,
+    equivalence_members,
+    is_member,
+    set_partitions,
+)
 from boolcomb.errors import BudgetExceeded, MalformedInput, SizeLimitExceeded, UnknownTheorem, UnsupportedExpression
 from boolcomb.extremal import (
     ClassExpr,
     THEOREM_IDS,
-    _binary_images,
+    _block_mask,
+    _images,
     _partition_pair_orbits,
     _perfect_2fn_equiv,
     hnk,
@@ -22,7 +31,7 @@ from boolcomb.extremal import (
     verify_theorem,
 )
 from boolcomb.gformats import graph6_to_graph
-from boolcomb.graphs import Graph, apply_boolean, combine, complement
+from boolcomb.graphs import Graph, Partition, apply_boolean, combine, complement
 from boolcomb.invariants import (
     chain_number,
     chromatic_number,
@@ -32,7 +41,7 @@ from boolcomb.invariants import (
     is_perfect,
 )
 
-from conftest import isomorphic
+from conftest import isomorphic, random_graph
 
 
 def pairwise_hnk(n: int, k: int) -> Graph:
@@ -236,6 +245,46 @@ class TestHnkIndependentSpotChecks:
         assert independence_number(g) == 2
 
 
+def _binary_images(a, b, full):
+    """Oracle: the 16 edge masks f(a, b), indexed by f's truth table, from
+    the four regions of the pair split."""
+    na, nb = full ^ a, full ^ b
+    region = (na & nb, a & nb, na & b, a & b)
+    out = [0] * 16
+    for t in range(1, 16):
+        out[t] = out[t & (t - 1)] | region[(t & -t).bit_length() - 1]
+    return out
+
+
+class TestImageKernels:
+    def test_images_match_apply_boolean_row_by_row(self, rng):
+        for k in range(4):
+            functions = list(enumerate_functions(k))
+            for _ in range(6):
+                n = rng.randint(1, 10)
+                graphs = [random_graph(n, rng.random(), rng) for _ in range(k)]
+                full = (1 << n) - 1
+                by_vertex = [_images([g.rows[u] for g in graphs], full ^ 1 << u) for u in range(n)]
+                assert all(len(images) == len(functions) for images in by_vertex)
+                for f in functions:
+                    want = apply_boolean(f, graphs, n=n).rows
+                    assert tuple(images[f.table] for images in by_vertex) == want, (k, n, f.table)
+
+    def test_pair_images_match_the_pair_split(self, rng):
+        for _ in range(200):
+            width = rng.randint(0, 21)
+            full = (1 << width) - 1
+            a, b = rng.getrandbits(width), rng.getrandbits(width)
+            assert _images((a, b), full) == _binary_images(a, b, full)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_block_mask_matches_the_partition_path(self, n):
+        for p in set_partitions(n):
+            blocks = [sorted(b) for b in p.blocks]
+            want = Partition.from_blocks(n, blocks).equivalence_graph().edge_mask()
+            assert _block_mask(n, blocks) == want, blocks
+
+
 def labeled_perfect_2fn_equiv(n, perfect):
     """Oracle: the first counterexample over all Bell(n)^2 labeled pairs x 16
     functions, with each verdict cached under a mask and its complement."""
@@ -378,6 +427,11 @@ def _step_below_sqrt(cx):
     assert all(is_homogeneous(g, cx["set"]) for g in graphs)
 
 
+def _lowest_vertex_only(masks, full):
+    # every image row keeps only its lowest vertex: a matching-like image
+    return [full & -full] * (1 << (1 << len(masks)))
+
+
 def _image_has_many_edges_and_non_edges(cx):
     f = BooleanFunction.from_text(cx["f"])
     g = apply_boolean(f, [graph6_to_graph(cx["h1"]), graph6_to_graph(cx["h2"])])
@@ -393,12 +447,12 @@ PLANTED = [
     ("forbidden-multipartite", "restricted_dimension", _fake_witness, None),
     ("c5-not-2fn-equiv", "exists_representation", _fake_witness, None),
     ("chain-sandwich", "strong_chain_number", lambda g: 0, _chain_numbers_recompute),
-    ("nbhd-product", "neighborhood_complexity", lambda g, m: 100, None),
+    ("nbhd-product", "_shatter_counts", lambda g, ms: [100] * len(ms), None),
     ("nbhd-product/undercount", "invariants._count", _count_dropping_final_carry, _nu1_is_not_exact),
     ("eh-extraction", "nested_homogeneous_sets", lambda gs: [list(range(gs[0].n))] * len(gs), _set_not_homogeneous),
     ("eh-extraction/too-small", "nested_homogeneous_sets", lambda gs: [[0]] * len(gs), _step_below_sqrt),
     ("e1-characterization", "at_most_edges", lambda k: at_most_edges(3), _image_has_many_edges_and_non_edges),
-    ("empty-characterization", "apply_boolean", lambda f, gs, n=None: Graph.path(n), None),
+    ("empty-characterization", "_images", _lowest_vertex_only, None),
     ("meyniel-split", "find_odd_hole", lambda g: [0, 1, 2, 3, 4], None),
 ]
 

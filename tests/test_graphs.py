@@ -320,3 +320,7 @@ class TestPartitionType:
             Partition.from_blocks(3, [[0, 1], [1, 2]])
         with pytest.raises(ValueError):
             Partition.from_blocks(3, [[0, 1]])
+
+    def test_negative_ground_set_is_a_size_error(self):
+        with pytest.raises(SizeLimitExceeded, match=r"vertex count -1 outside \[0, 65536\]"):
+            Partition(-1, ())

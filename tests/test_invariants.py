@@ -29,6 +29,7 @@ from boolcomb.invariants import (
     VC_LIMIT,
     _greedy_coloring_bound,
     _meet_tables,
+    _shatter_counts,
     biclique_number,
     chain_number,
     chromatic_number,
@@ -556,24 +557,28 @@ class TestNeighborhoodComplexity:
             neighborhood_complexity(Graph.cycle(5), 6)
 
     def test_subset_mask_table_holds_the_m_sets(self):
-        # bit i of an entry is the i-th m-set in combinations order; low[d]
-        # holds the m-sets that meet d, high[d] those that meet d << 7
+        # the subsets of every size m = 0..n, stacked m-major: bits offsets[m]
+        # up to offsets[m + 1] are the m-sets in combinations order; low[d]
+        # holds the subsets that meet d, high[d] those that meet d << 7
         for n in range(VC_LIMIT + 1):
-            for m in range(n + 1):
-                subsets = [sum(1 << v for v in s) for s in itertools.combinations(range(n), m)]
-                low, high = _meet_tables(n, m)
-                assert (len(low), len(high)) == (1 << min(n, 7), 1 << max(n - 7, 0))
-                for x in range(n):
-                    entry = low[1 << x] if x < 7 else high[1 << (x - 7)]
-                    assert entry == sum(1 << i for i, s in enumerate(subsets) if s >> x & 1)
-                for half in (low, high):
-                    assert half[0] == 0
-                    for d in range(1, len(half)):
-                        assert half[d] == half[d & (d - 1)] | half[d & -d]
+            subsets = [
+                sum(1 << v for v in s) for m in range(n + 1) for s in itertools.combinations(range(n), m)
+            ]
+            low, high, offsets = _meet_tables(n)
+            assert list(offsets) == list(itertools.accumulate((comb(n, m) for m in range(n + 1)), initial=0))
+            assert offsets[-1] == len(subsets) == 1 << n
+            assert (len(low), len(high)) == (1 << min(n, 7), 1 << max(n - 7, 0))
+            for x in range(n):
+                entry = low[1 << x] if x < 7 else high[1 << (x - 7)]
+                assert entry == sum(1 << i for i, s in enumerate(subsets) if s >> x & 1)
+            for half in (low, high):
+                assert half[0] == 0
+                for d in range(1, len(half)):
+                    assert half[d] == half[d & (d - 1)] | half[d & -d]
 
     def test_rejected_arguments_build_no_table(self, monkeypatch):
-        def no_table(n, m):
-            raise AssertionError(f"table built for n = {n}, m = {m}")
+        def no_table(n):
+            raise AssertionError(f"table built for n = {n}")
 
         monkeypatch.setattr(boolcomb.invariants, "_meet_tables", no_table)
         with pytest.raises(SizeLimitExceeded, match=f"n = {VC_LIMIT}"):
@@ -582,6 +587,16 @@ class TestNeighborhoodComplexity:
             neighborhood_complexity(Graph.cycle(5), 6)
         with pytest.raises(MalformedInput):
             neighborhood_complexity(Graph.cycle(5), -1)
+        # a bad m anywhere in the list, checked in the one-m order: a negative
+        # m first, then the vertex cap, then m above the vertex count
+        with pytest.raises(MalformedInput, match="m = -2 is negative"):
+            _shatter_counts(Graph.empty(VC_LIMIT + 1), [1, 20, -2, -1])
+        with pytest.raises(SizeLimitExceeded, match=f"n = {VC_LIMIT}"):
+            _shatter_counts(Graph.empty(VC_LIMIT + 1), [1, 2, 3])
+        with pytest.raises(SizeLimitExceeded, match="m = 6 exceeds vertex count 5"):
+            _shatter_counts(Graph.cycle(5), [2, 0, 6, 1, 7])
+        with pytest.raises(SizeLimitExceeded, match=f"n = {VC_LIMIT}"):
+            vc_dimension(Graph.empty(VC_LIMIT + 1))
 
     def test_sauer_shelah(self, rng):
         for _ in range(15):
@@ -644,8 +659,19 @@ class TestShatterOracles:
             graphs += [h1, h2] + [apply_boolean(f, [h1, h2]) for f in enumerate_functions(2)]
         assert len(graphs) == 450
         for g in graphs:
-            for m in range(5):
-                assert neighborhood_complexity(g, m) == reference_neighborhood_complexity(g, m), (g.rows, m)
+            want = [reference_neighborhood_complexity(g, m) for m in range(5)]
+            assert [neighborhood_complexity(g, m) for m in range(5)] == want, g.rows
+            assert _shatter_counts(g, [4, 1, 0, 3, 2, 4]) == [want[m] for m in (4, 1, 0, 3, 2, 4)], g.rows
+
+    def test_every_m_in_one_pass_matches_reference(self, rng):
+        # unsorted, repeated, m = 0 and all m: each count is the one-m count
+        for g in shatter_sample(rng):
+            every = list(range(g.n + 1))
+            want = [reference_neighborhood_complexity(g, m) for m in every]
+            assert _shatter_counts(g, every) == want, g.rows
+            scrambled = every[::-1] + rng.choices(every, k=3) + [0]
+            assert _shatter_counts(g, scrambled) == [want[m] for m in scrambled], g.rows
+        assert _shatter_counts(Graph.cycle(5), []) == []
 
     def test_vc_matches_reference(self, rng):
         for g in shatter_sample(rng):
