@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .errors import MalformedInput, SizeLimitExceeded, UnsupportedTag
-from .graphs import Graph, Partition, complement
+from .graphs import Graph, Partition, _check_vertex_count, complement
 
 ENUM_VERTEX_LIMIT = 9
 
@@ -307,6 +307,7 @@ def random_split_with_parts(n: int, rng: random.Random) -> tuple[Graph, frozense
 
 def random_member(tag: ClassTag, n: int, seed: int) -> Graph:
     """A pseudo-random member; deterministic given the seed."""
+    _check_vertex_count(n)  # before a sampler walks n vertices or their pairs
     rng = random.Random(seed)
     kind = tag.kind
     if kind == "equiv":

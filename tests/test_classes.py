@@ -22,7 +22,7 @@ from boolcomb.classes import (
     set_partitions,
 )
 from boolcomb.errors import MalformedInput, SizeLimitExceeded, UnsupportedTag
-from boolcomb.graphs import Graph, complement
+from boolcomb.graphs import MAX_VERTICES, Graph, complement
 
 from conftest import random_graph, relabel
 
@@ -265,9 +265,11 @@ class TestRandomMembers:
             assert is_member(bounded_degree(3), random_member(bounded_degree(3), 10, seed))
 
     @pytest.mark.parametrize("tag", [EQUIVALENCE, MULTIPARTITE, SPLIT, MATCHING, bounded_degree(3)], ids=ClassTag.to_text)
-    def test_negative_n_is_a_size_error(self, tag):
-        with pytest.raises(SizeLimitExceeded, match=r"vertex count -1 outside \[0, 65536\]"):
-            random_member(tag, -1, 0)
+    @pytest.mark.parametrize("n", [-1, MAX_VERTICES + 1])
+    def test_vertex_count_out_of_range_is_a_size_error(self, tag, n):
+        # refused before sampling: the split sampler would walk all C(n, 2) pairs first
+        with pytest.raises(SizeLimitExceeded, match=rf"vertex count {n} outside \[0, 65536\]"):
+            random_member(tag, n, 0)
 
     def test_unsupported_sampler(self):
         with pytest.raises(UnsupportedTag):
