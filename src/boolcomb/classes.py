@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Optional
+from itertools import chain, combinations
+from math import comb
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import MalformedInput, SizeLimitExceeded, UnsupportedTag
 from .graphs import Graph, Partition, _check_vertex_count, complement
@@ -191,27 +192,96 @@ def equivalence_members(n: int) -> Iterator[Graph]:
     """Labeled equivalence graphs, one per partition of {0..n-1}; Bell(n) of them."""
     if n > ENUM_VERTEX_LIMIT:
         raise SizeLimitExceeded(f"equivalence enumeration capped at n = {ENUM_VERTEX_LIMIT}")
-    for p in set_partitions(n):
-        yield p.equivalence_graph()
+    yield from enumerate_members(EQUIVALENCE, n)
 
 
-def _matchings(n: int) -> Iterator[Graph]:
-    edges: list[tuple[int, int]] = []
+def _block_mask(n: int, blocks: Iterable[Sequence[int]]) -> int:
+    """The edge mask of the equivalence graph on range(n) with these blocks,
+    each listed in increasing order: pair (u, v), u < v, is bit
+    u(2n - u - 1)/2 + v - u - 1 (Graph.edge_mask's order)."""
+    mask = 0
+    for block in blocks:
+        for i, u in enumerate(block):
+            base = u * (2 * n - u - 1) // 2 - u - 1
+            for v in block[i + 1:]:
+                mask |= 1 << (base + v)
+    return mask
 
-    def rec(avail: list[int]):
+
+def _partition_masks(n: int) -> list[int]:
+    """The edge masks of the equivalence graphs on range(n), in the order of
+    set_partitions (restricted-growth strings): vertex v joins each block
+    in turn, then starts a new one.
+
+    A block is carried as a key with bit u(2n - u - 3)/2 for each member u,
+    so that (key << v) >> 1 has the bits of the pairs (u, v), u < v (see
+    _block_mask); a new block is the empty key.  The last vertex needs
+    no keys.
+    """
+    if n == 0:
+        return [0]
+    states = [(0, ())]
+    for v in range(n - 1):
+        lead = 1 << v * (2 * n - v - 3) // 2
+        states = [
+            (mask | (key << v) >> 1, keys[:i] + (key | lead,) + keys[i + 1:])
+            for mask, keys in states
+            for i, key in enumerate((*keys, 0))
+        ]
+    return [mask | (key << n - 1) >> 1 for mask, keys in states for key in (*keys, 0)]
+
+
+def _matching_masks(n: int) -> Iterator[int]:
+    def rec(avail: tuple[int, ...], mask: int) -> Iterator[int]:
         if not avail:
-            yield Graph.from_edges(n, edges)
+            yield mask
             return
-        v = avail[0]
-        rest = avail[1:]
+        v, rest = avail[0], avail[1:]
         # v stays unmatched
-        yield from rec(rest)
+        yield from rec(rest, mask)
+        base = v * (2 * n - v - 1) // 2 - v - 1
         for i, w in enumerate(rest):
-            edges.append((v, w))
-            yield from rec(rest[:i] + rest[i + 1 :])
-            edges.pop()
+            yield from rec(rest[:i] + rest[i + 1:], mask | 1 << (base + w))
 
-    yield from rec(list(range(n)))
+    return rec(tuple(range(n)), 0)
+
+
+def _member_masks(tag: ClassTag, n: int) -> Iterable[int]:
+    """The edge masks of the class's labeled members on {0..n-1}, in
+    enumerate_members order.  Callers check n; complete and empty, which
+    have no cap, are left to their row constructors."""
+    kind = tag.kind
+    if kind == "equiv":
+        return _partition_masks(n)
+    if kind == "multipartite":
+        full = (1 << n * (n - 1) // 2) - 1
+        return [full ^ mask for mask in _partition_masks(n)]
+    if kind == "C":
+        subsets = chain.from_iterable(combinations(range(n), size) for size in range(2, n + 1))
+        return [0] + [_block_mask(n, [s]) for s in subsets]
+    if kind == "L":
+        rests = ([v for v in range(n) if v != a] for a in range(n))
+        candidates = [_block_mask(n, [range(n)])] + [_block_mask(n, [r]) for r in rests if r]
+        return list(dict.fromkeys(candidates))
+    if kind == "d1":
+        return _matching_masks(n)
+    if kind == "ek":
+        pairs = n * (n - 1) // 2
+        sizes = range(min(tag.param, pairs) + 1)
+        total = sum(comb(pairs, size) for size in sizes)
+        if total > 10_000_000:
+            raise SizeLimitExceeded(
+                f"enumerating {total} graphs with <= {tag.param} edges on {n} vertices"
+            )
+        # edge_mask orders the pairs lexicographically, as combinations does;
+        # the empty graph comes first without a pair tuple, which combinations
+        # would build even for size 0
+        return chain([0], (
+            sum(1 << i for i in chosen)
+            for size in sizes[1:]
+            for chosen in combinations(range(pairs), size)
+        ))
+    raise UnsupportedTag(f"class {kind!r} is not enumerable")
 
 
 def enumerate_members(tag: ClassTag, n: int) -> Iterator[Graph]:
@@ -221,47 +291,13 @@ def enumerate_members(tag: ClassTag, n: int) -> Iterator[Graph]:
     kind = tag.kind
     if kind in ("equiv", "multipartite", "C", "L", "d1") and n > ENUM_VERTEX_LIMIT:
         raise SizeLimitExceeded(f"enumeration of {kind!r} capped at n = {ENUM_VERTEX_LIMIT}")
-    if kind == "equiv":
-        yield from equivalence_members(n)
-    elif kind == "multipartite":
-        for g in equivalence_members(n):
-            yield complement(g)
-    elif kind == "C":
-        yield Graph.empty(n)
-        for size in range(2, n + 1):
-            for subset in combinations(range(n), size):
-                yield Graph.from_edges(n, combinations(subset, 2))
-    elif kind == "L":
-        seen = set()
-        candidates = [Graph.complete(n)]
-        for a in range(n):
-            rest = [v for v in range(n) if v != a]
-            if rest:
-                candidates.append(Graph.from_edges(n, combinations(rest, 2)))
-        for g in candidates:
-            if g.rows not in seen:
-                seen.add(g.rows)
-                yield g
-    elif kind == "d1":
-        yield from _matchings(n)
-    elif kind == "ek":
-        from math import comb
-
-        pairs = list(combinations(range(n), 2))
-        total = sum(comb(len(pairs), size) for size in range(tag.param + 1))
-        if total > 10_000_000:
-            raise SizeLimitExceeded(
-                f"enumerating {total} graphs with <= {tag.param} edges on {n} vertices"
-            )
-        for size in range(tag.param + 1):
-            for chosen in combinations(pairs, size):
-                yield Graph.from_edges(n, chosen)
-    elif kind == "complete":
+    if kind == "complete":
         yield Graph.complete(n)
     elif kind == "empty":
         yield Graph.empty(n)
     else:
-        raise UnsupportedTag(f"class {kind!r} is not enumerable")
+        for mask in _member_masks(tag, n):
+            yield Graph.from_edge_mask(n, mask)
 
 
 # -- random members -----------------------------------------------------------------

@@ -22,9 +22,9 @@ from .classes import (
     EQUIVALENCE,
     MULTIPARTITE,
     ClassTag,
+    _block_mask,
+    _member_masks,
     at_most_edges,
-    enumerate_members,
-    equivalence_members,
     random_member,
     random_split_with_parts,
 )
@@ -282,19 +282,6 @@ def _images(masks: Sequence[int], full: int) -> list[int]:
     return out
 
 
-def _block_mask(n: int, blocks: Sequence[Sequence[int]]) -> int:
-    """The edge mask of the equivalence graph on range(n) with these blocks,
-    each listed in increasing order: pair (u, v), u < v, is bit
-    u(2n - u - 1)/2 + v - u - 1 (Graph.edge_mask's order)."""
-    mask = 0
-    for block in blocks:
-        for i, u in enumerate(block):
-            base = u * (2 * n - u - 1) // 2 - u - 1
-            for v in block[i + 1:]:
-                mask |= 1 << (base + v)
-    return mask
-
-
 def _line_runs(lines) -> list[list[tuple[int, ...]]]:
     """Lines grouped by their sorted entries, which permuting the other side keeps."""
     keyed = sorted(((sorted(line, reverse=True), line) for line in lines), reverse=True)
@@ -425,7 +412,7 @@ def _c5_not_2fn_equiv(seed: int) -> Iterator[dict]:
 
 def _speed_bound(seed: int) -> Iterator[dict]:
     for n in range(1, 6):
-        masks = [g.edge_mask() for g in equivalence_members(n)]
+        masks = _member_masks(EQUIVALENCE, n)
         xors = {a ^ b for a in masks for b in masks}
         if math.log2(len(xors)) > 2 * math.log2(len(masks)) + 4:
             yield {"n": n, "count_Y": len(xors), "count_X": len(masks)}
@@ -502,20 +489,19 @@ def _eh_extraction(seed: int) -> Iterator[dict]:
 def _e1_characterization(seed: int) -> Iterator[dict]:
     t = 4  # 2-functions of E_1 land in E_4 or its complement class
     for n in range(2, 7):
-        members = list(enumerate_members(at_most_edges(1), n))
-        masks = [h.edge_mask() for h in members]
+        masks = list(_member_masks(at_most_edges(1), n))
         npairs = n * (n - 1) // 2
         full = (1 << npairs) - 1
-        for h1, a in zip(members, masks):
-            for h2, b in zip(members, masks):
+        for a in masks:
+            for b in masks:
                 for table, out in enumerate(_images((a, b), full)):
                     edges = out.bit_count()
                     if edges > t and npairs - edges > t:
                         yield {
                             "n": n,
                             "f": BooleanFunction(2, table).to_text(),
-                            "h1": graph_to_graph6(h1),
-                            "h2": graph_to_graph6(h2),
+                            "h1": graph_to_graph6(Graph.from_edge_mask(n, a)),
+                            "h2": graph_to_graph6(Graph.from_edge_mask(n, b)),
                         }
 
 

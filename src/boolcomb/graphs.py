@@ -2,14 +2,23 @@
 
 Vertices are the dense integers 0..n-1.  Adjacency is stored as one
 bit-packed row per vertex (a Python int), so union/intersection/XOR of
-graphs are word-parallel row operations.  Graphs are values: every
-operation returns a fresh graph, and instances are hashable, which the
-verification harness relies on for memoization.
+graphs are word-parallel row operations.  Graphs and partitions are
+values: every operation returns a fresh graph, and instances are
+hashable and compare by content (rows are stored as a tuple, blocks as a
+tuple of frozensets, whatever iterable they were given as).
+
+Every graph is validated when it is built.  Up to 64 vertices the rows
+are packed into one int, row u at bit u * N for the next power of two
+N >= max(n, 8), and checked with word operations: the graph is simple
+iff the packed matrix equals its transpose and misses the diagonal.
+Larger graphs, and any graph that fails that check, go through the
+row-by-row loop, which names the fault.
 """
 
 from __future__ import annotations
 
 import operator
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -18,18 +27,71 @@ from .errors import (
     ArityMismatch,
     DuplicateVertex,
     EmptyInput,
+    MalformedInput,
     MismatchedVertexCount,
     OutOfRangeVertex,
     SizeLimitExceeded,
 )
 
 MAX_VERTICES = 1 << 16
+# the widest row a struct code packs; larger graphs keep the row loop (at
+# MAX_VERTICES the packed matrix would take 512 MiB)
+PACKED_VERTEX_LIMIT = 64
 
 
 def _check_vertex_count(n: int) -> None:
     # the constructors call this before building n rows
     if not 0 <= n <= MAX_VERTICES:
         raise SizeLimitExceeded(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+
+
+def _transpose_swaps(size: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) per delta swap of a size x size bit-matrix transpose,
+    bit (r, c) at r * size + c (Hacker's Delight, 7-3).
+
+    At block width j = size/2, ..., 1, each (r, c) with bit j of r clear
+    and bit j of c set trades places with (r + j, c - j), j(size - 1)
+    bits higher; the mask holds the lower of each pair.
+    """
+    swaps = []
+    j = size // 2
+    while j:
+        cols = sum(1 << c for c in range(size) if c & j)
+        swaps.append((j * (size - 1), sum(cols << r * size for r in range(size) if not r & j)))
+        j //= 2
+    return tuple(swaps)
+
+
+def _packing(n: int) -> tuple:
+    """For n <= 64 rows: the packer (a row too wide or negative fails it),
+    the diagonal and the transpose swaps at the row stride."""
+    size = max(8, 1 << (n - 1).bit_length())
+    code = {8: "B", 16: "H", 32: "I", 64: "Q"}[size]
+    return struct.Struct(f"<{n}{code}").pack, _DIAGONAL[size], _TRANSPOSE[size]
+
+
+_TRANSPOSE = {size: _transpose_swaps(size) for size in (8, 16, 32, 64)}
+_DIAGONAL = {size: sum(1 << u * (size + 1) for u in range(size)) for size in _TRANSPOSE}
+_PACKINGS = tuple(_packing(n) for n in range(PACKED_VERTEX_LIMIT + 1))
+
+
+def _is_simple_packed(n: int, rows: tuple[int, ...]) -> bool:
+    """Whether the rows are a simple graph's, by the packed check; False
+    also when a row does not fit the stride."""
+    pack, diagonal, swaps = _PACKINGS[n]
+    try:
+        matrix = int.from_bytes(pack(*rows), "little")
+    except struct.error:
+        return False
+    if matrix & diagonal:
+        return False
+    # a bit at column v >= n of row u would move to row v of the transpose,
+    # where the packed matrix has none; so equality also rules it out
+    t = matrix
+    for shift, mask in swaps:
+        d = (t ^ t >> shift) & mask
+        t ^= d ^ d << shift
+    return t == matrix
 
 
 @dataclass(frozen=True)
@@ -40,9 +102,13 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.rows) is not tuple:
+            object.__setattr__(self, "rows", tuple(self.rows))
         _check_vertex_count(self.n)
         if len(self.rows) != self.n:
             raise ValueError("row count does not match vertex count")
+        if self.n <= PACKED_VERTEX_LIMIT and _is_simple_packed(self.n, self.rows):
+            return
         full = (1 << self.n) - 1
         for u, row in enumerate(self.rows):
             if row & ~full:
@@ -110,6 +176,11 @@ class Graph:
     def from_edge_mask(cls, n: int, mask: int) -> "Graph":
         """Inverse of :meth:`edge_mask`; pairs (u, v), u < v, in lexicographic order."""
         _check_vertex_count(n)
+        pairs = n * (n - 1) // 2
+        if mask < 0 or mask >> pairs:
+            raise MalformedInput(
+                f"edge mask is negative or has a bit at or above {pairs}, the pair count of n = {n}"
+            )
         rows = [0] * n
         for u in range(n):
             width = n - 1 - u
@@ -165,6 +236,8 @@ class Partition:
     blocks: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        if type(self.blocks) is not tuple or any(type(b) is not frozenset for b in self.blocks):
+            object.__setattr__(self, "blocks", tuple(map(frozenset, self.blocks)))
         _check_vertex_count(self.n)
         seen = 0
         for block in self.blocks:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -225,6 +226,91 @@ class TestEnumeration:
     def test_unsupported_tag(self):
         with pytest.raises(UnsupportedTag):
             list(enumerate_members(SPLIT, 4))
+
+
+def reference_members(tag, n):
+    """The enumerator as it stood before members were built from edge
+    masks: one Graph per partition, complement, edge set or matching."""
+    kind = tag.kind
+    if kind in ("equiv", "multipartite"):
+        for p in set_partitions(n):
+            g = p.equivalence_graph()
+            yield g if kind == "equiv" else complement(g)
+    elif kind == "C":
+        yield Graph.empty(n)
+        for size in range(2, n + 1):
+            for subset in itertools.combinations(range(n), size):
+                yield Graph.from_edges(n, itertools.combinations(subset, 2))
+    elif kind == "L":
+        seen = set()
+        candidates = [Graph.complete(n)]
+        for a in range(n):
+            rest = [v for v in range(n) if v != a]
+            if rest:
+                candidates.append(Graph.from_edges(n, itertools.combinations(rest, 2)))
+        for g in candidates:
+            if g.rows not in seen:
+                seen.add(g.rows)
+                yield g
+    elif kind == "d1":
+        edges = []
+
+        def rec(avail):
+            if not avail:
+                yield Graph.from_edges(n, edges)
+                return
+            v, rest = avail[0], avail[1:]
+            yield from rec(rest)
+            for i, w in enumerate(rest):
+                edges.append((v, w))
+                yield from rec(rest[:i] + rest[i + 1:])
+                edges.pop()
+
+        yield from rec(list(range(n)))
+    elif kind == "ek":
+        pairs = list(itertools.combinations(range(n), 2))
+        for size in range(tag.param + 1):
+            for chosen in itertools.combinations(pairs, size):
+                yield Graph.from_edges(n, chosen)
+    elif kind == "complete":
+        yield Graph.complete(n)
+    elif kind == "empty":
+        yield Graph.empty(n)
+
+
+class TestMaskEnumerators:
+    """Members are built from edge masks, in the order of the enumerator
+    that built each one as a Graph."""
+
+    ENUMERABLE = (EQUIVALENCE, MULTIPARTITE, CLASS_C, CLASS_L, MATCHING, COMPLETE, EMPTY)
+
+    @pytest.mark.parametrize("n", range(8))
+    @pytest.mark.parametrize("tag", ENUMERABLE, ids=lambda t: t.to_text())
+    def test_same_graphs_in_the_same_order(self, tag, n):
+        assert list(enumerate_members(tag, n)) == list(reference_members(tag, n))
+
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("k", range(4))
+    def test_ek_same_graphs_in_the_same_order(self, k, n):
+        tag = at_most_edges(k)
+        assert list(enumerate_members(tag, n)) == list(reference_members(tag, n))
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_equivalence_members_follow_set_partitions(self, n):
+        assert list(equivalence_members(n)) == list(reference_members(EQUIVALENCE, n))
+
+    def test_ek_parameter_past_the_pair_count_is_not_looped_over(self):
+        assert len(list(enumerate_members(at_most_edges(10**18), 3))) == 8
+
+    def test_ek_at_the_vertex_cap_needs_no_pair_list(self):
+        tracemalloc.start()
+        try:
+            (g,) = enumerate_members(at_most_edges(0), 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == 0
+        assert peak < 4 * 1024 * 1024
 
 
 class TestHierarchy:

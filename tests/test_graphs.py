@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -10,12 +11,15 @@ from boolcomb.errors import (
     ArityMismatch,
     DuplicateVertex,
     EmptyInput,
+    MalformedInput,
     MismatchedVertexCount,
     OutOfRangeVertex,
     SizeLimitExceeded,
 )
 from boolcomb.graphs import (
+    _TRANSPOSE,
     MAX_VERTICES,
+    PACKED_VERTEX_LIMIT,
     Graph,
     Partition,
     apply_boolean,
@@ -23,6 +27,7 @@ from boolcomb.graphs import (
     complement,
     induced_subgraph,
     partition_complement,
+    _is_simple_packed,
 )
 
 from conftest import isomorphic, random_graph, relabel
@@ -84,6 +89,133 @@ class TestGraphBasics:
         g = random_graph(9, 0.4, rng)
         assert g.edge_count == sum(1 for _ in g.edges())
         assert g.edge_count == sum(g.degree(v) for v in range(g.n)) // 2
+
+
+def loop_verdict(n, rows):
+    """The row-by-row validation, kept as the oracle: None, or the error's
+    type and message."""
+    full = (1 << n) - 1
+    for u, row in enumerate(rows):
+        if row & ~full:
+            return OutOfRangeVertex, f"row {u} has bits outside 0..{n - 1}"
+        if row >> u & 1:
+            return ValueError, f"loop at vertex {u}"
+    for u in range(n):
+        row = rows[u]
+        while row:
+            v = (row & -row).bit_length() - 1
+            if not (rows[v] >> u) & 1:
+                return ValueError, f"asymmetric adjacency between {u} and {v}"
+            row &= row - 1
+    return None
+
+
+def verdict(n, rows):
+    try:
+        Graph(n, rows)
+    except (OutOfRangeVertex, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def single_bit_faults(g, width):
+    """g's rows with one bit flipped, for each row and each bit below width,
+    and with one row negated: asymmetries, loops and out-of-range bits."""
+    for u in range(g.n):
+        for v in range(width):
+            rows = list(g.rows)
+            rows[u] ^= 1 << v
+            yield tuple(rows)
+        rows = list(g.rows)
+        rows[u] = ~rows[u]
+        yield tuple(rows)
+
+
+class TestPackedValidation:
+    """Graphs of up to 64 vertices are checked on one packed int; the
+    row loop, kept above as the oracle, decides every other case."""
+
+    def small_graphs(self, rng):
+        for n in range(1, 9):
+            yield from (Graph.empty(n), Graph.complete(n), random_graph(n, 0.5, rng))
+
+    def test_every_single_bit_fault_gets_the_loops_verdict(self, rng):
+        for g in self.small_graphs(rng):
+            for rows in single_bit_faults(g, 2 * 16 + 1):
+                want = loop_verdict(g.n, rows)
+                assert want is not None
+                assert verdict(g.n, rows) == want, (g.n, rows)
+                assert not _is_simple_packed(g.n, rows)
+
+    @pytest.mark.parametrize("n", range(71))
+    def test_seeded_graphs_on_both_sides_of_64(self, n):
+        rng = random.Random(7000 + n)
+        g = random_graph(n, rng.random(), rng)
+        cases = [g.rows]
+        for _ in range(4):
+            if n:
+                rows = list(g.rows)
+                rows[rng.randrange(n)] ^= 1 << rng.randrange(n + 3)
+                cases.append(tuple(rows))
+        for rows in cases:
+            want = loop_verdict(n, rows)
+            assert verdict(n, rows) == want
+            if n <= PACKED_VERTEX_LIMIT:
+                assert _is_simple_packed(n, rows) == (want is None)
+
+    @pytest.mark.parametrize("size", sorted(_TRANSPOSE))
+    def test_swaps_transpose_the_matrix(self, size):
+        rng = random.Random(size)
+        for _ in range(5):
+            matrix = rng.getrandbits(size * size)
+            t = matrix
+            for shift, mask in _TRANSPOSE[size]:
+                d = (t ^ t >> shift) & mask
+                t ^= d ^ d << shift
+            for r in range(size):
+                for c in range(size):
+                    assert (t >> (r * size + c) & 1) == (matrix >> (c * size + r) & 1)
+
+    def test_simple_graphs_pass_the_packed_check(self, rng):
+        for n in (1, 7, 8, 9, 16, 17, 32, 33, 63, 64):
+            g = random_graph(n, 0.5, rng)
+            assert _is_simple_packed(n, g.rows)
+            assert _is_simple_packed(n, Graph.complete(n).rows)
+
+
+class TestValues:
+    """Graphs and partitions hash and compare by content."""
+
+    def test_graph_rows_are_stored_as_a_tuple(self):
+        g = Graph(2, [2, 1])
+        assert g.rows == (2, 1) and type(g.rows) is tuple
+        assert g == Graph(2, (2, 1)) == Graph(2, iter([2, 1]))
+        assert hash(g) == hash(Graph(2, (2, 1)))
+        assert len({g, Graph(2, (2, 1)), Graph(2, (0, 0))}) == 2
+
+    def test_partition_blocks_are_stored_as_frozensets(self):
+        p = Partition(2, [[0], [1]])
+        assert p.blocks == (frozenset({0}), frozenset({1}))
+        assert p == Partition(2, (frozenset({0}), frozenset({1})))
+        assert hash(p) == hash(Partition.from_blocks(2, [[1], [0]]))
+        assert hash(Partition(2, ([0], {1}))) == hash(p)
+        assert p != Partition(2, [[0, 1]])
+
+
+class TestFromEdgeMask:
+    def test_a_bit_past_the_pairs_is_malformed(self):
+        with pytest.raises(MalformedInput, match="at or above 3"):
+            Graph.from_edge_mask(3, 0b1111)
+        with pytest.raises(MalformedInput):
+            Graph.from_edge_mask(0, 1)
+
+    def test_a_negative_mask_is_malformed(self):
+        with pytest.raises(MalformedInput, match="negative"):
+            Graph.from_edge_mask(4, -1)
+
+    def test_every_in_range_mask_is_accepted(self):
+        for mask in range(1 << 6):
+            assert Graph.from_edge_mask(4, mask).edge_mask() == mask
 
 
 class TestCombine:

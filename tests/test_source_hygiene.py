@@ -1,9 +1,11 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and
+nothing is cached across calls.
 
 A stdlib stand-in for a linter's unused-import rule: each module of
 src/boolcomb except the package's __init__ (whose imports are its
 exports) is parsed with ast, and every imported name must be read
-somewhere in it, in code or in a string annotation.
+somewhere in it, in code or in a string annotation.  Also checks that
+no function but `invariants._meet_tables` caches across calls.
 """
 
 import ast
@@ -71,3 +73,47 @@ def test_an_unused_import_is_caught():
         "    raise SizeLimitExceeded(os.sep)\n"
     )
     assert unused_imports(source) == {"NotMonotone"}
+
+
+# the one cache kept across calls: the shatter tables, keyed by n alone
+ALLOWED_CACHES = {"invariants._meet_tables"}
+
+
+def cached_functions(source: str) -> set[str]:
+    """Functions decorated with functools.lru_cache or functools.cache, in
+    any spelling (bare, called, or through the module)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    found.add(node.name)
+    return found
+
+
+def test_no_cache_across_calls_but_the_shatter_tables():
+    found = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in cached_functions(path.read_text())
+    }
+    assert found == ALLOWED_CACHES
+
+
+def test_a_cache_decorator_is_caught():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def a(n): return n\n"
+        "@lru_cache\n"
+        "def b(n): return n\n"
+        "class C:\n"
+        "    @cache\n"
+        "    def c(self): return 0\n"
+        "@staticmethod\n"
+        "def d(n): return n\n"
+    )
+    assert cached_functions(source) == {"a", "b", "c"}
