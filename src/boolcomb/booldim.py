@@ -10,8 +10,8 @@ to 0, so no loop over all 2^(2^k) functions is ever needed.
 The unrestricted and XOR searches fix the first k - 1 parts and find
 the last one instead of enumerating it.  For XOR the last part is
 target ^ xor(prefix), looked up by edge mask.  Unrestricted, the prefix
-cuts the pairs into 2^(k-1) regions, and the last part B must meet each
-of the c regions R that the target splits in T ∩ R or R ∖ T.  When
+cuts the pairs into at most 2^(k-1) regions; the last part B must meet
+each of the c regions R that the target splits in T ∩ R or R ∖ T.  When
 every nonempty region is split, B is one of 2^c unions, each looked up;
 otherwise the members from the prefix's last index on are scanned
 against the prefix's regions.  Either way every multiset is still
@@ -30,7 +30,7 @@ from .boolfn import BooleanFunction
 from .classes import ClassTag, enumerate_members
 from .errors import BudgetExceeded, CertificationError, MalformedInput
 from .gformats import graph_to_graph6
-from .graphs import Graph, apply_boolean
+from .graphs import Graph, _regions, apply_boolean
 
 DEFAULT_BUDGET = 10**8
 _FOLDS = {"union": BooleanFunction.or_, "intersect": BooleanFunction.and_, "xor": BooleanFunction.xor_}
@@ -111,14 +111,7 @@ def _verify(target: Graph, f: BooleanFunction, parts: tuple[Graph, ...]) -> DimW
 def _table(ms: list[int], target: int, full: int) -> int:
     """The truth table of the f with f(ms) = target, unobserved patterns 0;
     the caller has checked that f exists."""
-    table = 0
-    for pattern in range(1 << len(ms)):
-        region = full
-        for j, mask in enumerate(ms):
-            region &= mask if (pattern >> j) & 1 else full ^ mask
-        if region and region & target == region:
-            table |= 1 << pattern
-    return table
+    return sum(1 << pattern for pattern, region in _regions(ms, full).items() if region & target == region)
 
 
 def _last_part(p: _Prepared, prefix: tuple[int, ...]) -> Optional[int]:
@@ -130,18 +123,15 @@ def _last_part(p: _Prepared, prefix: tuple[int, ...]) -> Optional[int]:
     free, regions any B will do."""
     lo = prefix[-1] if prefix else 0
     masks = p.masks
-    regions = [p.full]
-    for i in prefix:
-        regions = [r & masks[i] for r in regions] + [r & ~masks[i] for r in regions]
     split = []  # (region, the target's part of it, the rest of it)
     cover = 0  # the union of the split regions
     free = False
-    for region in regions:
+    for region in _regions([masks[i] for i in prefix], p.full).values():
         hit = region & p.target
         if hit and hit != region:
             split.append((region, hit, region ^ hit))
             cover |= region
-        elif region:
+        else:
             free = True
     if 1 << len(split) > len(masks) - lo:
         # more ways to meet the split regions than members left: test each

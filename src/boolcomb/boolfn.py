@@ -10,7 +10,7 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import ArityMismatch, MalformedInput, OutOfRangeVariable, SizeLimitExceeded
 
@@ -22,6 +22,30 @@ def _check_arity(arity: int) -> None:
     # named constructors call this before building a 2^(2^arity)-bit table
     if not 0 <= arity <= MAX_ARITY:
         raise SizeLimitExceeded(f"arity {arity} outside [0, {MAX_ARITY}]")
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of mask's set bits, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _input_masks(arity: int) -> list[int]:
+    """masks[b] is the truth table of x_(b+1), the inputs with bit b set.
+    Its complement alternates runs of 2^b ones and zeros, and is made from
+    the complement above it by halving the runs."""
+    masks = [0] * arity
+    size = 1 << arity
+    full = (1 << size) - 1
+    low = (1 << (size >> 1)) - 1
+    for b in reversed(range(arity)):
+        masks[b] = full ^ low
+        low ^= low << (1 << b >> 1)
+    return masks
 
 
 @dataclass(frozen=True)
@@ -63,19 +87,7 @@ class BooleanFunction:
         _check_arity(arity)
         if not 1 <= coordinate <= arity:
             raise OutOfRangeVariable(f"coordinate {coordinate} outside [1, {arity}]")
-        table = 0
-        for i in range(1 << arity):
-            if (i >> (coordinate - 1)) & 1:
-                table |= 1 << i
-        return cls(arity, table)
-
-    @classmethod
-    def from_values(cls, arity: int, values: Iterable[int]) -> "BooleanFunction":
-        table = 0
-        for i, v in enumerate(values):
-            if v:
-                table |= 1 << i
-        return cls(arity, table)
+        return cls(arity, _input_masks(arity)[coordinate - 1])
 
     @classmethod
     def or_(cls, arity: int) -> "BooleanFunction":
@@ -91,9 +103,8 @@ class BooleanFunction:
     def xor_(cls, arity: int) -> "BooleanFunction":
         _check_arity(arity)
         table = 0
-        for i in range(1 << arity):
-            if bin(i).count("1") % 2 == 1:
-                table |= 1 << i
+        for mask in _input_masks(arity):
+            table ^= mask
         return cls(arity, table)
 
     def negate(self) -> "BooleanFunction":
@@ -128,46 +139,34 @@ class AnfForm:
     monomials: frozenset[frozenset[int]]
 
     def __post_init__(self):
+        _check_arity(self.arity)
         for mono in self.monomials:
             for var in mono:
                 if not 1 <= var <= self.arity:
                     raise OutOfRangeVariable(f"variable {var} outside [1, {self.arity}]")
 
 
-def _mobius_transform(bits: list[int], k: int) -> list[int]:
-    """In-place binary Moebius transform over GF(2); self-inverse."""
-    for b in range(k):
-        step = 1 << b
-        for i in range(1 << k):
-            if i & step:
-                bits[i] ^= bits[i ^ step]
-    return bits
+def _mobius_transform(table: int, arity: int) -> int:
+    """The binary Moebius transform over GF(2) of a truth table; an involution.
+    Stage b adds the value at each input with bit b clear into bit b set."""
+    full = (1 << (1 << arity)) - 1
+    for b, mask in enumerate(_input_masks(arity)):
+        table ^= (table & (full ^ mask)) << (1 << b)
+    return table
 
 
 def anf(f: BooleanFunction) -> AnfForm:
     """The unique ANF of f, via the GF(2) Moebius transform."""
-    k = f.arity
-    bits = [(f.table >> i) & 1 for i in range(1 << k)]
-    _mobius_transform(bits, k)
-    monomials = frozenset(
-        frozenset(j + 1 for j in range(k) if (i >> j) & 1)
-        for i in range(1 << k)
-        if bits[i]
-    )
-    return AnfForm(k, monomials)
+    coefficients = _mobius_transform(f.table, f.arity)
+    return AnfForm(f.arity, frozenset(frozenset(j + 1 for j in _bits(i)) for i in _bits(coefficients)))
 
 
 def from_anf(a: AnfForm) -> BooleanFunction:
     """Inverse of :func:`anf`; the transform is an involution."""
-    k = a.arity
-    bits = [0] * (1 << k)
+    coefficients = 0
     for mono in a.monomials:
-        index = 0
-        for var in mono:
-            index |= 1 << (var - 1)
-        bits[index] = 1
-    _mobius_transform(bits, k)
-    return BooleanFunction.from_values(k, bits)
+        coefficients |= 1 << sum(1 << (var - 1) for var in mono)
+    return BooleanFunction(a.arity, _mobius_transform(coefficients, a.arity))
 
 
 def enumerate_functions(k: int) -> Iterator[BooleanFunction]:

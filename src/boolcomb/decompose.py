@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
-from .boolfn import MAX_ARITY, BooleanFunction, anf
+from .boolfn import MAX_ARITY, BooleanFunction, _bits, _input_masks, anf
 from .classes import (
     CLASS_C,
     CLASS_L,
@@ -22,13 +22,14 @@ from .classes import (
     is_member,
 )
 from .errors import (
+    ArityMismatch,
     BudgetExceeded,
     CertificationError,
     NoBigTwinClass,
     NotEquivalenceGraph,
     NotIntersectionClosed,
 )
-from .graphs import Graph, Partition, _bits, apply_boolean, combine, complement
+from .graphs import Graph, Partition, apply_boolean, combine, complement
 from .invariants import max_degree, twin_classes
 
 
@@ -267,16 +268,15 @@ def twin_decomposition(g: Graph) -> Decomposition:
         if g.adj(a0, a1) != base.adj(a0, a1):
             xor_parts.append(_clique_on(n, masks[i]))
 
+    # f is the OR of the union coordinates XOR the parity of the others
     ju = len(union_parts)
-    jx = len(xor_parts)
-    arity = ju + jx
-    union_mask = (1 << ju) - 1
-    values = []
-    for i in range(1 << arity):
-        or_bit = 1 if i & union_mask else 0
-        parity = ((i >> ju).bit_count()) & 1
-        values.append(or_bit ^ parity)
-    f = BooleanFunction.from_values(arity, values)
+    coordinates = _input_masks(ju + len(xor_parts))
+    table = 0
+    for mask in coordinates[:ju]:
+        table |= mask
+    for mask in coordinates[ju:]:
+        table ^= mask
+    f = BooleanFunction(len(coordinates), table)
     parts = [(p, CLASS_C) for p in union_parts + xor_parts]
     return _certify(g, f, parts)
 
@@ -342,6 +342,8 @@ def xor_normal_form(
     contains complete graphs, absorbed otherwise by negating the parity
     (alpha = 1).  Each part is tagged with the first class it belongs to.
     """
+    if len(graphs) != f.arity:
+        raise ArityMismatch(f"function arity {f.arity} but {len(graphs)} graphs")
     tags = list(tag) if isinstance(tag, (tuple, frozenset, set, list)) else [tag]
     has_complete = _has_complete(tags)
 

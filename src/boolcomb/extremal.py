@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedExpression,
 )
 from .gformats import graph_to_graph6
-from .graphs import Graph, Partition, combine
+from .graphs import Graph, Partition, _regions, combine
 from .invariants import (
     CLIQUE_LIMIT,
     _shatter_counts,
@@ -265,20 +265,18 @@ def _images(masks: Sequence[int], full: int) -> list[int]:
     """The images f(masks) within full of every f of arity len(masks),
     indexed by f's truth table.
 
-    full splits into the 2^k regions of its bits by the masks' bits,
-    pattern bit j set inside masks[j]; the image of truth table t is the
-    union of the regions at t's set bits, filled by doubling.
+    The image of truth table t is the union of the `_regions` at t's set
+    bits (an absent pattern's region is empty), filled by doubling.
     """
-    regions = [full]
-    for mask in masks:
-        for i in range(len(regions)):
-            region = regions[i]
-            regions.append(region & mask)
-            regions[i] = region ^ regions[-1]
+    regions = _regions(masks, full)
     out = [0]
-    for region in regions:
-        for image in out[:]:
-            out.append(image | region)
+    for pattern in range(1 << len(masks)):
+        region = regions.get(pattern)
+        if region:
+            for image in out[:]:
+                out.append(image | region)
+        else:
+            out += out
     return out
 
 

@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .boolfn import BooleanFunction
+from .boolfn import BooleanFunction, _bits
 from .errors import (
     ArityMismatch,
     DuplicateVertex,
@@ -272,15 +272,6 @@ class Partition:
         return Graph(self.n, tuple(rows))
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 # -- boolean combination operators ---------------------------------------------
 
 
@@ -309,6 +300,29 @@ def combine(op: str, graphs: Sequence[Graph]) -> Graph:
     return Graph(n, rows)
 
 
+def _regions(masks: Sequence[int], full: int) -> dict[int, int]:
+    """The nonempty regions that the masks cut full into, keyed by pattern:
+    bit j of a region's pattern is set iff the region lies inside masks[j].
+
+    A region is split only while nonempty, so there are at most
+    popcount(full) of them whatever len(masks) is."""
+    regions = {0: full} if full else {}
+    bit = 1
+    for mask in masks:
+        split = {}
+        for pattern, region in regions.items():
+            inside = region & mask
+            if not inside:
+                split[pattern] = region
+            else:
+                split[pattern | bit] = inside
+                if inside != region:
+                    split[pattern] = region ^ inside
+        regions = split
+        bit <<= 1
+    return regions
+
+
 def apply_boolean(f: BooleanFunction, graphs: Sequence[Graph], n: Optional[int] = None) -> Graph:
     """The graph whose pairwise adjacency is f of the inputs' adjacencies.
 
@@ -328,22 +342,10 @@ def apply_boolean(f: BooleanFunction, graphs: Sequence[Graph], n: Optional[int] 
     table = f.table
     rows = []
     for u in range(m):
-        # split the other vertices by the inputs' bits at u; a region is
-        # kept only while nonempty, so there are at most m - 1 of them
-        regions = [(0, ((1 << m) - 1) ^ (1 << u))]
-        for j, g in enumerate(graphs):
-            r = g.rows[u]
-            split = []
-            for pattern, region in regions:
-                inside = region & r
-                if inside:
-                    split.append((pattern | 1 << j, inside))
-                if inside != region:
-                    split.append((pattern, region ^ inside))
-            regions = split
         row = 0
-        for pattern, region in regions:
-            if (table >> pattern) & 1:
+        others = ((1 << m) - 1) ^ 1 << u
+        for pattern, region in _regions([g.rows[u] for g in graphs], others).items():
+            if table >> pattern & 1:
                 row |= region
         rows.append(row)
     return Graph(m, tuple(rows))

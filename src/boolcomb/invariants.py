@@ -13,8 +13,9 @@ from itertools import accumulate, combinations
 from math import comb
 from typing import Optional, Sequence
 
+from .boolfn import _bits
 from .errors import BudgetExceeded, MalformedInput, SizeLimitExceeded
-from .graphs import Graph, Partition, _bits, _require_same_n, complement, induced_subgraph
+from .graphs import Graph, Partition, _require_same_n, complement, induced_subgraph
 
 CLIQUE_LIMIT = 64
 CHROMATIC_LIMIT = 32

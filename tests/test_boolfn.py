@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from boolcomb.boolfn import (
     AnfForm,
     BooleanFunction,
+    _mobius_transform,
     anf,
     enumerate_functions,
     from_anf,
@@ -38,6 +40,50 @@ def brute_force_anf_sets(f: BooleanFunction):
             if ok:
                 matches.append(frozenset(family))
     return matches
+
+
+def reference_mobius_transform(bits: list[int], k: int) -> list[int]:
+    """The list-based binary Moebius transform, one input at a time."""
+    for b in range(k):
+        step = 1 << b
+        for i in range(1 << k):
+            if i & step:
+                bits[i] ^= bits[i ^ step]
+    return bits
+
+
+def reference_projection_table(arity: int, coordinate: int) -> int:
+    table = 0
+    for i in range(1 << arity):
+        if (i >> (coordinate - 1)) & 1:
+            table |= 1 << i
+    return table
+
+
+def reference_xor_table(arity: int) -> int:
+    table = 0
+    for i in range(1 << arity):
+        if bin(i).count("1") % 2 == 1:
+            table |= 1 << i
+    return table
+
+
+class TestWordLevelTables:
+    """The word-level truth tables against their per-input references."""
+
+    @pytest.mark.parametrize("k", range(17))
+    def test_mobius_matches_the_list_transform(self, k):
+        rng = random.Random(k)
+        for table in (0, (1 << (1 << k)) - 1, rng.getrandbits(1 << k)):
+            bits = [(table >> i) & 1 for i in range(1 << k)]
+            want = sum(bit << i for i, bit in enumerate(reference_mobius_transform(bits, k)))
+            assert _mobius_transform(table, k) == want
+
+    @pytest.mark.parametrize("k", range(17))
+    def test_projection_and_xor_match_the_input_loops(self, k):
+        for c in range(1, k + 1):
+            assert BooleanFunction.projection(k, c).table == reference_projection_table(k, c)
+        assert BooleanFunction.xor_(k).table == reference_xor_table(k)
 
 
 class TestAnf:
@@ -75,6 +121,17 @@ class TestAnf:
     def test_out_of_range_variable(self):
         with pytest.raises(OutOfRangeVariable):
             AnfForm(2, frozenset({frozenset({3})}))
+
+    @pytest.mark.parametrize("arity", [-1, 17, 64])
+    def test_anf_arity_checked_before_the_table_is_built(self, arity):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitExceeded, match=rf"arity {arity} outside \[0, 16\]"):
+                from_anf(AnfForm(arity, frozenset({frozenset()})))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_monomial_count_bound_and_worst_case(self):
         for k in range(4):

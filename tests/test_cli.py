@@ -197,6 +197,13 @@ class TestCli:
         target = apply_boolean(BooleanFunction.from_text("2:0xe"), [h1, h2])
         assert apply_boolean(f, parts).rows == target.rows
 
+    def test_decompose_xornf_arity_mismatch_exits_2(self, capsys):
+        argv = ["decompose", "--method", "xornf", "--fn", "2:0x6", "D??"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "function arity 2 but 1 graphs" in err
+
     def test_decompose_pcseq(self, capsys):
         h1 = graph_to_graph6(Graph.from_edges(4, [(0, 1), (2, 3)]))
         h2 = graph_to_graph6(Graph.from_edges(4, [(1, 2), (0, 3)]))

@@ -24,6 +24,7 @@ from boolcomb.decompose import (
     xor_normal_form,
 )
 from boolcomb.errors import (
+    ArityMismatch,
     BudgetExceeded,
     NoBigTwinClass,
     NotEquivalenceGraph,
@@ -263,6 +264,10 @@ class TestXorNormalForm:
     def test_rejects_non_closed_class(self):
         with pytest.raises(NotIntersectionClosed):
             xor_normal_form(BooleanFunction.and_(2), [Graph.empty(4), Graph.empty(4)], SPLIT)
+
+    def test_arity_mismatch_is_refused_before_the_anf(self):
+        with pytest.raises(ArityMismatch, match="function arity 2 but 1 graphs"):
+            xor_normal_form(BooleanFunction.xor_(2), [Graph.empty(5)], EQUIVALENCE)
 
     def test_more_than_16_parts_is_refused(self):
         f = BooleanFunction.from_text("5:0x977f7ffe")

@@ -22,6 +22,7 @@ from boolcomb.graphs import (
     PACKED_VERTEX_LIMIT,
     Graph,
     Partition,
+    _regions,
     apply_boolean,
     combine,
     complement,
@@ -46,6 +47,38 @@ def reference_apply_boolean(f, graphs, n):
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
     return Graph(n, tuple(rows))
+
+
+def reference_regions(masks, full):
+    """Every pattern's region as the AND of masks[j] or its complement,
+    over all 2^k patterns, keeping the nonempty ones."""
+    out = {}
+    for pattern in range(1 << len(masks)):
+        region = full
+        for j, mask in enumerate(masks):
+            region &= mask if (pattern >> j) & 1 else ~mask
+        if region:
+            out[pattern] = region
+    return out
+
+
+class TestRegions:
+    """graphs._regions, the one region split behind every boolean image."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8, 16])
+    def test_matches_the_pattern_by_pattern_split(self, k, rng):
+        for width in (0, 1, 6, 11):
+            for _ in range(4 if k < 16 else 1):
+                masks = [rng.getrandbits(width + 2) for _ in range(k)]
+                full = rng.getrandbits(width)
+                assert _regions(masks, full) == reference_regions(masks, full)
+
+    def test_edge_cases(self):
+        assert _regions([], 0b1011) == {0: 0b1011}
+        assert _regions([], 0) == {}
+        assert _regions([0b1111, 0b0101], 0) == {}
+        # masks equal to full or disjoint from it leave one region
+        assert _regions([0b111, 0], 0b111) == {0b01: 0b111}
 
 
 class TestGraphBasics:
@@ -262,7 +295,7 @@ class TestApplyBoolean:
     def test_x_and_not_y(self):
         h1 = Graph.complete(3)
         h2 = Graph.from_edges(3, [(0, 1)])
-        f = BooleanFunction.from_values(2, [0, 1, 0, 0])  # x1 and not x2
+        f = BooleanFunction(2, 0b0010)  # x1 and not x2
         out = apply_boolean(f, [h1, h2])
         assert sorted(out.edges()) == [(0, 2), (1, 2)]
 
