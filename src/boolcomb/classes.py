@@ -11,10 +11,10 @@ import random
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .errors import MalformedInput, SizeLimitExceeded, UnsupportedTag
-from .graphs import Graph, Partition, _check_vertex_count, complement
+from .graphs import Graph, _check_vertex_count, _cliques, complement
 
 ENUM_VERTEX_LIMIT = 9
 
@@ -161,57 +161,25 @@ def is_member(tag: ClassTag, g: Graph) -> bool:
 # -- enumeration -----------------------------------------------------------------
 
 
-def set_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of {0..n-1}, by restricted-growth strings."""
-    if n < 0:
-        raise MalformedInput(f"vertex count must be nonnegative, got {n}")
-    if n == 0:
-        yield Partition(0, ())
-        return
-    rgs = [0] * n
-
-    def emit() -> Partition:
-        blocks: dict[int, list[int]] = {}
-        for v, b in enumerate(rgs):
-            blocks.setdefault(b, []).append(v)
-        return Partition.from_blocks(n, blocks.values())
-
-    def rec(i: int, max_seen: int):
-        if i == n:
-            yield emit()
-            return
-        for b in range(max_seen + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(max_seen, b))
-
-    rgs[0] = 0
-    yield from rec(1, 0)
-
-
-def equivalence_members(n: int) -> Iterator[Graph]:
-    """Labeled equivalence graphs, one per partition of {0..n-1}; Bell(n) of them."""
-    if n > ENUM_VERTEX_LIMIT:
-        raise SizeLimitExceeded(f"equivalence enumeration capped at n = {ENUM_VERTEX_LIMIT}")
-    yield from enumerate_members(EQUIVALENCE, n)
-
-
-def _block_mask(n: int, blocks: Iterable[Sequence[int]]) -> int:
-    """The edge mask of the equivalence graph on range(n) with these blocks,
-    each listed in increasing order: pair (u, v), u < v, is bit
-    u(2n - u - 1)/2 + v - u - 1 (Graph.edge_mask's order)."""
+def _block_mask(n: int, blocks: Iterable[int]) -> int:
+    """The edge mask of _cliques(n, blocks), without building the graph:
+    pair (u, v), u < v, is bit u(2n - u - 1)/2 + v - u - 1 (Graph.edge_mask's
+    order), so each u adds the later vertices of its block at its row offset."""
     mask = 0
     for block in blocks:
-        for i, u in enumerate(block):
-            base = u * (2 * n - u - 1) // 2 - u - 1
-            for v in block[i + 1:]:
-                mask |= 1 << (base + v)
+        rest = block
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            rest ^= low
+            mask |= (rest >> u + 1) << u * (2 * n - u - 1) // 2
     return mask
 
 
 def _partition_masks(n: int) -> list[int]:
     """The edge masks of the equivalence graphs on range(n), in the order of
-    set_partitions (restricted-growth strings): vertex v joins each block
-    in turn, then starts a new one.
+    their restricted-growth strings: vertex v joins each block in turn,
+    then starts a new one.
 
     A block is carried as a key with bit u(2n - u - 3)/2 for each member u,
     so that (key << v) >> 1 has the bits of the pairs (u, v), u < v (see
@@ -257,11 +225,12 @@ def _member_masks(tag: ClassTag, n: int) -> Iterable[int]:
         full = (1 << n * (n - 1) // 2) - 1
         return [full ^ mask for mask in _partition_masks(n)]
     if kind == "C":
-        subsets = chain.from_iterable(combinations(range(n), size) for size in range(2, n + 1))
-        return [0] + [_block_mask(n, [s]) for s in subsets]
+        bits = [1 << v for v in range(n)]
+        subsets = chain.from_iterable(combinations(bits, size) for size in range(2, n + 1))
+        return [0] + [_block_mask(n, [sum(s)]) for s in subsets]
     if kind == "L":
-        rests = ([v for v in range(n) if v != a] for a in range(n))
-        candidates = [_block_mask(n, [range(n)])] + [_block_mask(n, [r]) for r in rests if r]
+        every = (1 << n) - 1
+        candidates = [_block_mask(n, [every])] + [_block_mask(n, [every ^ 1 << a]) for a in range(n)]
         return list(dict.fromkeys(candidates))
     if kind == "d1":
         return _matching_masks(n)
@@ -303,26 +272,25 @@ def enumerate_members(tag: ClassTag, n: int) -> Iterator[Graph]:
 # -- random members -----------------------------------------------------------------
 
 
-def random_partition(n: int, rng: random.Random) -> Partition:
-    """Sequential-insertion (Chinese-restaurant) partition sampler.
+def random_partition(n: int, rng: random.Random) -> list[int]:
+    """Sequential-insertion (Chinese-restaurant) partition sampler; the
+    blocks are vertex masks, by least vertex.
 
     Not uniform over set partitions; coverage is what the coloring
     experiments need.
     """
-    blocks: list[list[int]] = []
+    blocks: list[int] = []
     for v in range(n):
         r = rng.randrange(v + 1)
-        placed = False
         total = 0
-        for block in blocks:
-            total += len(block)
+        for i, block in enumerate(blocks):
+            total += block.bit_count()
             if r < total:
-                block.append(v)
-                placed = True
+                blocks[i] |= 1 << v
                 break
-        if not placed:
-            blocks.append([v])
-    return Partition.from_blocks(n, blocks)
+        else:
+            blocks.append(1 << v)
+    return blocks
 
 
 def random_split_with_parts(n: int, rng: random.Random) -> tuple[Graph, frozenset[int]]:
@@ -346,10 +314,9 @@ def random_member(tag: ClassTag, n: int, seed: int) -> Graph:
     _check_vertex_count(n)  # before a sampler walks n vertices or their pairs
     rng = random.Random(seed)
     kind = tag.kind
-    if kind == "equiv":
-        return random_partition(n, rng).equivalence_graph()
-    if kind == "multipartite":
-        return complement(random_partition(n, rng).equivalence_graph())
+    if kind in ("equiv", "multipartite"):
+        g = _cliques(n, random_partition(n, rng))
+        return g if kind == "equiv" else complement(g)
     if kind == "split":
         return random_split_with_parts(n, rng)[0]
     if kind == "d1":

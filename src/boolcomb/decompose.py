@@ -8,6 +8,7 @@ hard error, never a silent flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
@@ -29,8 +30,8 @@ from .errors import (
     NotEquivalenceGraph,
     NotIntersectionClosed,
 )
-from .graphs import Graph, Partition, apply_boolean, combine, complement
-from .invariants import max_degree, twin_classes
+from .graphs import Graph, Partition, _cliques, apply_boolean, combine, complement
+from .invariants import _twin_blocks, max_degree
 
 
 @dataclass(frozen=True)
@@ -226,47 +227,32 @@ def vizing_matchings(g: Graph) -> Decomposition:
 # -- twin-class decomposition ----------------------------------------------------------
 
 
-def _clique_on(n: int, mask: int) -> Graph:
-    """A clique on the vertices in `mask`; every other vertex is isolated."""
-    return Graph(n, tuple(mask ^ (1 << v) if (mask >> v) & 1 else 0 for v in range(n)))
-
-
 def twin_decomposition(g: Graph) -> Decomposition:
     """Rebuild g from clique-plus-isolated-vertices graphs over its twin classes.
 
     One union part per complete pair of classes, one XOR part per class
     whose internal adjacency still disagrees; at most C(t,2) + t parts
-    for twin number t, which must not exceed MAX_ARITY.
+    for twin number t, which must not exceed MAX_ARITY.  Twins agree on
+    every vertex outside their class, so each class is read at its least
+    vertex.
     """
-    tc = twin_classes(g)
-    t = len(tc.blocks)
+    masks = _twin_blocks(g)
+    t = len(masks)
     if comb(t, 2) + t > MAX_ARITY:
         raise BudgetExceeded(f"twin number {t} needs up to {comb(t, 2) + t} parts (> {MAX_ARITY})")
     n = g.n
-    blocks = [sorted(b) for b in tc.blocks]
-    masks = []
-    for b in blocks:
-        m = 0
-        for v in b:
-            m |= 1 << v
-        masks.append(m)
+    leads = [(m & -m).bit_length() - 1 for m in masks]
 
     union_parts = [
-        _clique_on(n, masks[i] | masks[j])
-        for i in range(t)
-        for j in range(i + 1, t)
-        if g.adj(blocks[i][0], blocks[j][0])
+        _cliques(n, [masks[i] | masks[j]])
+        for i, j in combinations(range(t), 2)
+        if g.rows[leads[i]] & masks[j]
     ]
 
     base = combine("union", union_parts) if union_parts else Graph.empty(n)
-    xor_parts: list[Graph] = []
-    for i in range(t):
-        b = blocks[i]
-        if len(b) < 2:
-            continue
-        a0, a1 = b[0], b[1]
-        if g.adj(a0, a1) != base.adj(a0, a1):
-            xor_parts.append(_clique_on(n, masks[i]))
+    xor_parts = [
+        _cliques(n, [m]) for m, a in zip(masks, leads) if (g.rows[a] ^ base.rows[a]) & m
+    ]
 
     # f is the OR of the union coordinates XOR the parity of the others
     ju = len(union_parts)
@@ -294,8 +280,8 @@ def class_L_decomposition(g: Graph) -> Decomposition:
     the pairs inside Q share one pattern, as do the pairs joining one
     outside vertex to Q, and twins agree on each.
     """
-    big = max(twin_classes(g).blocks, key=len, default=frozenset())
-    outside = [v for v in range(g.n) if v not in big]
+    every = (1 << g.n) - 1
+    outside = _bits(every ^ max(_twin_blocks(g), key=int.bit_count, default=0))
     p = len(outside)
     if p > MAX_ARITY:
         raise NoBigTwinClass(f"largest twin class leaves {p} vertices (> {MAX_ARITY})")
@@ -304,7 +290,7 @@ def class_L_decomposition(g: Graph) -> Decomposition:
     table = 0
     for u, v in g.edges():
         table |= 1 << (full ^ drop.get(u, 0) ^ drop.get(v, 0))
-    parts = [(_clique_on(g.n, ((1 << g.n) - 1) ^ (1 << a)), CLASS_L) for a in outside]
+    parts = [(_cliques(g.n, [every ^ 1 << a]), CLASS_L) for a in outside]
     return _certify(g, BooleanFunction(p, table), parts)
 
 

@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedExpression,
 )
 from .gformats import graph_to_graph6
-from .graphs import Graph, Partition, _regions, combine
+from .graphs import Graph, _cliques, _regions, combine
 from .invariants import (
     CLIQUE_LIMIT,
     _shatter_counts,
@@ -86,11 +86,11 @@ def hnk_as_xor(n: int, k: int) -> list[Graph]:
     size = _hnk_size(n, k)
     graphs = []
     for coord in range(k):
+        # vertex v reads v // stride % n here: block 0 is a run of stride
+        # vertices in every n * stride, and block x is it moved x runs up
         stride = n ** (k - 1 - coord)
-        blocks: list[list[int]] = [[] for _ in range(n)]
-        for v in range(size):
-            blocks[v // stride % n].append(v)
-        graphs.append(Partition.from_blocks(size, blocks).equivalence_graph())
+        first = sum(((1 << stride) - 1) << r * n * stride for r in range(n**coord))
+        graphs.append(_cliques(size, [first << x * stride for x in range(n)]))
     return graphs
 
 
@@ -305,8 +305,9 @@ def _orbit_key(rows: list[tuple[int, ...]]) -> tuple:
     )
 
 
-def _partition_pair_orbits(n: int) -> list[tuple[list[list[int]], list[list[int]]]]:
-    """One pair (A, B) of set partitions of range(n), n >= 1, per orbit under relabeling.
+def _partition_pair_orbits(n: int) -> list[tuple[list[int], list[int]]]:
+    """One pair (A, B) of set partitions of range(n), n >= 1, per orbit
+    under relabeling, their blocks as vertex masks.
 
     A pair is fixed, up to a common relabeling, by its intersection
     matrix M[i][j] = |A_i & B_j| taken up to row and column permutations:
@@ -354,13 +355,14 @@ def _partition_pair_orbits(n: int) -> list[tuple[list[list[int]], list[list[int]
         grow(0, n, [], (1 << (c - 1)) - 1, 0)
     pairs = []
     for rows in reps.values():
-        a: list[list[int]] = [[] for _ in rows]
-        b: list[list[int]] = [[] for _ in rows[0]]
+        a = [0] * len(rows)
+        b = [0] * len(rows[0])
         v = 0
         for i, row in enumerate(rows):
             for j, count in enumerate(row):
-                a[i] += range(v, v + count)
-                b[j] += range(v, v + count)
+                cell = ((1 << count) - 1) << v
+                a[i] |= cell
+                b[j] |= cell
                 v += count
         pairs.append((a, b))
     return pairs

@@ -20,6 +20,7 @@ from __future__ import annotations
 import operator
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .boolfn import BooleanFunction, _bits
@@ -160,17 +161,13 @@ class Graph:
 
     @classmethod
     def complete_multipartite(cls, sizes: Sequence[int]) -> "Graph":
+        """The complement of the cliques on consecutive runs of these sizes."""
+        if min(sizes, default=0) < 0:
+            raise MalformedInput(f"part size {min(sizes)} is negative")
         n = sum(sizes)
         _check_vertex_count(n)
-        rows = [0] * n
-        start = 0
-        full = (1 << n) - 1
-        for size in sizes:
-            part = ((1 << size) - 1) << start
-            for u in range(start, start + size):
-                rows[u] = full & ~part
-            start += size
-        return cls(n, tuple(rows))
+        starts = accumulate(sizes, initial=0)
+        return complement(_cliques(n, [((1 << size) - 1) << start for size, start in zip(sizes, starts)]))
 
     @classmethod
     def from_edge_mask(cls, n: int, mask: int) -> "Graph":
@@ -262,14 +259,20 @@ class Partition:
 
     def equivalence_graph(self) -> Graph:
         """The graph whose maximal cliques are this partition's blocks."""
-        rows = [0] * self.n
-        for block in self.blocks:
-            mask = 0
-            for v in block:
-                mask |= 1 << v
-            for v in block:
-                rows[v] = mask ^ (1 << v)
-        return Graph(self.n, tuple(rows))
+        return _cliques(self.n, [sum(1 << v for v in block) for block in self.blocks])
+
+
+def _cliques(n: int, blocks: Iterable[int]) -> Graph:
+    """The graph on range(n) whose edges are the pairs inside one of the
+    disjoint vertex masks `blocks`; a vertex in no block is isolated."""
+    rows = [0] * n
+    for block in blocks:
+        rest = block
+        while rest:
+            low = rest & -rest
+            rows[low.bit_length() - 1] = block ^ low
+            rest ^= low
+    return Graph(n, tuple(rows))
 
 
 # -- boolean combination operators ---------------------------------------------

@@ -329,32 +329,35 @@ def strong_chain_number(g: Graph) -> int:
 # -- twins --------------------------------------------------------------------------
 
 
-def twin_classes(g: Graph) -> Partition:
-    """Partition into maximal classes of pairwise twins.
+def _twin_blocks(g: Graph) -> list[int]:
+    """g's maximal classes of pairwise twins, as vertex masks by least vertex.
 
     Two vertices are twins when N(a) \\ {b} = N(b) \\ {a}.  Non-adjacent
     twins share a row; adjacent twins share a closed row.  No vertex has
     twins of both kinds: if b is a non-adjacent twin of a and c an
-    adjacent one, then c is in N(a) = N(b), so b is in N[c] = N[a].  The
-    groups of size >= 2 under either key are therefore the classes, and
-    every other vertex is a class of its own.
+    adjacent one, then c is in N(a) = N(b), so b is in N[c] = N[a].  So a
+    vertex's class is its row's group when that has two or more vertices,
+    and its closed row's group (possibly just itself) otherwise.
     """
-    open_groups: dict[int, list[int]] = {}
-    closed_groups: dict[int, list[int]] = {}
+    opened: dict[int, int] = {}
+    closed: dict[int, int] = {}
     for v, row in enumerate(g.rows):
-        open_groups.setdefault(row, []).append(v)
-        closed_groups.setdefault(row | 1 << v, []).append(v)
-    blocks = [b for groups in (open_groups, closed_groups) for b in groups.values() if len(b) > 1]
-    blocks += [
-        [v]
+        opened[row] = opened.get(row, 0) | 1 << v
+        closed[row | 1 << v] = closed.get(row | 1 << v, 0) | 1 << v
+    classes = (
+        opened[row] if opened[row] & (opened[row] - 1) else closed[row | 1 << v]
         for v, row in enumerate(g.rows)
-        if len(open_groups[row]) == len(closed_groups[row | 1 << v]) == 1
-    ]
-    return Partition.from_blocks(g.n, blocks)
+    )
+    return list(dict.fromkeys(classes))
+
+
+def twin_classes(g: Graph) -> Partition:
+    """Partition into maximal classes of pairwise twins (see _twin_blocks)."""
+    return Partition.from_blocks(g.n, map(_bits, _twin_blocks(g)))
 
 
 def twin_number(g: Graph) -> int:
-    return len(twin_classes(g).blocks)
+    return len(_twin_blocks(g))
 
 
 # -- neighborhood set system ----------------------------------------------------------

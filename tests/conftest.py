@@ -21,6 +21,31 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def set_partitions(n: int):
+    """Every partition of range(n) as a restricted-growth string of block
+    ids (vertex v's block), in lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for head in set_partitions(n - 1):
+        for block in range(max(head, default=-1) + 2):
+            yield head + (block,)
+
+
+def rgs_blocks(rgs) -> list[list[int]]:
+    """The blocks of a restricted-growth string, each in increasing order,
+    by least vertex."""
+    blocks: dict[int, list[int]] = {}
+    for v, block in enumerate(rgs):
+        blocks.setdefault(block, []).append(v)
+    return list(blocks.values())
+
+
+def rgs_masks(rgs) -> list[int]:
+    """The blocks of a restricted-growth string as vertex masks, by least vertex."""
+    return [sum(1 << v for v in block) for block in rgs_blocks(rgs)]
+
+
 def to_networkx(g: Graph) -> nx.Graph:
     out = nx.Graph()
     out.add_nodes_from(range(g.n))

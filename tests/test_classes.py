@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -14,18 +15,17 @@ from boolcomb.classes import (
     MULTIPARTITE,
     SPLIT,
     ClassTag,
+    _block_mask,
     at_most_edges,
     bounded_degree,
     enumerate_members,
-    equivalence_members,
     is_member,
     random_member,
-    set_partitions,
 )
 from boolcomb.errors import MalformedInput, SizeLimitExceeded, UnsupportedTag
-from boolcomb.graphs import MAX_VERTICES, Graph, complement
+from boolcomb.graphs import MAX_VERTICES, Graph, Partition, _cliques, complement
 
-from conftest import random_graph, relabel
+from conftest import random_graph, relabel, rgs_blocks, rgs_masks, set_partitions
 
 
 def bell_numbers(limit):
@@ -169,16 +169,17 @@ class TestEnumeration:
         assert got == expected == [1, 2, 5, 15, 52, 203]
 
     def test_partitions_distinct_and_valid(self):
+        # the restricted-growth reference the enumerator tests compare with
         seen = set()
-        for p in set_partitions(5):
-            key = tuple(tuple(sorted(b)) for b in p.blocks)
+        for rgs in set_partitions(5):
+            key = Partition.from_blocks(5, rgs_blocks(rgs))
             assert key not in seen
             seen.add(key)
         assert len(seen) == 52
 
     def test_equivalence_members_are_the_partition_graphs_in_order(self):
-        want = [p.equivalence_graph() for p in set_partitions(5)]
-        assert list(equivalence_members(5)) == want
+        want = [Partition.from_blocks(5, rgs_blocks(rgs)).equivalence_graph() for rgs in set_partitions(5)]
+        assert list(enumerate_members(EQUIVALENCE, 5)) == want
 
     def test_class_c_count_n3(self):
         members = list(enumerate_members(CLASS_C, 3))
@@ -209,8 +210,6 @@ class TestEnumeration:
                 assert set(got) == {g.rows for g in every if is_member(tag, g)}, (tag, n)
 
     def test_negative_n_is_malformed(self):
-        with pytest.raises(MalformedInput):
-            list(set_partitions(-1))
         for tag in (EQUIVALENCE, CLASS_L, COMPLETE, at_most_edges(1)):
             with pytest.raises(MalformedInput):
                 list(enumerate_members(tag, -1))
@@ -233,8 +232,8 @@ def reference_members(tag, n):
     masks: one Graph per partition, complement, edge set or matching."""
     kind = tag.kind
     if kind in ("equiv", "multipartite"):
-        for p in set_partitions(n):
-            g = p.equivalence_graph()
+        for rgs in set_partitions(n):
+            g = Partition.from_blocks(n, rgs_blocks(rgs)).equivalence_graph()
             yield g if kind == "equiv" else complement(g)
     elif kind == "C":
         yield Graph.empty(n)
@@ -297,7 +296,15 @@ class TestMaskEnumerators:
 
     @pytest.mark.parametrize("n", range(8))
     def test_equivalence_members_follow_set_partitions(self, n):
-        assert list(equivalence_members(n)) == list(reference_members(EQUIVALENCE, n))
+        # the clique kernel over the block masks, not the Partition path
+        want = [_cliques(n, rgs_masks(rgs)) for rgs in set_partitions(n)]
+        assert list(enumerate_members(EQUIVALENCE, n)) == want
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_block_mask_is_the_clique_graphs_edge_mask(self, n):
+        for rgs in set_partitions(n):
+            masks = rgs_masks(rgs)
+            assert _block_mask(n, masks) == _cliques(n, masks).edge_mask(), rgs
 
     def test_ek_parameter_past_the_pair_count_is_not_looped_over(self):
         assert len(list(enumerate_members(at_most_edges(10**18), 3))) == 8
@@ -335,7 +342,32 @@ class TestHierarchy:
             assert is_member(SPLIT, g) == is_member(SPLIT, complement(g))
 
 
+def reference_random_member(tag, n, seed):
+    """The equiv / multipartite sampler as it stood when it built a
+    Partition from vertex lists; the same draws in the same order."""
+    rng = random.Random(seed)
+    blocks = []
+    for v in range(n):
+        r = rng.randrange(v + 1)
+        total = 0
+        for block in blocks:
+            total += len(block)
+            if r < total:
+                block.append(v)
+                break
+        else:
+            blocks.append([v])
+    g = Partition.from_blocks(n, blocks).equivalence_graph()
+    return g if tag == EQUIVALENCE else complement(g)
+
+
 class TestRandomMembers:
+    @pytest.mark.parametrize("tag", [EQUIVALENCE, MULTIPARTITE], ids=ClassTag.to_text)
+    def test_block_samplers_match_the_partition_path(self, tag):
+        for n in range(21):
+            for seed in range(50):
+                assert random_member(tag, n, seed) == reference_random_member(tag, n, seed), (n, seed)
+
     def test_deterministic_given_seed(self):
         a = random_member(EQUIVALENCE, 9, 123)
         b = random_member(EQUIVALENCE, 9, 123)

@@ -12,9 +12,8 @@ from boolcomb.classes import (
     MULTIPARTITE,
     SPLIT,
     at_most_edges,
-    equivalence_members,
+    enumerate_members,
     is_member,
-    set_partitions,
 )
 from boolcomb.errors import BudgetExceeded, MalformedInput, SizeLimitExceeded, UnknownTheorem, UnsupportedExpression
 from boolcomb.extremal import (
@@ -41,7 +40,7 @@ from boolcomb.invariants import (
     is_perfect,
 )
 
-from conftest import isomorphic, random_graph
+from conftest import isomorphic, random_graph, rgs_blocks, rgs_masks, set_partitions
 
 
 def pairwise_hnk(n: int, k: int) -> Graph:
@@ -68,6 +67,28 @@ class TestHnk:
             parts = hnk_as_xor(n, k)
             assert all(is_member(EQUIVALENCE, p) for p in parts)
             assert combine("xor", parts).rows == hnk(n, k).rows
+
+    def test_xor_parts_match_the_partition_path(self):
+        # the rows of the coordinate graphs as Partition.equivalence_graph
+        # built them from vertex lists
+        for k in range(13):
+            for n in range(513):
+                if n**k > 512:
+                    break
+                size = n**k
+                want = []
+                for coord in range(k):
+                    stride = n ** (k - 1 - coord)
+                    blocks = [[] for _ in range(n)]
+                    for v in range(size):
+                        blocks[v // stride % n].append(v)
+                    rows = [0] * size
+                    for block in blocks:
+                        mask = sum(1 << v for v in block)
+                        for v in block:
+                            rows[v] = mask ^ 1 << v
+                    want.append(tuple(rows))
+                assert [g.rows for g in hnk_as_xor(n, k)] == want, (n, k)
 
     @pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (3, 0), (1, 3)])
     def test_matches_pairwise_definition(self, n, k):
@@ -164,7 +185,7 @@ class TestHnkReport:
         def refuse(*args):
             raise AssertionError("a coordinate graph was built")
 
-        monkeypatch.setattr(boolcomb.extremal.Partition, "from_blocks", refuse)
+        monkeypatch.setattr(boolcomb.extremal, "_cliques", refuse)
         start = time.perf_counter()
         for n in (10, 1, 0):
             with pytest.raises(SizeLimitExceeded, match="k = 10000000 exceeds 12"):
@@ -279,16 +300,15 @@ class TestImageKernels:
 
     @pytest.mark.parametrize("n", range(8))
     def test_block_mask_matches_the_partition_path(self, n):
-        for p in set_partitions(n):
-            blocks = [sorted(b) for b in p.blocks]
-            want = Partition.from_blocks(n, blocks).equivalence_graph().edge_mask()
-            assert _block_mask(n, blocks) == want, blocks
+        for rgs in set_partitions(n):
+            want = Partition.from_blocks(n, rgs_blocks(rgs)).equivalence_graph().edge_mask()
+            assert _block_mask(n, rgs_masks(rgs)) == want, rgs
 
 
 def labeled_perfect_2fn_equiv(n, perfect):
     """Oracle: the first counterexample over all Bell(n)^2 labeled pairs x 16
     functions, with each verdict cached under a mask and its complement."""
-    masks = [g.edge_mask() for g in equivalence_members(n)]
+    masks = [g.edge_mask() for g in enumerate_members(EQUIVALENCE, n)]
     full = (1 << (n * (n - 1) // 2)) - 1
     cache = {}
     for a in masks:
@@ -313,11 +333,13 @@ def _canonical_mask(g):
 
 
 def _relabelings(blocks, n):
-    """Every relabeling of a set partition, as normalized block-index vectors."""
+    """Every relabeling of a set partition (blocks as vertex masks), as
+    normalized block-index vectors."""
     label = [0] * n
     for i, block in enumerate(blocks):
-        for v in block:
-            label[v] = i
+        for v in range(n):
+            if block >> v & 1:
+                label[v] = i
 
     def normalized(vector):
         first = {}
@@ -333,7 +355,7 @@ class TestPerfectOrbits:
     def test_orbits_partition_the_labeled_pairs(self, n):
         # orbit-stabilizer: the orbits' sizes add up to Bell(n)^2, and together
         # they hold every labeled pair exactly once
-        bell = sum(1 for _ in equivalence_members(n))
+        bell = sum(1 for _ in enumerate_members(EQUIVALENCE, n))
         reps = _partition_pair_orbits(n)
         if n == 6:
             assert len(reps) == 298

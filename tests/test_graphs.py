@@ -22,6 +22,7 @@ from boolcomb.graphs import (
     PACKED_VERTEX_LIMIT,
     Graph,
     Partition,
+    _cliques,
     _regions,
     apply_boolean,
     combine,
@@ -94,6 +95,20 @@ class TestGraphBasics:
     def test_negative_vertex_count_is_a_size_error(self, build):
         with pytest.raises(SizeLimitExceeded):
             build(-1)
+
+    @pytest.mark.parametrize("sizes", [[2, -1], [-1, 2], [-1], [3, -3], [0, -5, 9]])
+    def test_negative_part_size_is_malformed(self, sizes):
+        # refused before any row: [2, -1] used to index past the rows, and
+        # [-1, 2] to shift by a negative count
+        with pytest.raises(MalformedInput, match=r"part size -\d+ is negative"):
+            Graph.complete_multipartite(sizes)
+
+    def test_complete_multipartite_joins_exactly_the_pairs_across_parts(self):
+        for sizes in ([], [0], [4], [2, 3], [1, 1, 1], [0, 2, 0, 3], [3, 1, 2]):
+            part = [i for i, size in enumerate(sizes) for _ in range(size)]
+            n = len(part)
+            want = Graph.from_edges(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if part[u] != part[v]])
+            assert Graph.complete_multipartite(sizes) == want, sizes
 
     @pytest.mark.parametrize("build", [
         Graph.empty,
@@ -475,6 +490,24 @@ class TestIsomorphism:
         )
         assert found
         assert isomorphic(c5, co)
+
+
+class TestCliques:
+    def test_against_pair_by_pair(self):
+        # random disjoint blocks, some vertices in none, on both sides of the
+        # packed-validation cut
+        rng = random.Random(0xC11)
+        for n in range(PACKED_VERTEX_LIMIT + 7):
+            for _ in range(4):
+                label = [rng.randrange(-1, rng.randint(1, n + 1)) for _ in range(n)]
+                blocks = {}
+                for v, b in enumerate(label):
+                    if b >= 0:
+                        blocks[b] = blocks.get(b, 0) | 1 << v
+                want = Graph.from_edges(n, [
+                    (u, v) for u, v in itertools.combinations(range(n), 2) if label[u] == label[v] >= 0
+                ])
+                assert _cliques(n, list(blocks.values())) == want, (n, label)
 
 
 class TestPartitionType:

@@ -30,6 +30,7 @@ from boolcomb.invariants import (
     _greedy_coloring_bound,
     _meet_tables,
     _shatter_counts,
+    _twin_blocks,
     biclique_number,
     chain_number,
     chromatic_number,
@@ -51,7 +52,7 @@ from boolcomb.invariants import (
     vc_dimension,
 )
 
-from conftest import random_graph, relabel, to_networkx
+from conftest import random_graph, relabel, set_partitions, to_networkx
 
 
 # -- independent oracles -------------------------------------------------------
@@ -64,16 +65,6 @@ def brute_clique_number(g: Graph) -> int:
             if all(g.adj(u, v) for u, v in itertools.combinations(sub, 2)):
                 return r
     return best
-
-
-def set_partitions(n: int):
-    # every partition of range(n), as a restricted growth string of block ids
-    if n == 0:
-        yield ()
-        return
-    for head in set_partitions(n - 1):
-        for block in range(max(head, default=-1) + 2):
-            yield head + (block,)
 
 
 def brute_chromatic_number(g: Graph) -> int:
@@ -493,7 +484,12 @@ class TestTwins:
         ]
         graphs += [random_graph(rng.randint(0, 9), rng.random(), rng) for _ in range(200)]
         for g in graphs:
-            assert set(twin_classes(g).blocks) == brute_twin_classes(g)
+            want = brute_twin_classes(g)
+            assert set(twin_classes(g).blocks) == want
+            # the masks behind it, each once, by least vertex
+            masks = _twin_blocks(g)
+            assert [frozenset(v for v in range(g.n) if m >> v & 1) for m in masks] == sorted(want, key=min)
+            assert twin_number(g) == len(want)
 
     def test_examples(self):
         assert twin_number(Graph.complete(6)) == 1

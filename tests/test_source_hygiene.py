@@ -1,11 +1,14 @@
-"""Every name a library module imports is used in that module, and
-nothing is cached across calls.
+"""Every name a library module imports is used in that module, nothing
+is cached across calls, and a Partition is built only where one is
+returned.
 
 A stdlib stand-in for a linter's unused-import rule: each module of
 src/boolcomb except the package's __init__ (whose imports are its
 exports) is parsed with ast, and every imported name must be read
 somewhere in it, in code or in a string annotation.  Also checks that
-no function but `invariants._meet_tables` caches across calls.
+no function but `invariants._meet_tables` caches across calls, and that
+outside graphs.py only the public functions that return a Partition
+build one (inside the library a vertex block is an int mask).
 """
 
 import ast
@@ -117,3 +120,51 @@ def test_a_cache_decorator_is_caught():
         "def d(n): return n\n"
     )
     assert cached_functions(source) == {"a", "b", "c"}
+
+
+# the public functions that return a Partition; graphs.py, which defines
+# it, is not scanned
+ALLOWED_PARTITION_BUILDERS = {"invariants.twin_classes", "decompose.partition_complementation_sequence"}
+
+
+def partition_builders(source: str) -> set[str]:
+    """Top-level functions and classes that call Partition(...) or
+    Partition.from_blocks(...), the name bare or through a module."""
+
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func.value if name(node.func) == "from_blocks" else node.func
+                if name(func) == "Partition":
+                    found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_partitions_are_built_only_where_one_is_returned():
+    found = {
+        f"{path.stem}.{name}"
+        for path in MODULES
+        if path.name != "graphs.py"
+        for name in partition_builders(path.read_text())
+    }
+    assert found == ALLOWED_PARTITION_BUILDERS
+
+
+def test_a_partition_build_is_caught():
+    source = (
+        "from . import graphs\n"
+        "from .graphs import Partition\n"
+        "def a(n): return Partition(n, ())\n"
+        "def b(n): return Partition.from_blocks(n, [])\n"
+        "def c(n): return graphs.Partition.from_blocks(n, [])\n"
+        "class D:\n"
+        "    def e(self): return [graphs.Partition(0, ())]\n"
+        "F = Partition(0, ())\n"
+        "def g(p: Partition) -> int: return len(p.blocks)\n"
+        "def h(n): return Partition.equivalence_graph(n)\n"
+    )
+    assert partition_builders(source) == {"a", "b", "c", "D", "<module>"}
