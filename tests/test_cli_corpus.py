@@ -1,0 +1,65 @@
+"""The pinned CLI corpus: each argv in cli_corpus.json, run in-process
+through `cli.main`, gives its recorded exit code and the recorded sha256
+of stdout and of stderr, and gives the same again with its options in
+reversed order.
+
+The corpus holds booldim requests so far: every enumerable class tag in
+every mode at n <= 7, and each kind of refusal.  A change that alters a
+pinned output declares it and rewrites that entry's digests.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from boolcomb.cli import main
+
+CORPUS = json.loads((Path(__file__).parent / "cli_corpus.json").read_text())
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def digests(argv):
+    code, out, err = run(argv)
+    return code, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest()
+
+
+def options_reversed(argv):
+    """argv with its options (each `--name` and the values up to the
+    next one) in reversed order; the command and any positional
+    arguments before the first option stay in front."""
+    groups = []
+    for token in argv[1:]:
+        if token.startswith("--") or not groups:
+            groups.append([token])
+        else:
+            groups[-1].append(token)
+    head = [] if groups and groups[0][0].startswith("--") else groups.pop(0)
+    return [argv[0], *head, *(token for group in reversed(groups) for token in group)]
+
+
+def test_options_reversed():
+    assert options_reversed(["booldim", "--target", "Dhc", "--kmax", "-1"]) == [
+        "booldim", "--kmax", "-1", "--target", "Dhc",
+    ]
+    assert options_reversed(["combine", "A_", "A_", "--op", "xor", "--format", "graph6"]) == [
+        "combine", "A_", "A_", "--format", "graph6", "--op", "xor",
+    ]
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=[f"{i:02d}-{e['argv'][0]}" for i, e in enumerate(CORPUS)])
+def test_pinned_output(entry):
+    argv = entry["argv"]
+    pinned = (entry["exit"], entry["stdout_sha256"], entry["stderr_sha256"])
+    assert digests(argv) == pinned, argv
+    if sum(token.startswith("--") for token in argv) >= 2:
+        assert digests(options_reversed(argv)) == pinned, options_reversed(argv)
