@@ -16,6 +16,12 @@ every nonempty region is split, B is one of 2^c unions, each looked up;
 otherwise the members from the prefix's last index on are scanned
 against the prefix's regions.  Either way every multiset is still
 decided, and the lexicographically first one is reported.
+
+The members are never built as graphs: `classes._member_masks` gives
+their edge masks, which are sorted into graph6 order by
+`gformats._graph6_order_key`, and only the parts of a reported witness
+become `Graph`s.  The k loops stop at the number m of distinct member
+masks (m + 1 under XOR); see `boolean_dimension`.
 """
 
 from __future__ import annotations
@@ -27,9 +33,9 @@ from math import comb
 from typing import Optional
 
 from .boolfn import BooleanFunction
-from .classes import ClassTag, enumerate_members
+from .classes import ClassTag, _member_masks
 from .errors import BudgetExceeded, CertificationError, MalformedInput
-from .gformats import graph_to_graph6
+from .gformats import _graph6_order_key, graph_to_graph6
 from .graphs import Graph, _regions, apply_boolean
 
 DEFAULT_BUDGET = 10**8
@@ -57,11 +63,13 @@ class DimWitness:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """The class members on V(g) in graph6 order, their edge masks, the
-    positions of each mask among them, g's edge mask and the mask of all
-    pairs."""
+    """g's vertex count, the edge masks of the class members on V(g) in
+    their graph6 order, the positions of each mask among them, g's edge
+    mask and the mask of all pairs.  Position i stands for the member
+    Graph.from_edge_mask(n, masks[i]), which is built only as a witness
+    part."""
 
-    members: list[Graph]
+    n: int
     masks: list[int]
     index: dict[int, list[int]]
     target: int
@@ -73,16 +81,18 @@ class _Prepared:
         at = bisect_left(positions, lo)
         return positions[at] if at < len(positions) else None
 
+    def parts(self, combo: tuple[int, ...]) -> tuple[Graph, ...]:
+        return tuple(Graph.from_edge_mask(self.n, self.masks[i]) for i in combo)
+
 
 def _prepare(g: Graph, tag: ClassTag) -> _Prepared:
     # combinations_with_replacement already yields each multiset once; the
     # graph6 order only fixes which witness is reported
-    members = sorted(enumerate_members(tag, g.n), key=graph_to_graph6)
-    masks = [h.edge_mask() for h in members]
+    masks = sorted(_member_masks(tag, g.n), key=_graph6_order_key(g.n))
     index: dict[int, list[int]] = {}
     for i, mask in enumerate(masks):
         index.setdefault(mask, []).append(i)
-    return _Prepared(members, masks, index, g.edge_mask(), (1 << (g.n * (g.n - 1) // 2)) - 1)
+    return _Prepared(g.n, masks, index, g.edge_mask(), (1 << (g.n * (g.n - 1) // 2)) - 1)
 
 
 def _check_budget(m: int, k: int, budget: int) -> None:
@@ -165,8 +175,8 @@ def _xor_last_part(p: _Prepared, prefix: tuple[int, ...]) -> Optional[int]:
 def _first_combo(p: _Prepared, k: int, budget: int, last_part) -> Optional[tuple[int, ...]]:
     """The lexicographically first multiset of k positions that last_part
     completes, or None; each (k - 1)-prefix, in order, is asked once."""
-    _check_budget(len(p.members), k, budget)
-    for prefix in combinations_with_replacement(range(len(p.members)), k - 1):
+    _check_budget(len(p.masks), k, budget)
+    for prefix in combinations_with_replacement(range(len(p.masks)), k - 1):
         last = last_part(p, prefix)
         if last is not None:
             return prefix + (last,)
@@ -178,7 +188,7 @@ def _search(g: Graph, p: _Prepared, k: int, budget: int) -> Optional[DimWitness]
     if combo is None:
         return None
     f = BooleanFunction(k, _table([p.masks[i] for i in combo], p.target, p.full))
-    return _verify(g, f, tuple(p.members[i] for i in combo))
+    return _verify(g, f, p.parts(combo))
 
 
 def _fold_combo(p: _Prepared, mode: str, k: int, budget: int) -> Optional[tuple[int, ...]]:
@@ -231,10 +241,14 @@ def boolean_dimension(
 
     Arity-0 functions are excluded; constant targets appear at k = 1
     with a constant function.
+
+    The search stops at k = m, the number of distinct member masks: a
+    witness that repeats a part computes a function of its distinct
+    parts, of which there are at most m, so the least k is at most m.
     """
     _check_limits(k_max, budget)
     prepared = _prepare(g, tag)
-    for k in range(1, k_max + 1):
+    for k in range(1, min(k_max, len(prepared.index)) + 1):
         witness = _search(g, prepared, k, budget)
         if witness is not None:
             return witness
@@ -249,16 +263,24 @@ def restricted_dimension(
     budget: int = DEFAULT_BUDGET,
 ) -> Optional[DimWitness]:
     """Dimension with f fixed to a fold: cover number (union),
-    intersection dimension (intersect), or XOR dimension (xor)."""
+    intersection dimension (intersect), or XOR dimension (xor).
+
+    Union and intersection stop at k = m, the number of distinct member
+    masks, since a repeated part changes neither.  XOR stops at m + 1:
+    two equal parts cancel, so a witness with k > m >= 1 repeats a part
+    and dropping two copies leaves one of arity k - 2 >= 1; k = m and
+    m + 1 are left, one of each parity.
+    """
     if mode not in _FOLDS:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise MalformedInput(f"unknown mode {mode!r}")
     _check_limits(k_max, budget)
     prepared = _prepare(g, tag)
-    for k in range(1, k_max + 1):
+    k_cap = len(prepared.index) + (mode == "xor")
+    for k in range(1, min(k_max, k_cap) + 1):
         if mode == "xor":
             combo = _first_combo(prepared, k, budget, _xor_last_part)
         else:
             combo = _fold_combo(prepared, mode, k, budget)
         if combo is not None:
-            return _verify(g, _FOLDS[mode](k), tuple(prepared.members[i] for i in combo))
+            return _verify(g, _FOLDS[mode](k), prepared.parts(combo))
     return None

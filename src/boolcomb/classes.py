@@ -216,9 +216,20 @@ def _matching_masks(n: int) -> Iterator[int]:
 
 def _member_masks(tag: ClassTag, n: int) -> Iterable[int]:
     """The edge masks of the class's labeled members on {0..n-1}, in
-    enumerate_members order.  Callers check n; complete and empty, which
-    have no cap, are left to their row constructors."""
+    enumerate_members order.
+
+    The refusals live here, in this order: n < 0, then the enumeration
+    cap, then a vertex count past MAX_VERTICES for complete and empty
+    (which have no enumeration cap), then the ek size limit, then a tag
+    with no enumerator."""
+    if n < 0:
+        raise MalformedInput(f"vertex count must be nonnegative, got {n}")
     kind = tag.kind
+    if kind in ("equiv", "multipartite", "C", "L", "d1") and n > ENUM_VERTEX_LIMIT:
+        raise SizeLimitExceeded(f"enumeration of {kind!r} capped at n = {ENUM_VERTEX_LIMIT}")
+    if kind in ("complete", "empty"):
+        _check_vertex_count(n)
+        return [(1 << n * (n - 1) // 2) - 1 if kind == "complete" else 0]
     if kind == "equiv":
         return _partition_masks(n)
     if kind == "multipartite":
@@ -255,17 +266,14 @@ def _member_masks(tag: ClassTag, n: int) -> Iterable[int]:
 
 def enumerate_members(tag: ClassTag, n: int) -> Iterator[Graph]:
     """All labeled members of the class on vertex set {0..n-1}."""
-    if n < 0:
-        raise MalformedInput(f"vertex count must be nonnegative, got {n}")
-    kind = tag.kind
-    if kind in ("equiv", "multipartite", "C", "L", "d1") and n > ENUM_VERTEX_LIMIT:
-        raise SizeLimitExceeded(f"enumeration of {kind!r} capped at n = {ENUM_VERTEX_LIMIT}")
-    if kind == "complete":
+    masks = _member_masks(tag, n)
+    if tag.kind == "complete":
+        # the row constructors skip from_edge_mask's walk over every pair
         yield Graph.complete(n)
-    elif kind == "empty":
+    elif tag.kind == "empty":
         yield Graph.empty(n)
     else:
-        for mask in _member_masks(tag, n):
+        for mask in masks:
             yield Graph.from_edge_mask(n, mask)
 
 

@@ -10,6 +10,8 @@ exactly one encoding.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .errors import MalformedInput
 from .graphs import Graph
 
@@ -63,6 +65,29 @@ def graph_to_graph6(g: Graph) -> str:
         bits <<= 6 - nbits
         chars.append(chr(bits + 63))
     return "".join(chars)
+
+
+def _graph6_order_key(n: int) -> Callable[[int], int]:
+    """A sort key on the edge masks of n-vertex graphs that orders them as
+    their graph6 strings.
+
+    graph6 reads pair (u, v), u < v, as bit v(v - 1)/2 + u of the column
+    order above, most significant first; edge_mask holds it at bit
+    u(2n - u - 1)/2 + v - u - 1.  Strings for one n have one length, so
+    they compare as their bit sequences do as integers, and the key
+    moves each edge-mask bit to its graph6 significance, a byte of the
+    mask at a time from a 256-entry table.
+    """
+    pairs = n * (n - 1) // 2
+    weights = [1 << pairs - 1 - v * (v - 1) // 2 - u for u in range(n) for v in range(u + 1, n)]
+    tables = []
+    for lo in range(0, pairs, 8):
+        table = [0]
+        for weight in weights[lo:lo + 8]:
+            table += [entry | weight for entry in table]
+        tables.append(table)
+    nbytes = len(tables)
+    return lambda mask: sum(map(list.__getitem__, tables, mask.to_bytes(nbytes, "little")))
 
 
 def graph6_to_graph(text: str) -> Graph:

@@ -14,13 +14,19 @@ from boolcomb.booldim import (
 )
 from boolcomb.classes import (
     CLASS_C,
+    CLASS_L,
+    COMPLETE,
+    EMPTY,
     EQUIVALENCE,
     MATCHING,
+    MULTIPARTITE,
+    at_most_edges,
     enumerate_members,
     is_member,
     random_member,
 )
 from boolcomb.errors import BudgetExceeded, MalformedInput
+from boolcomb.gformats import _graph6_order_key, graph_to_graph6
 from boolcomb.graphs import Graph, apply_boolean, combine, complement
 
 from conftest import random_graph
@@ -88,15 +94,14 @@ class TestBooleanDimension:
         assert boolean_dimension(Graph.cycle(5), EQUIVALENCE, 2) is None
 
     def test_enumerates_the_class_once(self, monkeypatch):
-        from boolcomb import booldim
-
         calls = []
+        member_masks = booldim._member_masks
 
         def counting(tag, n):
             calls.append((tag, n))
-            return enumerate_members(tag, n)
+            return member_masks(tag, n)
 
-        monkeypatch.setattr(booldim, "enumerate_members", counting)
+        monkeypatch.setattr(booldim, "_member_masks", counting)
         assert boolean_dimension(Graph.cycle(5), EQUIVALENCE, 2) is None
         assert calls == [(EQUIVALENCE, 5)]
 
@@ -187,6 +192,10 @@ class TestArguments:
         with pytest.raises(MalformedInput, match="k must be >= 1"):
             exists_representation(Graph.cycle(4), EQUIVALENCE, k)
 
+    def test_unknown_mode_is_malformed(self):
+        with pytest.raises(MalformedInput, match="unknown mode 'nand'"):
+            restricted_dimension(Graph.cycle(4), EQUIVALENCE, "nand", 2)
+
 
 def reference_table(ms, target, full):
     """The truth table of f with f(ms) = target, tested pattern by
@@ -265,7 +274,7 @@ class TestLastPartSearch:
                         table, combo = expected
                         assert w is not None, (n, target, k)
                         assert w.f == BooleanFunction(k, table)
-                        assert w.parts == tuple(p.members[i] for i in combo)
+                        assert w.parts == tuple(Graph.from_edge_mask(n, masks[i]) for i in combo)
                     xor_combo = booldim._first_combo(p, k, DEFAULT_BUDGET, booldim._xor_last_part)
                     assert xor_combo == reference_xor(masks, target, k), (n, target, k)
 
@@ -313,7 +322,7 @@ class TestLastPartSearch:
             else:
                 table, combo = expected
                 assert w.f == BooleanFunction(2, table)
-                assert w.parts == tuple(prepared.members[i] for i in combo)
+                assert w.parts == tuple(Graph.from_edge_mask(g.n, prepared.masks[i]) for i in combo)
             # the least arity first, as restricted_dimension answers
             combo = reference_xor(prepared.masks, prepared.target, 1) or reference_xor(
                 prepared.masks, prepared.target, 2
@@ -322,4 +331,117 @@ class TestLastPartSearch:
             if combo is None:
                 assert w is None
             else:
-                assert w.parts == tuple(prepared.members[i] for i in combo)
+                assert w.parts == tuple(Graph.from_edge_mask(g.n, prepared.masks[i]) for i in combo)
+
+
+ENUMERABLE = [EQUIVALENCE, MULTIPARTITE, CLASS_C, CLASS_L, MATCHING, *map(at_most_edges, range(4)), COMPLETE, EMPTY]
+
+
+def reference_prepare(g, tag):
+    """_prepare as it was when it built every member: the members sorted
+    by their graph6 strings, their edge masks, each mask's positions,
+    g's edge mask and the mask of all pairs."""
+    members = sorted(enumerate_members(tag, g.n), key=graph_to_graph6)
+    masks = [h.edge_mask() for h in members]
+    index = {}
+    for i, mask in enumerate(masks):
+        index.setdefault(mask, []).append(i)
+    return members, masks, index, g.edge_mask(), (1 << (g.n * (g.n - 1) // 2)) - 1
+
+
+class TestMaskPreparation:
+    """_prepare sorts edge masks by a graph6-order key instead of sorting
+    built members by their graph6 strings, and builds only witness parts."""
+
+    @pytest.mark.parametrize("tag", ENUMERABLE, ids=[t.to_text() for t in ENUMERABLE])
+    def test_matches_the_graph6_sorted_members(self, tag):
+        for n in range(8):
+            g = Graph.cycle(n) if n >= 3 else Graph.empty(n)
+            p = booldim._prepare(g, tag)
+            _, masks, index, target, full = reference_prepare(g, tag)
+            assert (p.n, p.masks, p.index, p.target, p.full) == (n, masks, index, target, full), n
+
+    def test_key_orders_masks_as_graph6_strings(self):
+        rng = random.Random(2202)
+        for n in range(13):
+            pairs = n * (n - 1) // 2
+            masks = [rng.getrandbits(pairs) for _ in range(200)] + [0, (1 << pairs) - 1]
+            strings = {mask: graph_to_graph6(Graph.from_edge_mask(n, mask)) for mask in masks}
+            assert sorted(masks, key=_graph6_order_key(n)) == sorted(masks, key=strings.__getitem__), n
+
+    def test_builds_only_the_target_parts_and_recombination(self, monkeypatch):
+        rng = random.Random(2203)
+        parts = [random_member(EQUIVALENCE, 7, rng.randrange(1 << 30)) for _ in range(2)]
+        planted = apply_boolean(BooleanFunction(2, 0x6), parts).edge_mask()
+        built = []
+        post_init = Graph.__post_init__
+
+        def counting(self):
+            built.append(self.n)
+            post_init(self)
+
+        monkeypatch.setattr(Graph, "__post_init__", counting)
+        for mask in (planted, Graph.cycle(7).edge_mask()):
+            built.clear()
+            w = boolean_dimension(Graph.from_edge_mask(7, mask), EQUIVALENCE, 2)
+            # the witness parts, their recombination and the target
+            assert len(built) <= (w.k + 2 if w else 1), mask
+        assert w is None  # C7 is no 2-function of equivalence graphs
+
+
+class TestKCap:
+    """The k loops stop at m distinct member masks (m + 1 under XOR),
+    which no answer needs to pass."""
+
+    def test_a_one_member_class_is_searched_at_most_twice(self, monkeypatch):
+        arities = []
+        check_budget = booldim._check_budget
+
+        def recording(m, k, budget):
+            arities.append(k)
+            check_budget(m, k, budget)
+
+        monkeypatch.setattr(booldim, "_check_budget", recording)
+        c5 = Graph.cycle(5)
+        assert boolean_dimension(c5, COMPLETE, 10**5) is None
+        assert arities == [1]
+        for mode, searched in (("union", [1]), ("intersect", [1]), ("xor", [1, 2])):
+            arities.clear()
+            assert restricted_dimension(c5, COMPLETE, mode, 10**5) is None
+            assert arities == searched, mode
+
+    def test_the_cap_is_reached(self):
+        # k = m: K4 is the complete class's one member
+        w = boolean_dimension(Graph.complete(4), COMPLETE, 5)
+        assert w is not None and w.k == 1
+        for mode in ("union", "intersect"):
+            w = restricted_dimension(Graph.complete(4), COMPLETE, mode, 5)
+            assert w is not None and w.k == 1
+        # k = m + 1 under XOR: the empty graph is K4 + K4
+        w = restricted_dimension(Graph.empty(4), COMPLETE, "xor", 5)
+        assert w is not None and w.k == 2 and w.parts == (Graph.complete(4),) * 2
+
+    def test_matches_the_uncapped_loop(self):
+        # every class with at most 6 members at n <= 4, every target; the
+        # uncapped answer walks the per-k searches to m + 3
+        for tag in ENUMERABLE:
+            for n in range(5):
+                p = booldim._prepare(Graph.empty(n), tag)
+                m = len(p.index)
+                if m > 6:
+                    continue
+                for target in range(1 << (n * (n - 1) // 2)):
+                    g = Graph.from_edge_mask(n, target)
+                    q = replace(p, target=target)
+                    ks = range(1, m + 4)
+                    expected = next((k for k in ks if booldim._search(g, q, k, DEFAULT_BUDGET)), None)
+                    w = boolean_dimension(g, tag, m + 3)
+                    assert (w and w.k) == expected, (tag, n, target)
+                    for mode in ("union", "intersect", "xor"):
+                        if mode == "xor":
+                            found = (booldim._first_combo(q, k, DEFAULT_BUDGET, booldim._xor_last_part) for k in ks)
+                        else:
+                            found = (booldim._fold_combo(q, mode, k, DEFAULT_BUDGET) for k in ks)
+                        expected = next((len(c) for c in found if c is not None), None)
+                        w = restricted_dimension(g, tag, mode, m + 3)
+                        assert (w and w.k) == expected, (tag, n, target, mode)
