@@ -21,7 +21,8 @@ The members are never built as graphs: `classes._member_masks` gives
 their edge masks, which are sorted into graph6 order by
 `gformats._graph6_order_key`, and only the parts of a reported witness
 become `Graph`s.  The k loops stop at the number m of distinct member
-masks (m + 1 under XOR); see `boolean_dimension`.
+masks (m + 1 under XOR); the docstrings of `boolean_dimension` and
+`restricted_dimension` say why.
 """
 
 from __future__ import annotations

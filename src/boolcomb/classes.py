@@ -266,15 +266,9 @@ def _member_masks(tag: ClassTag, n: int) -> Iterable[int]:
 
 def enumerate_members(tag: ClassTag, n: int) -> Iterator[Graph]:
     """All labeled members of the class on vertex set {0..n-1}."""
-    masks = _member_masks(tag, n)
-    if tag.kind == "complete":
-        # the row constructors skip from_edge_mask's walk over every pair
-        yield Graph.complete(n)
-    elif tag.kind == "empty":
-        yield Graph.empty(n)
-    else:
-        for mask in masks:
-            yield Graph.from_edge_mask(n, mask)
+    for mask in _member_masks(tag, n):
+        # from_edge_mask would walk every pair of K_n one bit at a time
+        yield Graph.complete(n) if tag.kind == "complete" else Graph.from_edge_mask(n, mask)
 
 
 # -- random members -----------------------------------------------------------------

@@ -421,6 +421,14 @@ class TestKCap:
         w = restricted_dimension(Graph.empty(4), COMPLETE, "xor", 5)
         assert w is not None and w.k == 2 and w.parts == (Graph.complete(4),) * 2
 
+    def test_no_budget_refusal_past_the_cap(self):
+        # P3 + K1 lies in 2 of the 15 equivalence graphs on 4 vertices, whose
+        # meet is the triangle: k = 16 would count C(17, 16) = 17 multisets
+        path = Graph.from_edges(4, [(0, 1), (1, 2)])
+        with pytest.raises(BudgetExceeded, match="16 multisets of 15 from 2"):
+            restricted_dimension(path, EQUIVALENCE, "intersect", 20, budget=15)
+        assert restricted_dimension(path, EQUIVALENCE, "intersect", 20, budget=16) is None
+
     def test_matches_the_uncapped_loop(self):
         # every class with at most 6 members at n <= 4, every target; the
         # uncapped answer walks the per-k searches to m + 3

@@ -16,6 +16,7 @@ from boolcomb.classes import (
     SPLIT,
     ClassTag,
     _block_mask,
+    _member_masks,
     at_most_edges,
     bounded_degree,
     enumerate_members,
@@ -225,6 +226,25 @@ class TestEnumeration:
     def test_unsupported_tag(self):
         with pytest.raises(UnsupportedTag):
             list(enumerate_members(SPLIT, 4))
+
+    @pytest.mark.parametrize("tag, n, error, message", [
+        (SPLIT, -1, MalformedInput, "vertex count must be nonnegative, got -1"),
+        (SPLIT, 10, UnsupportedTag, "class 'split' is not enumerable"),
+        (CLASS_L, 10, SizeLimitExceeded, "enumeration of 'L' capped at n = 9"),
+        (COMPLETE, MAX_VERTICES + 1, SizeLimitExceeded, f"vertex count {MAX_VERTICES + 1} outside"),
+        (EMPTY, MAX_VERTICES + 1, SizeLimitExceeded, f"vertex count {MAX_VERTICES + 1} outside"),
+    ])
+    def test_refusals_in_order_for_graphs_and_masks(self, tag, n, error, message):
+        # booldim enumerates through _member_masks, so both refuse alike
+        with pytest.raises(error, match=message):
+            list(enumerate_members(tag, n))
+        with pytest.raises(error, match=message):
+            _member_masks(tag, n)
+
+    def test_complete_and_empty_masks(self):
+        assert _member_masks(COMPLETE, 5) == [(1 << 10) - 1]
+        assert _member_masks(EMPTY, 5) == [0]
+        assert [g.rows for g in enumerate_members(COMPLETE, 5)] == [Graph.complete(5).rows]
 
 
 def reference_members(tag, n):
