@@ -21,7 +21,7 @@ The members are never built as graphs: `classes._member_masks` gives
 their edge masks, which are sorted into graph6 order by
 `gformats._graph6_order_key`, and only the parts of a reported witness
 become `Graph`s.  The k loops stop at the number m of distinct member
-masks (m + 1 under XOR); the docstrings of `boolean_dimension` and
+masks (max(m, 2) under XOR); the docstrings of `boolean_dimension` and
 `restricted_dimension` say why.
 """
 
@@ -88,8 +88,11 @@ class _Prepared:
 
 def _prepare(g: Graph, tag: ClassTag) -> _Prepared:
     # combinations_with_replacement already yields each multiset once; the
-    # graph6 order only fixes which witness is reported
-    masks = sorted(_member_masks(tag, g.n), key=_graph6_order_key(g.n))
+    # graph6 order only fixes which witness is reported, and a lone member
+    # (complete, empty, ek:0) needs no key
+    masks = list(_member_masks(tag, g.n))
+    if len(masks) > 1:
+        masks.sort(key=_graph6_order_key(g.n))
     index: dict[int, list[int]] = {}
     for i, mask in enumerate(masks):
         index.setdefault(mask, []).append(i)
@@ -267,16 +270,17 @@ def restricted_dimension(
     intersection dimension (intersect), or XOR dimension (xor).
 
     Union and intersection stop at k = m, the number of distinct member
-    masks, since a repeated part changes neither.  XOR stops at m + 1:
-    two equal parts cancel, so a witness with k > m >= 1 repeats a part
-    and dropping two copies leaves one of arity k - 2 >= 1; k = m and
-    m + 1 are left, one of each parity.
+    masks, since a repeated part changes neither.  XOR stops at
+    max(m, 2): two equal parts cancel, so dropping both copies of a
+    repeated part from a witness of arity k leaves one of arity k - 2.
+    The least witness therefore repeats no part, and k <= m, unless
+    k - 2 = 0: the empty target as K xor K, with k = 2.
     """
     if mode not in _FOLDS:
         raise MalformedInput(f"unknown mode {mode!r}")
     _check_limits(k_max, budget)
     prepared = _prepare(g, tag)
-    k_cap = len(prepared.index) + (mode == "xor")
+    k_cap = max(len(prepared.index), 2) if mode == "xor" else len(prepared.index)
     for k in range(1, min(k_max, k_cap) + 1):
         if mode == "xor":
             combo = _first_combo(prepared, k, budget, _xor_last_part)

@@ -267,8 +267,7 @@ def _member_masks(tag: ClassTag, n: int) -> Iterable[int]:
 def enumerate_members(tag: ClassTag, n: int) -> Iterator[Graph]:
     """All labeled members of the class on vertex set {0..n-1}."""
     for mask in _member_masks(tag, n):
-        # from_edge_mask would walk every pair of K_n one bit at a time
-        yield Graph.complete(n) if tag.kind == "complete" else Graph.from_edge_mask(n, mask)
+        yield Graph.from_edge_mask(n, mask)
 
 
 # -- random members -----------------------------------------------------------------

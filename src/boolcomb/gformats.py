@@ -75,19 +75,20 @@ def _graph6_order_key(n: int) -> Callable[[int], int]:
     order above, most significant first; edge_mask holds it at bit
     u(2n - u - 1)/2 + v - u - 1.  Strings for one n have one length, so
     they compare as their bit sequences do as integers, and the key
-    moves each edge-mask bit to its graph6 significance, a byte of the
-    mask at a time from a 256-entry table.
+    moves each set bit of the mask to its graph6 significance.
     """
     pairs = n * (n - 1) // 2
-    weights = [1 << pairs - 1 - v * (v - 1) // 2 - u for u in range(n) for v in range(u + 1, n)]
-    tables = []
-    for lo in range(0, pairs, 8):
-        table = [0]
-        for weight in weights[lo:lo + 8]:
-            table += [entry | weight for entry in table]
-        tables.append(table)
-    nbytes = len(tables)
-    return lambda mask: sum(map(list.__getitem__, tables, mask.to_bytes(nbytes, "little")))
+    shifts = [pairs - 1 - v * (v - 1) // 2 - u for u in range(n) for v in range(u + 1, n)]
+
+    def key(mask: int) -> int:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << shifts[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    return key
 
 
 def graph6_to_graph(text: str) -> Graph:

@@ -178,6 +178,9 @@ class Graph:
             raise MalformedInput(
                 f"edge mask is negative or has a bit at or above {pairs}, the pair count of n = {n}"
             )
+        if mask.bit_count() == pairs:
+            # K_n by rows, not by walking every pair one bit at a time
+            return cls.complete(n)
         rows = [0] * n
         for u in range(n):
             width = n - 1 - u

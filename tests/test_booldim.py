@@ -390,7 +390,7 @@ class TestMaskPreparation:
 
 
 class TestKCap:
-    """The k loops stop at m distinct member masks (m + 1 under XOR),
+    """The k loops stop at m distinct member masks (max(m, 2) under XOR),
     which no answer needs to pass."""
 
     def test_a_one_member_class_is_searched_at_most_twice(self, monkeypatch):
@@ -417,7 +417,7 @@ class TestKCap:
         for mode in ("union", "intersect"):
             w = restricted_dimension(Graph.complete(4), COMPLETE, mode, 5)
             assert w is not None and w.k == 1
-        # k = m + 1 under XOR: the empty graph is K4 + K4
+        # k = 2 > m under XOR: the empty graph is K4 + K4
         w = restricted_dimension(Graph.empty(4), COMPLETE, "xor", 5)
         assert w is not None and w.k == 2 and w.parts == (Graph.complete(4),) * 2
 
@@ -428,6 +428,38 @@ class TestKCap:
         with pytest.raises(BudgetExceeded, match="16 multisets of 15 from 2"):
             restricted_dimension(path, EQUIVALENCE, "intersect", 20, budget=15)
         assert restricted_dimension(path, EQUIVALENCE, "intersect", 20, budget=16) is None
+
+    def test_xor_stops_at_m_once_m_is_two_or_more(self, monkeypatch):
+        # the edge 01 is no XOR of the 5 members of L on 4 vertices (K4 and
+        # the three-vertex cliques); k = 6 would count C(10, 6) = 210
+        # multisets against a budget of C(9, 5) = 126
+        arities = []
+        check_budget = booldim._check_budget
+
+        def recording(m, k, budget):
+            arities.append(k)
+            check_budget(m, k, budget)
+
+        monkeypatch.setattr(booldim, "_check_budget", recording)
+        edge = Graph.from_edges(4, [(0, 1)])
+        assert restricted_dimension(edge, CLASS_L, "xor", 20, budget=126) is None
+        assert arities == [1, 2, 3, 4, 5]
+
+    def test_lone_members_on_hundreds_of_vertices(self, monkeypatch):
+        # complete, empty and ek:0 have one member at every n, and need
+        # neither a sort key nor a member graph beyond the witness part
+        keyed = []
+        monkeypatch.setattr(booldim, "_graph6_order_key", lambda n: keyed.append(n))
+        n = 300
+        for tag, target, k in ((COMPLETE, Graph.complete(n), 1), (EMPTY, Graph.empty(n), 1),
+                               (at_most_edges(0), Graph.complete(n), 1), (COMPLETE, Graph.cycle(n), None)):
+            w = boolean_dimension(target, tag, 10**5)
+            assert (w and w.k) == k, tag
+            if w is not None:
+                assert w.parts[0].n == n
+        w = restricted_dimension(Graph.empty(n), COMPLETE, "xor", 10**5)
+        assert w is not None and w.parts == (Graph.complete(n),) * 2
+        assert keyed == []
 
     def test_matches_the_uncapped_loop(self):
         # every class with at most 6 members at n <= 4, every target; the
