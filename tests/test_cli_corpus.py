@@ -3,9 +3,12 @@ through `cli.main`, gives its recorded exit code and the recorded sha256
 of stdout and of stderr, and gives the same again with its options in
 reversed order.
 
-The corpus holds booldim requests so far: every enumerable class tag in
-every mode at n <= 7, and each kind of refusal.  A change that alters a
-pinned output declares it and rewrites that entry's digests.
+The corpus holds booldim requests (every enumerable class tag in every
+mode at n <= 7, and each kind of refusal), `params` on graphs at
+n = 0..17 and on a few past the chromatic and clique caps, and
+`hnk --report` on every shape with n^k <= 32 and on shapes up to and past
+the clique cap.  A change that alters a pinned output declares it and
+rewrites that entry's digests.
 """
 
 import contextlib
