@@ -38,7 +38,9 @@ from .errors import (
 from .gformats import graph_to_graph6
 from .graphs import Graph, _cliques, _regions, combine
 from .invariants import (
+    CHROMATIC_LIMIT,
     CLIQUE_LIMIT,
+    _certified_chi,
     _shatter_counts,
     chain_number,
     chromatic_number,
@@ -113,10 +115,14 @@ class HnkReport:
 def hnk_report(n: int, k: int) -> HnkReport:
     """Exact clique/independence numbers against the analytic bounds.
 
-    The chromatic number is exact when the branch-and-bound finishes
-    within HNK_CHI_NODE_BUDGET nodes; otherwise the report falls back to
-    the counting lower bound ceil(n^k / alpha).  Past the clique cap,
-    omega, alpha, chi_lower and chi are None, and no graph is built.
+    Up to CHROMATIC_LIMIT vertices the chromatic number is exact when
+    the branch and bound finishes within HNK_CHI_NODE_BUDGET search-tree
+    nodes (none are spent when the greedy colouring meets
+    max(omega, ceil(n^k / alpha))).  Past that cap, up to the clique cap,
+    it is exact when the greedy colouring alone meets that bound.
+    Otherwise the report falls back to the counting lower bound
+    ceil(n^k / alpha).  Past the clique cap, omega, alpha, chi_lower and
+    chi are None, and no graph is built.
     """
     size = _hnk_size(n, k)
     if k % 2 == 0:
@@ -132,10 +138,15 @@ def hnk_report(n: int, k: int) -> HnkReport:
         omega = clique_number(g)
         alpha = independence_number(g)
         chi_lower = -(-size // max(alpha, 1))
-        try:
-            chi = chromatic_number(g, max_nodes=HNK_CHI_NODE_BUDGET)
-            chi_is_exact = True
-        except (BudgetExceeded, SizeLimitExceeded):
+        if size > CHROMATIC_LIMIT:
+            chi = _certified_chi(g, omega, alpha)
+        else:
+            try:
+                chi = chromatic_number(g, max_nodes=HNK_CHI_NODE_BUDGET)
+            except BudgetExceeded:
+                pass
+        chi_is_exact = chi is not None
+        if not chi_is_exact:
             chi = chi_lower
     return HnkReport(
         n=n,

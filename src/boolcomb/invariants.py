@@ -175,26 +175,43 @@ class _Dsatur:
         self.near[c] |= self.rows[v]
 
 
-def _greedy_coloring_bound(g: Graph) -> int:
-    # DSATUR greedy; upper bound used to seed the exact search
+def _greedy_coloring(g: Graph) -> list[int]:
+    # DSATUR greedy: each vertex's colour, 1 up; its largest colour bounds chi
     d = _Dsatur(g)
-    used = 0
+    colors = [0] * g.n
     for _ in range(g.n):
         v = d.pick()
         c = 1
         while d.near[c] >> v & 1:
             c += 1
         d.color(v, c)
-        used = max(used, c)
-    return used
+        colors[v] = c
+    return colors
+
+
+def _chi_lower_bound(n: int, omega: int, alpha: int) -> int:
+    # a colour class is independent, so chi >= ceil(n / alpha); and chi >= omega
+    return max(omega, -(-n // max(alpha, 1)))
+
+
+def _certified_chi(g: Graph, omega: int, alpha: int) -> Optional[int]:
+    """chi without a search: the greedy colouring's count when it meets
+    max(omega, ceil(n / alpha)), else None.  Serves past CHROMATIC_LIMIT."""
+    used = max(_greedy_coloring(g), default=0)
+    return used if used == _chi_lower_bound(g.n, omega, alpha) else None
 
 
 def chromatic_number(g: Graph, max_nodes: Optional[int] = None) -> int:
     """Exact chromatic number by DSATUR-style branch and bound.
 
-    Ties in the saturation order break toward the lowest vertex index,
-    so the search is deterministic.  `max_nodes` caps the number of
-    search-tree nodes; the solver raises BudgetExceeded past the cap.
+    The greedy colouring is the first upper bound.  The lower bound is
+    omega, raised to max(omega, ceil(n / alpha)) when the greedy count
+    exceeds omega (alpha is computed only then).  The search is skipped
+    when the two bounds meet and ends as soon as a colouring meets the
+    lower bound.  Ties in the saturation order break toward the lowest
+    vertex index, so the search is deterministic.  `max_nodes` caps the
+    number of search-tree nodes (0 when the bounds meet); the solver
+    raises BudgetExceeded past the cap.
     """
     n = g.n
     if n > CHROMATIC_LIMIT:
@@ -202,8 +219,11 @@ def chromatic_number(g: Graph, max_nodes: Optional[int] = None) -> int:
     if n == 0:
         return 0
     clique = maximum_clique(g)
-    upper = _greedy_coloring_bound(g)
-    if len(clique) == upper:
+    upper = max(_greedy_coloring(g))
+    lower = len(clique)
+    if upper > lower:
+        lower = _chi_lower_bound(n, lower, independence_number(g))
+    if upper == lower:
         return upper
 
     best = upper
@@ -229,6 +249,8 @@ def chromatic_number(g: Graph, max_nodes: Optional[int] = None) -> int:
             saved = d.near[c], d.sat[:]
             d.color(v, c)
             solve(max(used, c))
+            if best == lower:  # proved optimal: the state is not needed again
+                return
             d.near[c], d.sat = saved
             d.uncolored ^= 1 << v
 
@@ -242,23 +264,31 @@ def chromatic_number(g: Graph, max_nodes: Optional[int] = None) -> int:
 def biclique_number(g: Graph) -> int:
     """Largest k with disjoint k-sets A, B where A is complete to B.
 
-    Edges inside A and inside B are unconstrained.  Subset DP over the
-    common neighborhoods of all 2^n vertex subsets.
+    Edges inside A and inside B are unconstrained.  Branch and bound
+    over A, grown in increasing vertex order: `common` is the set of
+    vertices adjacent to all of A (B's candidates, disjoint from A as
+    there are no loops), so A scores min(|A|, |common|), and no A
+    extended from `cand` scores more than min(|A| + |cand|, |common|).
+    A child is entered only when its common set is larger than the
+    best.  Each A is visited at most once: 2^n nodes at worst.
     """
     if g.n > BICLIQUE_LIMIT:
         raise SizeLimitExceeded(f"biclique solver capped at n = {BICLIQUE_LIMIT}")
-    n = g.n
-    if n == 0:
-        return 0
-    common = [0] * (1 << n)
-    common[0] = (1 << n) - 1
+    rows = g.rows
     best = 0
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        common[mask] = common[mask ^ low] & g.rows[v]
-        size_b = (common[mask] & ~mask).bit_count()
-        best = max(best, min(mask.bit_count(), size_b))
+
+    def grow(size: int, common: int, cand: int):
+        nonlocal best
+        best = max(best, min(size, common.bit_count()))
+        while cand and min(size + cand.bit_count(), common.bit_count()) > best:
+            low = cand & -cand
+            cand ^= low
+            nxt = common & rows[low.bit_length() - 1]
+            if nxt.bit_count() > best:
+                grow(size + 1, nxt, cand)
+
+    full = (1 << g.n) - 1
+    grow(0, full, full)
     return best
 
 
@@ -528,10 +558,18 @@ def _capped(solver, g: Graph):
 
 
 def compute_params(g: Graph) -> ParamReport:
+    """Every parameter of g.  Past CHROMATIC_LIMIT, chi is reported where
+    _certified_chi settles it without a search, and None elsewhere."""
+    omega = _capped(clique_number, g)
+    alpha = _capped(independence_number, g)
+    if g.n <= CHROMATIC_LIMIT:
+        chi = chromatic_number(g)
+    else:
+        chi = None if omega is None else _certified_chi(g, omega, alpha)
     return ParamReport(
-        omega=_capped(clique_number, g),
-        alpha=_capped(independence_number, g),
-        chi=_capped(chromatic_number, g),
+        omega=omega,
+        alpha=alpha,
+        chi=chi,
         max_degree=max_degree(g),
         degeneracy=degeneracy(g),
         biclique=_capped(biclique_number, g),

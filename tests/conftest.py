@@ -46,6 +46,15 @@ def rgs_masks(rgs) -> list[int]:
     return [sum(1 << v for v in block) for block in rgs_blocks(rgs)]
 
 
+def grotzsch_graph() -> Graph:
+    """The Mycielskian of C5: 11 vertices, omega = 2, alpha = 5, chi = 4.
+    C5 is 0..4, vertex 5 + i copies the neighbourhood of i, and 10 is
+    adjacent to the copies."""
+    cycle = [(i, (i + 1) % 5) for i in range(5)]
+    copies = [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    return Graph.from_edges(11, cycle + copies + [(5 + i, 10) for i in range(5)])
+
+
 def to_networkx(g: Graph) -> nx.Graph:
     out = nx.Graph()
     out.add_nodes_from(range(g.n))

@@ -40,7 +40,7 @@ from boolcomb.invariants import (
     is_perfect,
 )
 
-from conftest import isomorphic, random_graph, rgs_blocks, rgs_masks, set_partitions
+from conftest import grotzsch_graph, isomorphic, random_graph, rgs_blocks, rgs_masks, set_partitions
 
 
 def pairwise_hnk(n: int, k: int) -> Graph:
@@ -138,11 +138,27 @@ class TestHnkReport:
         assert r33.chi == 7
 
     def test_h33_search_tree_is_pinned(self):
-        # the exact search on H(3,3) visits 1,950 nodes; the count pins
-        # the branching order that HNK_CHI_NODE_BUDGET is measured in
-        with pytest.raises(BudgetExceeded):
-            chromatic_number(hnk(3, 3), max_nodes=1949)
-        assert chromatic_number(hnk(3, 3), max_nodes=1950) == 7
+        # the counts pin the branching order that HNK_CHI_NODE_BUDGET is
+        # measured in.  H(3,3): the greedy colouring uses 8 colours and
+        # max(omega, ceil(27 / alpha)) = 7, so the search ends at its first
+        # 7-colouring, after 79 nodes.  Groetzsch: the bound (3) is below
+        # chi (4), so the search proves 4 after 25 nodes.
+        for g, chi, nodes in ((hnk(3, 3), 7, 79), (grotzsch_graph(), 4, 25)):
+            with pytest.raises(BudgetExceeded):
+                chromatic_number(g, max_nodes=nodes - 1)
+            assert chromatic_number(g, max_nodes=nodes) == chi
+
+    @pytest.mark.parametrize("n, k, chi", [(2, 6, 2), (6, 2, 6), (8, 2, 8), (64, 1, 1)])
+    def test_chi_certified_past_the_chromatic_cap(self, n, k, chi):
+        # n^k > 32: no search, but the greedy colouring meets max(omega, chi_lower)
+        r = hnk_report(n, k)
+        assert (r.chi, r.chi_is_exact) == (chi, True)
+        assert r.chi == max(r.omega, r.chi_lower)
+
+    def test_h43_stays_a_bound(self):
+        # 64 vertices: omega = 4 and chi_lower = 11, but the greedy colouring uses 13
+        r = hnk_report(4, 3)
+        assert (r.omega, r.chi_lower, r.chi, r.chi_is_exact) == (4, 11, 11, False)
 
     def test_empty_graph(self):
         r = hnk_report(0, 2)

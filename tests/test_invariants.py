@@ -27,7 +27,8 @@ from boolcomb.invariants import (
     CLIQUE_LIMIT,
     PERFECT_LIMIT,
     VC_LIMIT,
-    _greedy_coloring_bound,
+    _certified_chi,
+    _greedy_coloring,
     _meet_tables,
     _shatter_counts,
     _twin_blocks,
@@ -52,7 +53,7 @@ from boolcomb.invariants import (
     vc_dimension,
 )
 
-from conftest import random_graph, relabel, set_partitions, to_networkx
+from conftest import grotzsch_graph, random_graph, relabel, set_partitions, to_networkx
 
 
 # -- independent oracles -------------------------------------------------------
@@ -98,15 +99,21 @@ def reference_greedy_coloring_bound(g: Graph) -> int:
     return used
 
 
-def reference_chromatic_search(g: Graph) -> tuple[int, int]:
+def reference_chromatic_search(g: Graph, ratio_bound: bool = True) -> tuple[int, int]:
     """DSATUR branch and bound that rebuilds each vertex's neighbour
-    colours at every node: (chi, number of search-tree nodes)."""
+    colours at every node: (chi, number of search-tree nodes).  The lower
+    bound is omega, raised to max(omega, ceil(n / alpha)) when the greedy
+    bound exceeds omega; with ratio_bound=False it stays omega and the
+    search runs until it has ruled out every better colouring."""
     n = g.n
     if n == 0:
         return 0, 0
     clique = maximum_clique(g)
     upper = reference_greedy_coloring_bound(g)
-    if len(clique) == upper:
+    lower = len(clique)
+    if ratio_bound and upper > lower:
+        lower = max(lower, -(-n // independence_number(g)))
+    if lower == upper:
         return upper, 0
     rows = g.rows
     best = upper
@@ -139,6 +146,8 @@ def reference_chromatic_search(g: Graph) -> tuple[int, int]:
             colors[v] = c
             solve(colored + 1, max(used, c))
             colors[v] = 0
+            if ratio_bound and best == lower:
+                return
 
     solve(len(clique), len(clique))
     return best, nodes
@@ -210,6 +219,20 @@ def brute_biclique_number(g: Graph) -> int:
     return best
 
 
+def reference_biclique_dp(g: Graph) -> int:
+    """Subset DP over all 2^n vertex sets A: common[A] is the set of
+    vertices adjacent to all of A, and A scores min(|A|, |common[A] - A|)."""
+    n = g.n
+    common = [0] * (1 << n)
+    common[0] = (1 << n) - 1
+    best = 0
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        common[mask] = common[mask ^ low] & g.rows[low.bit_length() - 1]
+        best = max(best, min(mask.bit_count(), (common[mask] & ~mask).bit_count()))
+    return best
+
+
 class TestCliqueIndependence:
     def test_examples(self):
         assert clique_number(Graph.complete(5)) == 5
@@ -250,17 +273,30 @@ class TestChromatic:
             assert chromatic_number(g) == brute_chromatic_number(g), g.rows
 
     def test_one_clique_search_per_call(self, monkeypatch):
+        # one omega search; one alpha search only when the greedy bound
+        # exceeds omega (C5: 3 > 2; C6 and K4: the greedy bound is omega)
         import boolcomb.invariants as inv
 
         calls = []
 
-        def counted(g):
-            calls.append(g)
-            return maximum_clique(g)
+        def counted(h):
+            calls.append(h.rows)
+            return maximum_clique(h)
 
         monkeypatch.setattr(inv, "maximum_clique", counted)
-        assert chromatic_number(Graph.cycle(5)) == 3  # omega = 2 < greedy bound 3
-        assert len(calls) == 1
+        for g, chi, alpha_searches in ((Graph.cycle(5), 3, 1), (Graph.cycle(6), 2, 0), (Graph.complete(4), 4, 0)):
+            calls.clear()
+            assert chromatic_number(g) == chi
+            assert calls == [g.rows] + [complement(g).rows] * alpha_searches
+
+    def test_greedy_coloring_is_proper(self, rng):
+        # every n the greedy serves: the chromatic cap and the clique cap
+        for n in range(CLIQUE_LIMIT + 1):
+            g = random_graph(n, rng.random(), rng)
+            colors = _greedy_coloring(g)
+            assert len(colors) == n and all(c >= 1 for c in colors)
+            assert all(colors[u] != colors[v] for u, v in g.edges()), g.rows
+            assert set(colors) == set(range(1, max(colors, default=0) + 1))
 
     def test_sandwich_bounds(self, rng):
         for _ in range(30):
@@ -311,6 +347,24 @@ def half_graph(k: int) -> Graph:
     # a_i ~ b_j iff i <= j, on vertices a_0..a_{k-1}, b_0..b_{k-1}
     edges = [(i, k + j) for i in range(k) for j in range(k) if i <= j]
     return Graph.from_edges(2 * k, edges)
+
+
+class TestBicliqueOracle:
+    def test_seeded_graphs(self, rng):
+        for n in range(BICLIQUE_LIMIT + 1):
+            for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+                g = random_graph(n, p, rng)
+                assert biclique_number(g) == reference_biclique_dp(g), g.rows
+
+    @pytest.mark.parametrize("g, value", [
+        (Graph.complete(16), 8),
+        (Graph.complete_multipartite([8, 8]), 8),
+        (complement(Graph.from_edges(16, [(2 * i, 2 * i + 1) for i in range(8)])), 8),  # cocktail party
+        (half_graph(8), 4),
+        (Graph.empty(16), 0),
+    ], ids=["K16", "K8,8", "cocktail-party", "half-graph", "empty"])
+    def test_extreme_graphs(self, g, value):
+        assert biclique_number(g) == reference_biclique_dp(g) == value
 
 
 class TestChainNumbers:
@@ -677,9 +731,11 @@ class TestShatterOracles:
 
 def assert_matches_reference_search(g: Graph) -> None:
     # same greedy bound, same chi, and a search tree of the same size:
-    # the budget that the reference search needs is exactly enough
+    # the budget that the reference search needs is exactly enough; chi
+    # itself is also checked against the search that ignores ceil(n / alpha)
     chi, nodes = reference_chromatic_search(g)
-    assert _greedy_coloring_bound(g) == reference_greedy_coloring_bound(g), g.rows
+    assert chi == reference_chromatic_search(g, ratio_bound=False)[0], g.rows
+    assert max(_greedy_coloring(g), default=0) == reference_greedy_coloring_bound(g), g.rows
     assert chromatic_number(g, max_nodes=nodes) == chi, g.rows
     if nodes:
         with pytest.raises(BudgetExceeded):
@@ -699,8 +755,9 @@ class TestChromaticOracle:
             assert_matches_reference_search(random_graph(rng.randint(1, 14), rng.uniform(0.2, 0.8), rng))
 
     def test_seeded_searches(self, rng):
-        # most small graphs end at the clique = greedy bound check; these
-        # 40 each need a search tree, so the branching order is compared
+        # most small graphs end where the greedy bound meets the lower
+        # bound; these 40 each need a search tree, so the branching order
+        # is compared
         searched = 0
         while searched < 40:
             g = random_graph(rng.randint(15, 24), rng.uniform(0.2, 0.8), rng)
@@ -714,11 +771,52 @@ class TestChromaticOracle:
 
 class TestChromaticBudget:
     def test_budget_exceeded(self):
+        # Groetzsch: omega = 2 and ceil(11 / 5) = 3 < chi = 4, so it searches
         with pytest.raises(BudgetExceeded):
-            chromatic_number(Graph.cycle(5), max_nodes=0)
+            chromatic_number(grotzsch_graph(), max_nodes=0)
+
+    def test_bounds_that_meet_need_no_node(self):
+        # C5: greedy 3 = ceil(5 / 2)
+        assert chromatic_number(Graph.cycle(5), max_nodes=0) == 3
 
     def test_budget_large_enough_succeeds(self):
         assert chromatic_number(Graph.cycle(5), max_nodes=10_000) == 3
+
+
+class TestCertifiedChi:
+    def test_agrees_with_the_search_below_the_cap(self, rng):
+        settled = 0
+        for _ in range(200):
+            g = random_graph(rng.randint(0, 14), rng.random(), rng)
+            chi = _certified_chi(g, clique_number(g), independence_number(g))
+            if chi is not None:
+                settled += 1
+                assert chi == chromatic_number(g), g.rows
+        assert 0 < settled < 200
+
+    @pytest.mark.parametrize("g, chi", [
+        (Graph.cycle(33), 3),  # ceil(33 / 16) = 3
+        (Graph.complete(40), 40),
+        (hnk(2, 6), 2),
+        (Graph.empty(CLIQUE_LIMIT), 1),
+        (Graph.empty(CLIQUE_LIMIT + 1), None),  # past the clique cap
+    ], ids=["C33", "K40", "H(2,6)", "empty64", "empty65"])
+    def test_params_past_the_chromatic_cap(self, g, chi):
+        assert compute_params(g).chi == chi
+        with pytest.raises(SizeLimitExceeded, match=f"capped at n = {CHROMATIC_LIMIT}"):
+            chromatic_number(g)
+
+    def test_params_report_chi_exactly_where_greedy_meets_the_bound(self, rng):
+        outcomes = set()
+        for _ in range(12):
+            g = random_graph(rng.randint(CHROMATIC_LIMIT + 1, CLIQUE_LIMIT), rng.choice((0.03, 0.4)), rng)
+            r = compute_params(g)
+            lower = max(r.omega, -(-g.n // r.alpha))
+            used = max(_greedy_coloring(g))
+            assert used >= lower
+            assert r.chi == (used if used == lower else None), g.rows
+            outcomes.add(r.chi is None)
+        assert outcomes == {True, False}
 
 
 class TestPerfectness:
