@@ -132,7 +132,6 @@ def hnk_report(n: int, k: int) -> HnkReport:
         omega_bound = (2 * math.e * n) ** ((k - 1) / 2)
         alpha_bound = float(n * k)
     omega = alpha = chi_lower = chi = None
-    chi_is_exact = False
     if size <= CLIQUE_LIMIT:
         g = hnk(n, k)
         omega = clique_number(g)
@@ -145,15 +144,13 @@ def hnk_report(n: int, k: int) -> HnkReport:
                 chi = chromatic_number(g, max_nodes=HNK_CHI_NODE_BUDGET)
             except BudgetExceeded:
                 pass
-        chi_is_exact = chi is not None
-        if not chi_is_exact:
-            chi = chi_lower
+    chi_is_exact = chi is not None
     return HnkReport(
         n=n,
         k=k,
         omega=omega,
         alpha=alpha,
-        chi=chi,
+        chi=chi if chi_is_exact else chi_lower,
         omega_bound=omega_bound,
         alpha_bound=alpha_bound,
         chi_lower=chi_lower,
