@@ -191,7 +191,7 @@ def _greedy_coloring(g: Graph) -> list[int]:
 
 def _chi_lower_bound(n: int, omega: int, alpha: int) -> int:
     # a colour class is independent, so chi >= ceil(n / alpha); and chi >= omega
-    return max(omega, -(-n // max(alpha, 1)))
+    return max(omega, -(-n // alpha))
 
 
 def _certified_chi(g: Graph, omega: int, alpha: int) -> Optional[int]:

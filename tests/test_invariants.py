@@ -787,7 +787,7 @@ class TestCertifiedChi:
     def test_agrees_with_the_search_below_the_cap(self, rng):
         settled = 0
         for _ in range(200):
-            g = random_graph(rng.randint(0, 14), rng.random(), rng)
+            g = random_graph(rng.randint(1, 14), rng.random(), rng)
             chi = _certified_chi(g, clique_number(g), independence_number(g))
             if chi is not None:
                 settled += 1
