@@ -1,14 +1,16 @@
 """The pinned CLI corpus: each argv in cli_corpus.json, run in-process
 through `cli.main`, gives its recorded exit code and the recorded sha256
 of stdout and of stderr, and gives the same again with its options in
-reversed order.
+reversed order and with its options ahead of its positional arguments.
 
 The corpus holds booldim requests (every enumerable class tag in every
 mode at n <= 7, and each kind of refusal), `params` on graphs at
 n = 0..17 and on a few past the chromatic and clique caps, and
 `hnk --report` on every shape with n^k <= 32 and on shapes up to and past
-the clique cap.  A change that alters a pinned output declares it and
-rewrites that entry's digests.
+the clique cap, and `verify` on every catalogue id at three seeds, with
+the refusals of an unknown id and of a missing or non-integer seed.  A
+change that alters a pinned output declares it and rewrites that entry's
+digests.
 """
 
 import contextlib
@@ -36,10 +38,10 @@ def digests(argv):
     return code, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest()
 
 
-def options_reversed(argv):
-    """argv with its options (each `--name` and the values up to the
-    next one) in reversed order; the command and any positional
-    arguments before the first option stay in front."""
+def option_groups(argv):
+    """argv's tokens after the command: the positional arguments before
+    the first option, then each `--name` with the values up to the next
+    one."""
     groups = []
     for token in argv[1:]:
         if token.startswith("--") or not groups:
@@ -47,7 +49,24 @@ def options_reversed(argv):
         else:
             groups[-1].append(token)
     head = [] if groups and groups[0][0].startswith("--") else groups.pop(0)
+    return head, groups
+
+
+def options_reversed(argv):
+    """argv with its options in reversed order; the command and any
+    positional arguments before the first option stay in front."""
+    head, groups = option_groups(argv)
     return [argv[0], *head, *(token for group in reversed(groups) for token in group)]
+
+
+def options_first(argv):
+    """argv with the positional arguments before its first option moved
+    behind its options, or None when there is nothing to move or argv
+    ends in an option (which would then read them as its value)."""
+    head, groups = option_groups(argv)
+    if not head or not groups or argv[-1].startswith("--"):
+        return None
+    return [argv[0], *(token for group in groups for token in group), *head]
 
 
 def test_options_reversed():
@@ -59,6 +78,15 @@ def test_options_reversed():
     ]
 
 
+def test_options_first():
+    assert options_first(["verify", "meyniel-split", "--seed", "7"]) == [
+        "verify", "--seed", "7", "meyniel-split",
+    ]
+    assert options_first(["verify", "all", "--seed"]) is None
+    assert options_first(["hnk", "3", "3", "--report"]) is None
+    assert options_first(["booldim", "--target", "Dhc", "--kmax", "1"]) is None
+
+
 @pytest.mark.parametrize("entry", CORPUS, ids=[f"{i:02d}-{e['argv'][0]}" for i, e in enumerate(CORPUS)])
 def test_pinned_output(entry):
     argv = entry["argv"]
@@ -66,3 +94,6 @@ def test_pinned_output(entry):
     assert digests(argv) == pinned, argv
     if sum(token.startswith("--") for token in argv) >= 2:
         assert digests(options_reversed(argv)) == pinned, options_reversed(argv)
+    moved = options_first(argv)
+    if moved is not None:
+        assert digests(moved) == pinned, moved
