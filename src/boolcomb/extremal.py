@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, groupby, permutations, product
 from typing import Callable, Iterator, Optional, Sequence
@@ -325,11 +326,12 @@ def _partition_pair_orbits(n: int) -> list[tuple[list[int], list[int]]]:
     greater next one would make it greater), and no row, sorted, exceeds
     its first row (moving that row first and sorting the columns by it
     would).  Only matrices of that shape are generated, row by row, and
-    _orbit_key drops the repeats among them (isomorph-free generation;
-    McKay, J. Algorithms 26, 1998).  Cell (i, j) takes the next M[i][j]
-    vertices.
+    the first of each orbit is kept (isomorph-free generation; McKay, J.
+    Algorithms 26, 1998).  Permutations keep the multisets of sorted rows
+    and of sorted columns, so _orbit_key is run only on matrices that share
+    both with another.  Cell (i, j) takes the next M[i][j] vertices.
     """
-    reps: dict[tuple, list[tuple[int, ...]]] = {}
+    generated: list[tuple[tuple, list[tuple[int, ...]]]] = []
     for c in range(1, n + 1):
         # candidate rows in decreasing lex order (an entry above n - c + 1
         # would leave too little for the other columns), each with lt/gt,
@@ -343,24 +345,32 @@ def _partition_pair_orbits(n: int) -> list[tuple[list[int], list[int]]]:
             if 0 < sum(v) <= n
         ]
 
-        def grow(start: int, left: int, rows: list[tuple[int, ...]], tied: int, covered: int):
+        def grow(start: int, left: int, picked: list[tuple], tied: int, covered: int):
             # a column that is zero so far cannot precede a nonzero one (the
             # order of the tied pair between them would fail), so the first
             # `covered` columns are the nonzero ones, and each of the others
             # needs one of the `left` units still to place
             if left == 0:
-                reps.setdefault(_orbit_key(rows), rows.copy())
+                rows = [cand[0] for cand in picked]
+                cols = tuple(sorted(tuple(sorted(col)) for col in zip(*rows)))
+                generated.append(((tuple(sorted(cand[5] for cand in picked)), cols), rows))
                 return
             for i in range(start, len(cands)):
-                v, s, lt, gt, reach, top = cands[i]
-                now = max(covered, reach)
-                if s > left or tied & lt or c - now > left - s or (rows and top > rows[0]):
+                _, s, lt, gt, reach, top = cand = cands[i]
+                if s > left or tied & lt:
                     continue
-                rows.append(v)
-                grow(i, left - s, rows, tied & ~gt, now)
-                rows.pop()
+                now = max(covered, reach)
+                if c - now > left - s or (picked and top > picked[0][0]):
+                    continue
+                picked.append(cand)
+                grow(i, left - s, picked, tied & ~gt, now)
+                picked.pop()
 
         grow(0, n, [], (1 << (c - 1)) - 1, 0)
+    shared = Counter(shape for shape, _ in generated)
+    reps: dict[tuple, list[tuple[int, ...]]] = {}
+    for shape, rows in generated:
+        reps.setdefault((shape, shared[shape] > 1 and _orbit_key(rows)), rows)
     pairs = []
     for rows in reps.values():
         a = [0] * len(rows)

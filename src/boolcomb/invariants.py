@@ -466,45 +466,50 @@ def vc_dimension(g: Graph) -> int:
 # -- perfectness ---------------------------------------------------------------------
 
 
-def find_odd_hole(g: Graph) -> Optional[list[int]]:
-    """An induced odd cycle of length >= 5, or None.
+def _odd_hole(n: int, rows) -> Optional[list[int]]:
+    """An induced odd cycle of length >= 5 in the graph with these rows, or None.
 
-    DFS over induced paths rooted at the cycle's minimum vertex; a
-    candidate adjacent to the root closes a cycle, any other candidate
-    extends the path.
+    DFS over induced paths rooted at the cycle's minimum vertex s; a
+    candidate adjacent to s closes a cycle, any other candidate extends
+    the path, unless no neighbour of s or too few vertices are left.
     """
-    n = g.n
-    rows = g.rows
     full = (1 << n) - 1
     for s in range(n - 4):
         above = full >> (s + 1) << (s + 1)
-        stack: list[tuple[list[int], int]] = []
-        for a in _bits(rows[s] & above):
-            stack.append(([s, a], above & ~(1 << a)))
+        root = rows[s]
+        stack = [([s, a], above & ~(1 << a)) for a in _bits(root & above)]
         while stack:
             path, allowed = stack.pop()
-            last = path[-1]
-            cand = rows[last] & allowed
-            closers = cand & rows[s]
-            if len(path) + 1 >= 5 and (len(path) + 1) % 2 == 1:
+            last = rows[path[-1]]
+            cand = last & allowed
+            size = len(path) + 1
+            if size >= 5 and size & 1:
+                closers = cand & root
                 if closers:
-                    v = (closers & -closers).bit_length() - 1
-                    return path + [v]
-            for v in _bits(cand & ~rows[s]):
-                stack.append((path + [v], allowed & ~rows[last] & ~(1 << v)))
+                    return path + [(closers & -closers).bit_length() - 1]
+            for v in _bits(cand & ~root):
+                rest = allowed & ~last & ~(1 << v)
+                if rest & root and size + rest.bit_count() >= 5:
+                    stack.append((path + [v], rest))
     return None
+
+
+def find_odd_hole(g: Graph) -> Optional[list[int]]:
+    """An induced odd cycle of length >= 5, or None (see _odd_hole)."""
+    return _odd_hole(g.n, g.rows)
 
 
 def find_odd_hole_or_antihole(g: Graph) -> Optional[tuple[str, list[int]]]:
+    """An odd hole of g, else one of its complement (from the complement's
+    rows; no Graph is built), tagged "hole" or "antihole"; None if perfect."""
     if g.n > PERFECT_LIMIT:
         raise SizeLimitExceeded(f"perfectness check capped at n = {PERFECT_LIMIT}")
-    hole = find_odd_hole(g)
+    hole = _odd_hole(g.n, g.rows)
     if hole is not None:
         return ("hole", hole)
-    antihole = find_odd_hole(complement(g))
-    if antihole is not None:
-        return ("antihole", antihole)
-    return None
+    full = (1 << g.n) - 1
+    antihole = _odd_hole(g.n, [full ^ row ^ 1 << u for u, row in enumerate(g.rows)])
+    return None if antihole is None else ("antihole", antihole)
 
 
 def is_perfect(g: Graph) -> bool:

@@ -5,6 +5,8 @@ from itertools import combinations, permutations, product
 import pytest
 
 import boolcomb.extremal
+import boolcomb.graphs
+import boolcomb.invariants
 from boolcomb.booldim import DimWitness
 from boolcomb.boolfn import BooleanFunction, enumerate_functions
 from boolcomb.classes import (
@@ -21,6 +23,7 @@ from boolcomb.extremal import (
     THEOREM_IDS,
     _block_mask,
     _images,
+    _orbit_key,
     _partition_pair_orbits,
     _perfect_2fn_equiv,
     hnk,
@@ -364,6 +367,49 @@ def _relabelings(blocks, n):
     return [normalized([label[q] for q in p]) for p in permutations(range(n))]
 
 
+def reference_partition_pair_orbits(n):
+    """The generator with every generated matrix keyed by _orbit_key: the
+    same candidate rows and pruning, and the first matrix of each key in
+    generation order, turned into block masks the same way."""
+    reps = {}
+    for c in range(1, n + 1):
+        cands = [
+            (v, sum(v), sum(1 << j for j in range(c - 1) if v[j] < v[j + 1]),
+             sum(1 << j for j in range(c - 1) if v[j] > v[j + 1]),
+             max(j + 1 for j in range(c) if v[j]), tuple(sorted(v, reverse=True)))
+            for v in product(range(n - c + 1, -1, -1), repeat=c)
+            if 0 < sum(v) <= n
+        ]
+
+        def grow(start, left, rows, tied, covered):
+            if left == 0:
+                reps.setdefault(_orbit_key(rows), rows.copy())
+                return
+            for i in range(start, len(cands)):
+                v, s, lt, gt, reach, top = cands[i]
+                now = max(covered, reach)
+                if s > left or tied & lt or c - now > left - s or (rows and top > rows[0]):
+                    continue
+                rows.append(v)
+                grow(i, left - s, rows, tied & ~gt, now)
+                rows.pop()
+
+        grow(0, n, [], (1 << (c - 1)) - 1, 0)
+    pairs = []
+    for rows in reps.values():
+        a = [0] * len(rows)
+        b = [0] * len(rows[0])
+        v = 0
+        for i, row in enumerate(rows):
+            for j, count in enumerate(row):
+                cell = ((1 << count) - 1) << v
+                a[i] |= cell
+                b[j] |= cell
+                v += count
+        pairs.append((a, b))
+    return pairs
+
+
 class TestPerfectOrbits:
     """The orbit loop of perfect-2fn-equiv against the labeled loop it replaced."""
 
@@ -415,16 +461,48 @@ class TestPerfectOrbits:
             _perfect_result_recombines(found)
             assert not perfect(graph6_to_graph(found["result"]))
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_same_list_as_the_reference_generator(self, n):
+        # bucketing decides only where _orbit_key runs: the same pairs come
+        # back in the same order as when every matrix is keyed
+        assert _partition_pair_orbits(n) == reference_partition_pair_orbits(n)
+
+    def test_orbit_keys_only_where_shapes_collide(self, monkeypatch):
+        keyed = []
+
+        def counting(rows):
+            keyed.append(rows)
+            return _orbit_key(rows)
+
+        monkeypatch.setattr(boolcomb.extremal, "_orbit_key", counting)
+        assert len(_partition_pair_orbits(6)) == 298
+        # 188 of the 376 generated matrices share their sorted rows and
+        # sorted columns with another
+        assert len(keyed) == 188
+
     def test_effort_guard(self, monkeypatch):
-        calls = []
+        calls, orbits, complements = [], [], []
 
         def counting(g):
             calls.append(g)
             return is_perfect(g)
 
+        def recording(n):
+            orbits.append(_partition_pair_orbits(n))
+            return orbits[-1]
+
+        def complement_counting(g):
+            complements.append(g)
+            return complement(g)
+
         monkeypatch.setattr(boolcomb.extremal, "is_perfect", counting)
+        monkeypatch.setattr(boolcomb.extremal, "_partition_pair_orbits", recording)
+        monkeypatch.setattr(boolcomb.graphs, "complement", complement_counting)
+        monkeypatch.setattr(boolcomb.invariants, "complement", complement_counting)
         assert verify_theorem("perfect-2fn-equiv").passed
-        assert len(calls) <= 500
+        assert len(calls) == 340
+        assert [len(pairs) for pairs in orbits] == [298]
+        assert complements == []
 
 
 def _fake_witness(*args, **kwargs):

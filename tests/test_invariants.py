@@ -16,7 +16,7 @@ from boolcomb.errors import (
     MismatchedVertexCount,
     SizeLimitExceeded,
 )
-from boolcomb.boolfn import enumerate_functions
+from boolcomb.boolfn import _bits, enumerate_functions
 from boolcomb.classes import EQUIVALENCE, random_member
 from boolcomb.extremal import DEFAULT_SEED, hnk
 from boolcomb.graphs import Graph, apply_boolean, complement, induced_subgraph
@@ -39,6 +39,7 @@ from boolcomb.invariants import (
     common_homogeneous_set,
     compute_params,
     degeneracy,
+    find_odd_hole,
     find_odd_hole_or_antihole,
     independence_number,
     is_homogeneous,
@@ -175,6 +176,40 @@ def is_perfect_by_coloring(g: Graph) -> bool:
             if chromatic_number(h) != clique_number(h):
                 return False
     return True
+
+
+def reference_find_odd_hole(g: Graph):
+    """DFS over every induced path rooted at the cycle's minimum vertex,
+    with no pruning: the search find_odd_hole prunes, so the same first
+    hole in the same DFS order."""
+    n = g.n
+    rows = g.rows
+    full = (1 << n) - 1
+    for s in range(n - 4):
+        above = full >> (s + 1) << (s + 1)
+        stack = []
+        for a in _bits(rows[s] & above):
+            stack.append(([s, a], above & ~(1 << a)))
+        while stack:
+            path, allowed = stack.pop()
+            last = path[-1]
+            cand = rows[last] & allowed
+            closers = cand & rows[s]
+            if len(path) + 1 >= 5 and (len(path) + 1) % 2 == 1:
+                if closers:
+                    v = (closers & -closers).bit_length() - 1
+                    return path + [v]
+            for v in _bits(cand & ~rows[s]):
+                stack.append((path + [v], allowed & ~rows[last] & ~(1 << v)))
+    return None
+
+
+def reference_odd_hole_or_antihole(g: Graph):
+    hole = reference_find_odd_hole(g)
+    if hole is not None:
+        return ("hole", hole)
+    antihole = reference_find_odd_hole(complement(g))
+    return None if antihole is None else ("antihole", antihole)
 
 
 def reference_neighborhood_complexity(g: Graph, m: int) -> int:
@@ -870,6 +905,35 @@ class TestPerfectness:
         for _ in range(40):
             g = random_graph(rng.randint(6, 8), rng.random(), rng)
             assert is_perfect(g) == is_perfect_by_coloring(g)
+
+
+class TestOddHoleOracle:
+    """find_odd_hole prunes dead paths and searches the complement's rows
+    without a Graph; it returns the very hole the unpruned search does."""
+
+    @staticmethod
+    def assert_same_holes(g):
+        assert find_odd_hole(g) == reference_find_odd_hole(g)
+        assert find_odd_hole_or_antihole(g) == reference_odd_hole_or_antihole(g)
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_seeded_graphs(self, n):
+        rng = random.Random(7000 + n)
+        for p in (0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9):
+            for _ in range(6):
+                self.assert_same_holes(random_graph(n, p, rng))
+
+    @pytest.mark.parametrize("k", range(5, 14))
+    def test_cycles_and_their_complements(self, k):
+        for g in (Graph.cycle(k), complement(Graph.cycle(k))):
+            self.assert_same_holes(g)
+        found = [find_odd_hole_or_antihole(g) for g in (Graph.cycle(k), complement(Graph.cycle(k)))]
+        if k % 2 == 0:
+            assert found == [None, None]
+        else:
+            assert [(kind, len(cycle)) for kind, cycle in found] == [
+                ("hole", k), ("hole" if k == 5 else "antihole", k),
+            ]
 
 
 class TestCommonHomogeneousSet:
