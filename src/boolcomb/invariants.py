@@ -469,9 +469,9 @@ def vc_dimension(g: Graph) -> int:
 def _odd_hole(n: int, rows) -> Optional[list[int]]:
     """An induced odd cycle of length >= 5 in the graph with these rows, or None.
 
-    DFS over induced paths rooted at the cycle's minimum vertex s; a
-    candidate adjacent to s closes a cycle, any other candidate extends
-    the path, unless no neighbour of s or too few vertices are left.
+    DFS over induced paths rooted at the cycle's minimum vertex s: a
+    candidate adjacent to s closes the cycle, any other extends the path,
+    unless no neighbour of s or under 5 cycle vertices would be left.
     """
     full = (1 << n) - 1
     for s in range(n - 4):
