@@ -466,15 +466,15 @@ def vc_dimension(g: Graph) -> int:
 # -- perfectness ---------------------------------------------------------------------
 
 
-def _odd_hole(n: int, rows) -> Optional[list[int]]:
-    """An induced odd cycle of length >= 5 in the graph with these rows, or None.
+def _odd_hole(n: int, rows, least: int = 5) -> Optional[list[int]]:
+    """An induced odd cycle of length >= least in the graph with these rows, or None.
 
     DFS over induced paths rooted at the cycle's minimum vertex s: a
     candidate adjacent to s closes the cycle, any other extends the path,
-    unless no neighbour of s or under 5 cycle vertices would be left.
+    unless no neighbour of s or under `least` cycle vertices would be left.
     """
     full = (1 << n) - 1
-    for s in range(n - 4):
+    for s in range(n - least + 1):
         above = full >> (s + 1) << (s + 1)
         root = rows[s]
         stack = [([s, a], above & ~(1 << a)) for a in _bits(root & above)]
@@ -483,13 +483,13 @@ def _odd_hole(n: int, rows) -> Optional[list[int]]:
             last = rows[path[-1]]
             cand = last & allowed
             size = len(path) + 1
-            if size >= 5 and size & 1:
+            if size >= least and size & 1:
                 closers = cand & root
                 if closers:
                     return path + [(closers & -closers).bit_length() - 1]
             for v in _bits(cand & ~root):
                 rest = allowed & ~last & ~(1 << v)
-                if rest & root and size + rest.bit_count() >= 5:
+                if rest & root and size + rest.bit_count() >= least:
                     stack.append((path + [v], rest))
     return None
 
@@ -500,15 +500,15 @@ def find_odd_hole(g: Graph) -> Optional[list[int]]:
 
 
 def find_odd_hole_or_antihole(g: Graph) -> Optional[tuple[str, list[int]]]:
-    """An odd hole of g, else one of its complement (from the complement's
-    rows; no Graph is built), tagged "hole" or "antihole"; None if perfect."""
+    """("hole", an odd hole of g), else ("antihole", one of its complement), or None."""
     if g.n > PERFECT_LIMIT:
         raise SizeLimitExceeded(f"perfectness check capped at n = {PERFECT_LIMIT}")
     hole = _odd_hole(g.n, g.rows)
     if hole is not None:
         return ("hole", hole)
+    # C5 is its own complement, so an odd antihole left to find has length >= 7
     full = (1 << g.n) - 1
-    antihole = _odd_hole(g.n, [full ^ row ^ 1 << u for u, row in enumerate(g.rows)])
+    antihole = _odd_hole(g.n, [full ^ row ^ 1 << u for u, row in enumerate(g.rows)], 7)
     return None if antihole is None else ("antihole", antihole)
 
 

@@ -923,6 +923,19 @@ class TestOddHoleOracle:
             for _ in range(6):
                 self.assert_same_holes(random_graph(n, p, rng))
 
+    @pytest.mark.parametrize("n", range(7, 15))
+    def test_planted_antiholes(self, n):
+        # the complement of an odd cycle of length >= 7 on random vertices,
+        # with sparse edges off it: mostly antiholes of length 7..13
+        rng = random.Random(7100 + n)
+        for _ in range(20):
+            k = rng.randrange(7, n + 1, 2)
+            cycle = rng.sample(range(n), k)
+            edges = {(cycle[i], cycle[i - 1]) for i in range(k)}
+            edges |= {(u, v) for u, v in itertools.combinations(range(n), 2)
+                      if not {u, v} <= set(cycle) and rng.random() < 0.15}
+            self.assert_same_holes(complement(Graph.from_edges(n, edges)))
+
     @pytest.mark.parametrize("k", range(5, 14))
     def test_cycles_and_their_complements(self, k):
         for g in (Graph.cycle(k), complement(Graph.cycle(k))):
