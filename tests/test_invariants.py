@@ -908,8 +908,9 @@ class TestPerfectness:
 
 
 class TestOddHoleOracle:
-    """find_odd_hole prunes dead paths and searches the complement's rows
-    without a Graph; it returns the very hole the unpruned search does."""
+    """The odd-hole search drops dead paths, and the antihole search reads
+    the complement's rows, with no Graph, from length 7 on; both return
+    the very hole the unpruned search does."""
 
     @staticmethod
     def assert_same_holes(g):
