@@ -38,11 +38,7 @@ _SINGLE_GRAPH_DECOMPOSITIONS = {
 
 
 def _read_graph(text: str, fmt: str) -> Graph:
-    if text == "-":
-        text = sys.stdin.read()
-        if fmt == "graph6":
-            text = text.strip()
-    return parse_graph(text, fmt)
+    return parse_graph(sys.stdin.read() if text == "-" else text, fmt)
 
 
 _FORMAT = ("--format", dict(default="graph6", choices=["graph6", "edgelist"]))

@@ -39,17 +39,16 @@ from .errors import (
 from .gformats import graph_to_graph6
 from .graphs import Graph, _cliques, _regions, combine
 from .invariants import (
-    CHROMATIC_LIMIT,
     CLIQUE_LIMIT,
-    _certified_chi,
+    _refuse_past_chromatic_cap,
+    _settle_chi,
     _shatter_counts,
     chain_number,
-    chromatic_number,
-    clique_number,
     find_odd_hole,
     independence_number,
     is_homogeneous,
     is_perfect,
+    maximum_clique,
     nested_homogeneous_sets,
     strong_chain_number,
 )
@@ -116,14 +115,14 @@ class HnkReport:
 def hnk_report(n: int, k: int) -> HnkReport:
     """Exact clique/independence numbers against the analytic bounds.
 
-    Up to CHROMATIC_LIMIT vertices the chromatic number is exact when
-    the branch and bound finishes within HNK_CHI_NODE_BUDGET search-tree
-    nodes (none are spent when the greedy colouring meets
-    max(omega, ceil(n^k / alpha))).  Past that cap, up to the clique cap,
-    it is exact when the greedy colouring alone meets that bound.
-    Otherwise the report falls back to the counting lower bound
-    ceil(n^k / alpha).  Past the clique cap, omega, alpha, chi_lower and
-    chi are None, and no graph is built.
+    omega and alpha are searched once each and passed to
+    invariants._settle_chi, whose search is capped at
+    HNK_CHI_NODE_BUDGET nodes: chi is exact when the greedy colouring
+    meets max(omega, ceil(n^k / alpha)) or, up to CHROMATIC_LIMIT
+    vertices, when the search finishes within the budget.  Otherwise the
+    report falls back to the counting lower bound ceil(n^k / alpha).
+    Past the clique cap, omega, alpha, chi_lower and chi are None, and
+    no graph is built.
     """
     size = _hnk_size(n, k)
     if k % 2 == 0:
@@ -135,16 +134,13 @@ def hnk_report(n: int, k: int) -> HnkReport:
     omega = alpha = chi_lower = chi = None
     if size <= CLIQUE_LIMIT:
         g = hnk(n, k)
-        omega = clique_number(g)
-        alpha = independence_number(g)
+        clique = maximum_clique(g)
+        omega, alpha = len(clique), independence_number(g)
         chi_lower = -(-size // max(alpha, 1))
-        if size > CHROMATIC_LIMIT:
-            chi = _certified_chi(g, omega, alpha)
-        else:
-            try:
-                chi = chromatic_number(g, max_nodes=HNK_CHI_NODE_BUDGET)
-            except BudgetExceeded:
-                pass
+        try:
+            chi = _settle_chi(g, clique, alpha, HNK_CHI_NODE_BUDGET)
+        except BudgetExceeded:
+            pass
     chi_is_exact = chi is not None
     return HnkReport(
         n=n,
@@ -244,8 +240,9 @@ def verify_chi_binding(
                 random_member(expr.tag, n, seed + 7919 * s + j) for j in range(expr.arity)
             ]
             g = combine(expr.op, parts)
-            omega = clique_number(g)
-            chi = chromatic_number(g)
+            clique = maximum_clique(g)  # the clique cap is refused first
+            _refuse_past_chromatic_cap(g.n)
+            omega, chi = len(clique), _settle_chi(g, clique)
             if chi > bound(omega):
                 yield {
                     "parts": [graph_to_graph6(p) for p in parts],

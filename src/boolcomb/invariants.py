@@ -189,42 +189,38 @@ def _greedy_coloring(g: Graph) -> list[int]:
     return colors
 
 
-def _chi_lower_bound(n: int, omega: int, alpha: int) -> int:
-    # a colour class is independent, so chi >= ceil(n / alpha); and chi >= omega
-    return max(omega, -(-n // alpha))
-
-
-def _certified_chi(g: Graph, omega: int, alpha: int) -> Optional[int]:
-    """chi without a search: the greedy colouring's count when it meets
-    max(omega, ceil(n / alpha)), else None.  Serves past CHROMATIC_LIMIT."""
-    used = max(_greedy_coloring(g), default=0)
-    return used if used == _chi_lower_bound(g.n, omega, alpha) else None
-
-
-def chromatic_number(g: Graph, max_nodes: Optional[int] = None) -> int:
-    """Exact chromatic number by DSATUR-style branch and bound.
-
-    The greedy colouring is the first upper bound.  The lower bound is
-    omega, raised to max(omega, ceil(n / alpha)) when the greedy count
-    exceeds omega (alpha is computed only then).  The search is skipped
-    when the two bounds meet and ends as soon as a colouring meets the
-    lower bound.  Ties in the saturation order break toward the lowest
-    vertex index, so the search is deterministic.  `max_nodes` caps the
-    number of search-tree nodes (0 when the bounds meet); the solver
-    raises BudgetExceeded past the cap.
-    """
-    n = g.n
+def _refuse_past_chromatic_cap(n: int) -> None:
     if n > CHROMATIC_LIMIT:
         raise SizeLimitExceeded(f"chromatic solver capped at n = {CHROMATIC_LIMIT}")
-    if n == 0:
-        return 0
-    clique = maximum_clique(g)
-    upper = max(_greedy_coloring(g))
+
+
+def _settle_chi(
+    g: Graph, clique: Sequence[int], alpha: Optional[int] = None, max_nodes: Optional[int] = None
+) -> Optional[int]:
+    """chi of g, given a maximum clique of g and alpha if the caller has it.
+
+    The DSATUR greedy colouring is the upper bound.  The lower bound is
+    omega, raised to max(omega, ceil(n / alpha)) when the greedy count
+    exceeds omega (alpha is computed only then, unless passed).  When
+    the two bounds meet, the greedy count is chi.  Otherwise, up to
+    CHROMATIC_LIMIT, a branch and bound precoloured with the clique ends
+    as soon as a colouring meets the lower bound; past the cap the
+    result is None.  Ties in the saturation order break toward the
+    lowest vertex index, so the search is deterministic.  `max_nodes`
+    caps the number of search-tree nodes (0 when the bounds meet); the
+    search raises BudgetExceeded past the cap.
+    """
+    n = g.n
+    upper = max(_greedy_coloring(g), default=0)
     lower = len(clique)
     if upper > lower:
-        lower = _chi_lower_bound(n, lower, independence_number(g))
+        if alpha is None:
+            alpha = independence_number(g)
+        lower = max(lower, -(-n // alpha))  # a colour class is independent
     if upper == lower:
         return upper
+    if n > CHROMATIC_LIMIT:
+        return None
 
     best = upper
     nodes = 0
@@ -256,6 +252,14 @@ def chromatic_number(g: Graph, max_nodes: Optional[int] = None) -> int:
 
     solve(len(clique))
     return best
+
+
+def chromatic_number(g: Graph, max_nodes: Optional[int] = None) -> int:
+    """Exact chromatic number by DSATUR-style branch and bound (see
+    _settle_chi); `max_nodes` caps the search-tree nodes, and the solver
+    raises BudgetExceeded past the cap."""
+    _refuse_past_chromatic_cap(g.n)
+    return _settle_chi(g, maximum_clique(g), max_nodes=max_nodes)
 
 
 # -- biclique number --------------------------------------------------------------
@@ -563,14 +567,14 @@ def _capped(solver, g: Graph):
 
 
 def compute_params(g: Graph) -> ParamReport:
-    """Every parameter of g.  Past CHROMATIC_LIMIT, chi is reported where
-    _certified_chi settles it without a search, and None elsewhere."""
-    omega = _capped(clique_number, g)
-    alpha = _capped(independence_number, g)
-    if g.n <= CHROMATIC_LIMIT:
-        chi = chromatic_number(g)
-    else:
-        chi = None if omega is None else _certified_chi(g, omega, alpha)
+    """Every parameter of g.  omega and alpha are searched once each and
+    passed to _settle_chi, so past CHROMATIC_LIMIT chi is reported where
+    the greedy colouring settles it, and None elsewhere."""
+    omega = alpha = chi = None
+    if g.n <= CLIQUE_LIMIT:
+        clique = maximum_clique(g)
+        omega, alpha = len(clique), independence_number(g)
+        chi = _settle_chi(g, clique, alpha)
     return ParamReport(
         omega=omega,
         alpha=alpha,

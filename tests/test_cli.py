@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -127,6 +128,19 @@ class TestCli:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["omega"] == 5 and data["chi"] == 5 and data["alpha"] == 1
+
+    def test_params_reads_graph6_from_stdin(self, capsys, monkeypatch):
+        assert main(["params", "D~{"]) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.StringIO("  D~{\n"))
+        assert main(["params", "-"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_params_reads_an_edge_list_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(graph_to_edgelist_text(Graph.cycle(5))))
+        assert main(["params", "-", "--format", "edgelist"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["omega"], data["alpha"], data["chi"], data["perfect"]) == (2, 2, 3, False)
 
     def test_hnk_22_is_c4(self, capsys):
         assert main(["hnk", "2", "2"]) == 0

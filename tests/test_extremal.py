@@ -38,9 +38,11 @@ from boolcomb.invariants import (
     chain_number,
     chromatic_number,
     clique_number,
+    compute_params,
     independence_number,
     is_homogeneous,
     is_perfect,
+    maximum_clique,
 )
 
 from conftest import grotzsch_graph, isomorphic, random_graph, rgs_blocks, rgs_masks, set_partitions
@@ -215,6 +217,29 @@ class TestHnkReport:
         assert time.perf_counter() - start < 1
 
 
+class TestReportEffort:
+    @pytest.mark.parametrize("report, searches", [
+        (lambda: compute_params(grotzsch_graph()), 2),
+        (lambda: compute_params(Graph.cycle(33)), 2),
+        (lambda: hnk_report(3, 3), 2),
+        (lambda: hnk_report(2, 6), 2),
+        (lambda: compute_params(Graph.empty(65)), 0),  # past the clique cap
+        (lambda: hnk_report(5, 3), 0),
+    ], ids=["params-groetzsch", "params-C33", "hnk-3-3", "hnk-2-6", "params-empty65", "hnk-5-3"])
+    def test_effort_guard(self, report, searches, monkeypatch):
+        # omega and alpha are searched once each, and chi repeats neither
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return maximum_clique(g)
+
+        monkeypatch.setattr(boolcomb.invariants, "maximum_clique", counting)
+        monkeypatch.setattr(boolcomb.extremal, "maximum_clique", counting)
+        report()
+        assert len(calls) == searches
+
+
 class TestChiBinding:
     def test_equivalence_unions_linear(self):
         check = verify_chi_binding(
@@ -249,6 +274,15 @@ class TestChiBinding:
         assert check.counterexample is not None
         assert check.counterexample["chi"] > check.counterexample["bound"]
         assert len(check.counterexample["parts"]) == 2
+
+    @pytest.mark.parametrize("n, cap", [
+        (33, "chromatic solver capped at n = 32"),
+        (64, "chromatic solver capped at n = 32"),
+        (65, "clique solver capped at n = 64"),
+    ])
+    def test_the_clique_cap_is_refused_first(self, n, cap):
+        with pytest.raises(SizeLimitExceeded, match=cap):
+            verify_chi_binding(ClassExpr("union", 2, EQUIVALENCE), "linear:1", samples=1, n=n, seed=3)
 
     def test_bad_expressions(self):
         with pytest.raises(UnsupportedExpression):
