@@ -5,7 +5,8 @@ reversed order and with its options ahead of its positional arguments.
 
 The corpus holds booldim requests (every enumerable class tag in every
 mode at n <= 7, and each kind of refusal), `params` on graphs at
-n = 0..17 and on a few past the chromatic and clique caps, and
+n = 0..17, on ten at n = 18..32 whose χ needs a search, and on a few
+past the chromatic and clique caps, and
 `hnk --report` on every shape with n^k <= 32 and on shapes up to and past
 the clique cap, and `verify` on every catalogue id at three seeds, with
 the refusals of an unknown id and of a missing or non-integer seed.  A
