@@ -4,7 +4,8 @@ of stdout and of stderr, and gives the same again with its options in
 reversed order and with its options ahead of its positional arguments.
 
 The corpus holds booldim requests (every enumerable class tag in every
-mode at n <= 7, and each kind of refusal), `params` on graphs at
+mode at n <= 7, a target with a witness and one without for ek:2 and
+multipartite at n = 7 and d1 at n = 8, and each kind of refusal), `params` on graphs at
 n = 0..17, on ten at n = 18..32 whose χ needs a search, and on a few
 past the chromatic and clique caps, and
 `hnk --report` on every shape with n^k <= 32 and on shapes up to and past
