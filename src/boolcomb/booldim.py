@@ -18,10 +18,10 @@ against the prefix's regions.  Either way every multiset is still
 decided, and the lexicographically first one is reported.
 
 The members are never built as graphs: `classes._member_masks` gives
-their edge masks, which are sorted into graph6 order by
-`gformats._graph6_order_key`, and only the parts of a reported witness
-become `Graph`s.  The k loops stop at the number m of distinct member
-masks (max(m, 2) under XOR); the docstrings of `boolean_dimension` and
+their edge masks, sorted as plain ints, and only the parts of a
+reported witness become `Graph`s; `_Prepared` says why that is graph6
+order.  The k loops stop at the number m of member masks (max(m, 2)
+under XOR); the docstrings of `boolean_dimension` and
 `restricted_dimension` say why.
 """
 
@@ -31,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Optional
+from typing import Callable, Optional
 
 from .boolfn import BooleanFunction
 from .classes import ClassTag, _member_masks
@@ -64,39 +64,36 @@ class DimWitness:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """g's vertex count, the edge masks of the class members on V(g) in
-    their graph6 order, the positions of each mask among them, g's edge
-    mask and the mask of all pairs.  Position i stands for the member
-    Graph.from_edge_mask(n, masks[i]), which is built only as a witness
-    part."""
+    """g's vertex count, the class members' edge masks on V(g) sorted as
+    ints, g's edge mask through `key`, the mask of all pairs, and `key`
+    (gformats._graph6_order_key).  Position i stands for the member
+    Graph.from_edge_mask(n, key(masks[i])), built only as a witness part.
+
+    `key` relabels v as n - 1 - v, and every enumerable class is closed
+    under that, so the sorted masks are the members' keys in graph6
+    order; the searches only combine pair sets, so keys serve as well."""
 
     n: int
     masks: list[int]
-    index: dict[int, list[int]]
     target: int
     full: int
+    key: Callable[[int], int]
 
     def least_at(self, mask: int, lo: int) -> Optional[int]:
-        """The least position >= lo of a member with this edge mask."""
-        positions = self.index.get(mask, ())
-        at = bisect_left(positions, lo)
-        return positions[at] if at < len(positions) else None
+        """The position >= lo of the member with this edge mask, if any."""
+        at = bisect_left(self.masks, mask, lo)
+        return at if at < len(self.masks) and self.masks[at] == mask else None
 
     def parts(self, combo: tuple[int, ...]) -> tuple[Graph, ...]:
-        return tuple(Graph.from_edge_mask(self.n, self.masks[i]) for i in combo)
+        return tuple(Graph.from_edge_mask(self.n, self.key(self.masks[i])) for i in combo)
 
 
 def _prepare(g: Graph, tag: ClassTag) -> _Prepared:
-    # combinations_with_replacement already yields each multiset once; the
-    # graph6 order only fixes which witness is reported, and a lone member
-    # (complete, empty, ek:0) needs no key
-    masks = list(_member_masks(tag, g.n))
-    if len(masks) > 1:
-        masks.sort(key=_graph6_order_key(g.n))
-    index: dict[int, list[int]] = {}
-    for i, mask in enumerate(masks):
-        index.setdefault(mask, []).append(i)
-    return _Prepared(g.n, masks, index, g.edge_mask(), (1 << (g.n * (g.n - 1) // 2)) - 1)
+    # a lone member (complete, empty, ek:0) is the empty or the full mask, so
+    # the searches read only whether the target is empty or full: `int` will do
+    masks = sorted(_member_masks(tag, g.n))
+    key = _graph6_order_key(g.n) if len(masks) > 1 else int
+    return _Prepared(g.n, masks, key(g.edge_mask()), (1 << (g.n * (g.n - 1) // 2)) - 1, key)
 
 
 def _check_budget(m: int, k: int, budget: int) -> None:
@@ -252,7 +249,7 @@ def boolean_dimension(
     """
     _check_limits(k_max, budget)
     prepared = _prepare(g, tag)
-    for k in range(1, min(k_max, len(prepared.index)) + 1):
+    for k in range(1, min(k_max, len(prepared.masks)) + 1):
         witness = _search(g, prepared, k, budget)
         if witness is not None:
             return witness
@@ -280,7 +277,7 @@ def restricted_dimension(
         raise MalformedInput(f"unknown mode {mode!r}")
     _check_limits(k_max, budget)
     prepared = _prepare(g, tag)
-    k_cap = max(len(prepared.index), 2) if mode == "xor" else len(prepared.index)
+    k_cap = max(len(prepared.masks), 2) if mode == "xor" else len(prepared.masks)
     for k in range(1, min(k_max, k_cap) + 1):
         if mode == "xor":
             combo = _first_combo(prepared, k, budget, _xor_last_part)

@@ -286,21 +286,19 @@ def _images(masks: Sequence[int], full: int) -> list[int]:
     return out
 
 
-def _line_runs(lines) -> list[list[tuple[int, ...]]]:
-    """Lines grouped by their sorted entries, which permuting the other side keeps."""
-    keyed = sorted(((sorted(line, reverse=True), line) for line in lines), reverse=True)
-    return [[line for _, line in run] for _, run in groupby(keyed, key=lambda kl: kl[0])]
-
-
-def _orbit_key(rows: list[tuple[int, ...]]) -> tuple:
-    """A key shared by a matrix and all its row and column permutations.
+def _orbit_key(row_lines: list[tuple], col_lines: list[tuple]) -> tuple:
+    """A key shared by a matrix and all its row and column permutations,
+    given its rows and columns as (sorted entries, line) pairs, decreasing.
 
     Permutations keep each line's sorted entries, so these order one
     side's lines up to the order within runs of equal entries; the side
     with fewer such orders is taken.  The key is the least matrix, with
     the other side's lines sorted, over those orders.
     """
-    row_runs, col_runs = _line_runs(rows), _line_runs(zip(*rows))
+    row_runs, col_runs = (
+        [[line for _, line in run] for _, run in groupby(lines, key=lambda pair: pair[0])]
+        for lines in (row_lines, col_lines)
+    )
     row_orders, col_orders = (
         math.prod(math.factorial(len(run)) for run in runs) for runs in (row_runs, col_runs)
     )
@@ -328,7 +326,7 @@ def _partition_pair_orbits(n: int) -> list[tuple[list[int], list[int]]]:
     and of sorted columns, so _orbit_key is run only on matrices that share
     both with another.  Cell (i, j) takes the next M[i][j] vertices.
     """
-    generated: list[tuple[tuple, list[tuple[int, ...]]]] = []
+    generated: list[tuple] = []
     for c in range(1, n + 1):
         # candidate rows in decreasing lex order (an entry above n - c + 1
         # would leave too little for the other columns), each with lt/gt,
@@ -349,8 +347,10 @@ def _partition_pair_orbits(n: int) -> list[tuple[list[int], list[int]]]:
             # needs one of the `left` units still to place
             if left == 0:
                 rows = [cand[0] for cand in picked]
-                cols = tuple(sorted(tuple(sorted(col)) for col in zip(*rows)))
-                generated.append(((tuple(sorted(cand[5] for cand in picked)), cols), rows))
+                row_lines = sorted(((cand[5], cand[0]) for cand in picked), reverse=True)
+                col_lines = sorted(((tuple(sorted(c, reverse=True)), c) for c in zip(*rows)), reverse=True)
+                shape = tuple(top for top, _ in row_lines), tuple(top for top, _ in col_lines)
+                generated.append((shape, rows, row_lines, col_lines))
                 return
             for i in range(start, len(cands)):
                 _, s, lt, gt, reach, top = cand = cands[i]
@@ -364,10 +364,10 @@ def _partition_pair_orbits(n: int) -> list[tuple[list[int], list[int]]]:
                 picked.pop()
 
         grow(0, n, [], (1 << (c - 1)) - 1, 0)
-    shared = Counter(shape for shape, _ in generated)
+    shared = Counter(shape for shape, *_ in generated)
     reps: dict[tuple, list[tuple[int, ...]]] = {}
-    for shape, rows in generated:
-        reps.setdefault((shape, shared[shape] > 1 and _orbit_key(rows)), rows)
+    for shape, rows, row_lines, col_lines in generated:
+        reps.setdefault((shape, shared[shape] > 1 and _orbit_key(row_lines, col_lines)), rows)
     pairs = []
     for rows in reps.values():
         a = [0] * len(rows)

@@ -68,8 +68,9 @@ def graph_to_graph6(g: Graph) -> str:
 
 
 def _graph6_order_key(n: int) -> Callable[[int], int]:
-    """A sort key on the edge masks of n-vertex graphs that orders them as
-    their graph6 strings.
+    """A key on n-vertex edge masks that orders them as their graph6
+    strings: the mask of the graph relabeled by v -> n - 1 - v, so the
+    key is its own inverse.  booldim runs it only on targets and parts.
 
     graph6 reads pair (u, v), u < v, as bit v(v - 1)/2 + u of the column
     order above, most significant first; edge_mask holds it at bit

@@ -25,7 +25,7 @@ from boolcomb.classes import (
     is_member,
     random_member,
 )
-from boolcomb.errors import BudgetExceeded, MalformedInput
+from boolcomb.errors import BudgetExceeded, CertificationError, MalformedInput
 from boolcomb.gformats import _graph6_order_key, graph_to_graph6
 from boolcomb.graphs import Graph, apply_boolean, combine, complement
 
@@ -156,6 +156,25 @@ class TestRestrictedDimension:
             assert combine("intersect", list(w.parts)).rows == target.rows
 
 
+class TestCertificate:
+    """Every witness is recombined and compared with the target before it
+    is reported; one that does not recombine is refused."""
+
+    def test_a_witness_that_does_not_recombine_is_refused(self, monkeypatch):
+        # a planted recombination that complements its result
+        recombine = booldim.apply_boolean
+        monkeypatch.setattr(booldim, "apply_boolean", lambda f, parts, n: complement(recombine(f, parts, n=n)))
+        triangle = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2)])  # dimension 1 in every mode
+        message = "^witness does not recombine to the target$"
+        with pytest.raises(CertificationError, match=message):
+            boolean_dimension(triangle, EQUIVALENCE, 2)
+        with pytest.raises(CertificationError, match=message):
+            exists_representation(triangle, EQUIVALENCE, 1)
+        for mode in ("union", "intersect", "xor"):
+            with pytest.raises(CertificationError, match=message):
+                restricted_dimension(triangle, EQUIVALENCE, mode, 2)
+
+
 class TestArguments:
     def test_negative_k_max_is_malformed(self):
         with pytest.raises(MalformedInput, match="k_max"):
@@ -259,11 +278,15 @@ class TestLastPartSearch:
 
     @pytest.mark.parametrize("tag", [EQUIVALENCE, MATCHING, CLASS_C], ids=["equiv", "d1", "C"])
     def test_matches_multiset_loops_on_every_small_graph(self, tag):
+        # the searches run in graph6's bit layout, so the target and the
+        # parts pass through the key; g stays as it is, for _verify
         for n in range(6):
             prepared = booldim._prepare(Graph.empty(n), tag)
             masks, full = prepared.masks, prepared.full
-            for target in range(1 << (n * (n - 1) // 2)):
-                g = Graph.from_edge_mask(n, target)
+            key = _graph6_order_key(n)
+            for mask in range(1 << (n * (n - 1) // 2)):
+                g = Graph.from_edge_mask(n, mask)
+                target = key(mask)
                 p = replace(prepared, target=target)
                 for k in (1, 2, 3) if n <= 4 else (1, 2):
                     expected = reference_search(masks, target, full, k)
@@ -274,7 +297,7 @@ class TestLastPartSearch:
                         table, combo = expected
                         assert w is not None, (n, target, k)
                         assert w.f == BooleanFunction(k, table)
-                        assert w.parts == tuple(Graph.from_edge_mask(n, masks[i]) for i in combo)
+                        assert w.parts == tuple(Graph.from_edge_mask(n, key(masks[i])) for i in combo)
                     xor_combo = booldim._first_combo(p, k, DEFAULT_BUDGET, booldim._xor_last_part)
                     assert xor_combo == reference_xor(masks, target, k), (n, target, k)
 
@@ -315,6 +338,7 @@ class TestLastPartSearch:
             targets.append(combine("xor", parts))
         for g in targets:
             prepared = booldim._prepare(g, EQUIVALENCE)
+            key = _graph6_order_key(g.n)
             expected = reference_search(prepared.masks, prepared.target, prepared.full, 2)
             w = exists_representation(g, EQUIVALENCE, 2)
             if expected is None:
@@ -322,7 +346,7 @@ class TestLastPartSearch:
             else:
                 table, combo = expected
                 assert w.f == BooleanFunction(2, table)
-                assert w.parts == tuple(Graph.from_edge_mask(g.n, prepared.masks[i]) for i in combo)
+                assert w.parts == tuple(Graph.from_edge_mask(g.n, key(prepared.masks[i])) for i in combo)
             # the least arity first, as restricted_dimension answers
             combo = reference_xor(prepared.masks, prepared.target, 1) or reference_xor(
                 prepared.masks, prepared.target, 2
@@ -331,7 +355,7 @@ class TestLastPartSearch:
             if combo is None:
                 assert w is None
             else:
-                assert w.parts == tuple(Graph.from_edge_mask(g.n, prepared.masks[i]) for i in combo)
+                assert w.parts == tuple(Graph.from_edge_mask(g.n, key(prepared.masks[i])) for i in combo)
 
 
 ENUMERABLE = [EQUIVALENCE, MULTIPARTITE, CLASS_C, CLASS_L, MATCHING, *map(at_most_edges, range(4)), COMPLETE, EMPTY]
@@ -349,17 +373,141 @@ def reference_prepare(g, tag):
     return members, masks, index, g.edge_mask(), (1 << (g.n * (g.n - 1) // 2)) - 1
 
 
+class ReferencePrepared:
+    """The search record as _prepare built it before the searches moved to
+    graph6's bit layout: reference_prepare's fields, with g's own edge
+    mask as the target.  The search kernels read only masks, target, full,
+    least_at and parts, so they run on it as they are."""
+
+    def __init__(self, members, masks, index, target, full):
+        self.members, self.masks, self.index, self.target, self.full = members, masks, index, target, full
+
+    def least_at(self, mask, lo):
+        return next((i for i in self.index.get(mask, ()) if i >= lo), None)
+
+    def parts(self, combo):
+        return tuple(self.members[i] for i in combo)
+
+
+def reference_dimension(p, mode, k_max):
+    """(f, parts) of the least witness with k <= k_max on a
+    ReferencePrepared, mode "free" unrestricted, or None; the k loop is
+    not capped at the member count."""
+    for k in range(1, k_max + 1):
+        if mode == "free":
+            combo = booldim._first_combo(p, k, DEFAULT_BUDGET, booldim._last_part)
+        elif mode == "xor":
+            combo = booldim._first_combo(p, k, DEFAULT_BUDGET, booldim._xor_last_part)
+        else:
+            combo = booldim._fold_combo(p, mode, k, DEFAULT_BUDGET)
+        if combo is not None:
+            if mode == "free":
+                f = BooleanFunction(k, reference_table([p.masks[i] for i in combo], p.target, p.full))
+            else:
+                f = booldim._FOLDS[mode](k)
+            return f, p.parts(combo)
+    return None
+
+
+class TestGraph6Layout:
+    """booldim sorts the members' masks as ints and searches in graph6's
+    bit layout, moving only the target and the witness parts through the
+    key.  That rests on the key being its own inverse and on every
+    enumerable class being closed under it."""
+
+    def test_key_is_an_involution(self):
+        rng = random.Random(2601)
+        for n in range(14):
+            pairs = n * (n - 1) // 2
+            key = _graph6_order_key(n)
+            masks = [rng.getrandbits(pairs) for _ in range(200)] + [0, (1 << pairs) - 1]
+            masks += [1 << bit for bit in range(pairs)]
+            assert [key(key(mask)) for mask in masks] == masks, n
+
+    @pytest.mark.parametrize("tag", ENUMERABLE, ids=[t.to_text() for t in ENUMERABLE])
+    def test_members_are_distinct_and_closed_under_the_key(self, tag):
+        for n in range(9):
+            masks = list(booldim._member_masks(tag, n))
+            key = _graph6_order_key(n)
+            assert len(set(masks)) == len(masks), n
+            assert {key(mask) for mask in masks} == set(masks), n
+
+    @pytest.mark.parametrize("tag", ENUMERABLE, ids=[t.to_text() for t in ENUMERABLE])
+    def test_witnesses_match_the_graph6_sorted_reference(self, tag):
+        # every target at n <= 5, and seeded ones at n = 6, 7: half random,
+        # half a 2-function of two members
+        rng = random.Random(2602)
+        for n in range(8):
+            pairs = n * (n - 1) // 2
+            reference = ReferencePrepared(*reference_prepare(Graph.empty(n), tag))
+            if n <= 5:
+                targets = range(1 << pairs)
+            else:
+                targets = [rng.getrandbits(pairs) for _ in range(6)]
+                for _ in range(6):
+                    parts = [rng.choice(reference.members) for _ in range(2)]
+                    targets.append(apply_boolean(BooleanFunction(2, rng.randrange(16)), parts).edge_mask())
+            k_max = 3 if n <= 4 else 2
+            for mask in targets:
+                g = Graph.from_edge_mask(n, mask)
+                reference.target = mask
+                for mode in ("free", "union", "intersect", "xor"):
+                    if mode == "free":
+                        w = boolean_dimension(g, tag, k_max)
+                    else:
+                        w = restricted_dimension(g, tag, mode, k_max)
+                    assert (w and (w.f, w.parts)) == reference_dimension(reference, mode, k_max), (n, mask, mode)
+
+    def test_keys_the_target_and_the_parts_only(self, monkeypatch):
+        # one key call for the target and one per witness part, at most
+        # k + 1 per search, and none on the member list
+        calls = []
+        order_key = booldim._graph6_order_key
+
+        def counting_key(n):
+            key = order_key(n)
+
+            def counted(mask):
+                calls.append(mask)
+                return key(mask)
+
+            return counted
+
+        monkeypatch.setattr(booldim, "_graph6_order_key", counting_key)
+        rng = random.Random(2603)
+        for tag, n in ((EQUIVALENCE, 7), (MULTIPARTITE, 6), (MATCHING, 8), (CLASS_C, 6), (at_most_edges(2), 6)):
+            members = list(enumerate_members(tag, n))
+            targets = [Graph.cycle(n), Graph.empty(n)]
+            targets.append(apply_boolean(BooleanFunction(2, 0x6), [rng.choice(members) for _ in range(2)]))
+            for g in targets:
+                for mode in ("free", "union", "intersect", "xor"):
+                    calls.clear()
+                    if mode == "free":
+                        w = boolean_dimension(g, tag, 2)
+                    else:
+                        w = restricted_dimension(g, tag, mode, 2)
+                    assert len(calls) <= (w.k if w else 0) + 1, (tag, n, mode)
+                    assert calls[0] == g.edge_mask(), (tag, n, mode)
+
+
 class TestMaskPreparation:
-    """_prepare sorts edge masks by a graph6-order key instead of sorting
-    built members by their graph6 strings, and builds only witness parts."""
+    """_prepare sorts the members' edge masks as plain ints instead of
+    sorting built members by their graph6 strings, runs the searches in
+    graph6's bit layout, and builds only witness parts."""
 
     @pytest.mark.parametrize("tag", ENUMERABLE, ids=[t.to_text() for t in ENUMERABLE])
     def test_matches_the_graph6_sorted_members(self, tag):
+        # position i holds the key of the i-th member in graph6 order, and
+        # the target is g's key
         for n in range(8):
             g = Graph.cycle(n) if n >= 3 else Graph.empty(n)
+            key = _graph6_order_key(n)
             p = booldim._prepare(g, tag)
             _, masks, index, target, full = reference_prepare(g, tag)
-            assert (p.n, p.masks, p.index, p.target, p.full) == (n, masks, index, target, full), n
+            assert (p.n, p.masks, p.target, p.full) == (n, [key(mask) for mask in masks], key(target), full), n
+            assert {key(mask): [p.least_at(key(mask), 0)] for mask in masks} == {
+                key(mask): positions for mask, positions in index.items()
+            }, n
 
     def test_key_orders_masks_as_graph6_strings(self):
         rng = random.Random(2202)
@@ -467,12 +615,13 @@ class TestKCap:
         for tag in ENUMERABLE:
             for n in range(5):
                 p = booldim._prepare(Graph.empty(n), tag)
-                m = len(p.index)
+                m = len(p.masks)
                 if m > 6:
                     continue
+                key = _graph6_order_key(n)
                 for target in range(1 << (n * (n - 1) // 2)):
                     g = Graph.from_edge_mask(n, target)
-                    q = replace(p, target=target)
+                    q = replace(p, target=key(target))
                     ks = range(1, m + 4)
                     expected = next((k for k in ks if booldim._search(g, q, k, DEFAULT_BUDGET)), None)
                     w = boolean_dimension(g, tag, m + 3)

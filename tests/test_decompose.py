@@ -15,6 +15,7 @@ from boolcomb.classes import (
     is_member,
     random_member,
 )
+from boolcomb import decompose
 from boolcomb.decompose import (
     class_L_decomposition,
     edge_coloring_matchings,
@@ -26,6 +27,7 @@ from boolcomb.decompose import (
 from boolcomb.errors import (
     ArityMismatch,
     BudgetExceeded,
+    CertificationError,
     NoBigTwinClass,
     NotEquivalenceGraph,
     NotIntersectionClosed,
@@ -44,6 +46,26 @@ def assert_certified(d):
     assert rebuilt.rows == d.target.rows
     for g, tag in d.parts:
         assert is_member(tag, g)
+
+
+class TestCertificate:
+    """A decomposition is recombined and its parts' classes checked before
+    it is returned; either failure is refused."""
+
+    def test_a_decomposition_that_does_not_recombine_is_refused(self, monkeypatch):
+        # a planted recombination that complements its result
+        recombine = decompose.apply_boolean
+        monkeypatch.setattr(decompose, "apply_boolean", lambda f, parts, n: complement(recombine(f, parts, n=n)))
+        for build in (vizing_matchings, twin_decomposition, class_L_decomposition):
+            with pytest.raises(CertificationError, match="^decomposition does not recombine to its target$"):
+                build(Graph.cycle(5))
+
+    def test_a_part_outside_its_class_is_refused(self, monkeypatch):
+        # a planted membership test that rejects every part
+        monkeypatch.setattr(decompose, "is_member", lambda tag, g: False)
+        for build, tag in ((vizing_matchings, "d1"), (twin_decomposition, "C"), (class_L_decomposition, "L")):
+            with pytest.raises(CertificationError, match=f"^part is not a member of class '{tag}'$"):
+                build(Graph.cycle(5))
 
 
 class TestEdgeColoring:

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 from itertools import combinations, permutations, product
 
 import pytest
@@ -20,6 +21,7 @@ from boolcomb.classes import (
 from boolcomb.errors import BudgetExceeded, MalformedInput, SizeLimitExceeded, UnknownTheorem, UnsupportedExpression
 from boolcomb.extremal import (
     ClassExpr,
+    HnkReport,
     THEOREM_IDS,
     _block_mask,
     _images,
@@ -141,6 +143,15 @@ class TestHnkReport:
         assert (r33.omega, r33.alpha) == (4, 4)
         assert r33.chi_is_exact
         assert r33.chi == 7
+
+    def test_h33_report_falls_back_to_the_counting_bound(self, monkeypatch):
+        # the χ search on H(3,3) needs 79 nodes; below that the report gives
+        # ceil(27 / alpha) = 7 as chi and says that it is not exact
+        exact = HnkReport(n=3, k=3, omega=4, alpha=4, chi=7, omega_bound=2 * math.e * 3,
+                          alpha_bound=9.0, chi_lower=7, chi_is_exact=True)
+        assert hnk_report(3, 3) == exact
+        monkeypatch.setattr(boolcomb.extremal, "HNK_CHI_NODE_BUDGET", 78)
+        assert hnk_report(3, 3) == replace(exact, chi_is_exact=False)
 
     def test_h33_search_tree_is_pinned(self):
         # the counts pin the branching order that HNK_CHI_NODE_BUDGET is
@@ -401,6 +412,11 @@ def _relabelings(blocks, n):
     return [normalized([label[q] for q in p]) for p in permutations(range(n))]
 
 
+def sorted_lines(lines):
+    """The lines as (entries sorted, line) pairs, in decreasing order."""
+    return sorted(((tuple(sorted(line, reverse=True)), line) for line in lines), reverse=True)
+
+
 def reference_partition_pair_orbits(n):
     """The generator with every generated matrix keyed by _orbit_key: the
     same candidate rows and pruning, and the first matrix of each key in
@@ -417,7 +433,7 @@ def reference_partition_pair_orbits(n):
 
         def grow(start, left, rows, tied, covered):
             if left == 0:
-                reps.setdefault(_orbit_key(rows), rows.copy())
+                reps.setdefault(_orbit_key(sorted_lines(rows), sorted_lines(zip(*rows))), rows.copy())
                 return
             for i in range(start, len(cands)):
                 v, s, lt, gt, reach, top = cands[i]
@@ -504,9 +520,9 @@ class TestPerfectOrbits:
     def test_orbit_keys_only_where_shapes_collide(self, monkeypatch):
         keyed = []
 
-        def counting(rows):
-            keyed.append(rows)
-            return _orbit_key(rows)
+        def counting(row_lines, col_lines):
+            keyed.append(row_lines)
+            return _orbit_key(row_lines, col_lines)
 
         monkeypatch.setattr(boolcomb.extremal, "_orbit_key", counting)
         assert len(_partition_pair_orbits(6)) == 298
