@@ -18,11 +18,10 @@ against the prefix's regions.  Either way every multiset is still
 decided, and the lexicographically first one is reported.
 
 The members are never built as graphs: `classes._member_masks` gives
-their edge masks, sorted as plain ints, and only the parts of a
-reported witness become `Graph`s; `_Prepared` says why that is graph6
-order.  The k loops stop at the number m of member masks (max(m, 2)
-under XOR); the docstrings of `boolean_dimension` and
-`restricted_dimension` say why.
+their edge masks, sorted as plain ints (`_Prepared` says why that is
+graph6 order), and only the parts of a reported witness become
+`Graph`s.  The k loops stop at the number m of member masks (max(m, 2)
+under XOR); `boolean_dimension` and `restricted_dimension` say why.
 """
 
 from __future__ import annotations

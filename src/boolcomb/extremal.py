@@ -348,7 +348,8 @@ def _partition_pair_orbits(n: int) -> list[tuple[list[int], list[int]]]:
             if left == 0:
                 rows = [cand[0] for cand in picked]
                 row_lines = sorted(((cand[5], cand[0]) for cand in picked), reverse=True)
-                col_lines = sorted(((tuple(sorted(c, reverse=True)), c) for c in zip(*rows)), reverse=True)
+                cols = [(tuple(sorted(col, reverse=True)), col) for col in zip(*rows)]
+                col_lines = sorted(cols, reverse=True)
                 shape = tuple(top for top, _ in row_lines), tuple(top for top, _ in col_lines)
                 generated.append((shape, rows, row_lines, col_lines))
                 return
@@ -364,6 +365,7 @@ def _partition_pair_orbits(n: int) -> list[tuple[list[int], list[int]]]:
                 picked.pop()
 
         grow(0, n, [], (1 << (c - 1)) - 1, 0)
+    del grow  # it holds itself, and `generated`, in a cycle: free them on return
     shared = Counter(shape for shape, *_ in generated)
     reps: dict[tuple, list[tuple[int, ...]]] = {}
     for shape, rows, row_lines, col_lines in generated:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from boolcomb import decompose
 from boolcomb.boolfn import BooleanFunction, anf
 from boolcomb.classes import (
     CLASS_C,
@@ -15,7 +16,6 @@ from boolcomb.classes import (
     is_member,
     random_member,
 )
-from boolcomb import decompose
 from boolcomb.decompose import (
     class_L_decomposition,
     edge_coloring_matchings,

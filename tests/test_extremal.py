@@ -1,3 +1,4 @@
+import gc
 import math
 import time
 from dataclasses import replace
@@ -516,6 +517,17 @@ class TestPerfectOrbits:
         # bucketing decides only where _orbit_key runs: the same pairs come
         # back in the same order as when every matrix is keyed
         assert _partition_pair_orbits(n) == reference_partition_pair_orbits(n)
+
+    def test_leaves_no_cycle_behind(self):
+        # grow calls itself through its closure; kept, that cycle would hold
+        # every generated matrix until the cycle collector ran
+        gc.collect()
+        gc.disable()
+        try:
+            _partition_pair_orbits(6)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_orbit_keys_only_where_shapes_collide(self, monkeypatch):
         keyed = []
