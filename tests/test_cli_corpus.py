@@ -10,9 +10,12 @@ n = 0..17, on ten at n = 18..32 whose χ needs a search, and on a few
 past the chromatic and clique caps, and
 `hnk --report` on every shape with n^k <= 32 and on shapes up to and past
 the clique cap, and `verify` on every catalogue id at three seeds, with
-the refusals of an unknown id and of a missing or non-integer seed.  A
-change that alters a pinned output declares it and rewrites that entry's
-digests.
+the refusals of an unknown id and of a missing or non-integer seed.  It
+also holds the README examples, `combine` with each operator and its
+refusals, `decompose` with each method and its refusals, `label` with and
+without `--fn`, `enumerate` on every enumerable class tag at n <= 5 and
+its refusals, and a `--` before and after the command.  A change that
+alters a pinned output declares it and rewrites that entry's digests.
 """
 
 import contextlib
@@ -90,7 +93,9 @@ def test_options_first():
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=[f"{i:02d}-{e['argv'][0]}" for i, e in enumerate(CORPUS)])
-def test_pinned_output(entry):
+def test_pinned_output(entry, monkeypatch):
+    # argparse wraps its usage lines at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
     argv = entry["argv"]
     pinned = (entry["exit"], entry["stdout_sha256"], entry["stderr_sha256"])
     assert digests(argv) == pinned, argv
