@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolcomb.boolfn import BooleanFunction
-from boolcomb.cli import _SUBCOMMANDS, _build_parser, main
+from boolcomb.cli import _SUBCOMMANDS, _parser, main
 from boolcomb.errors import MalformedInput
 from boolcomb.extremal import hnk
 from boolcomb.gformats import (
@@ -340,34 +340,45 @@ PARSER_CASES = [
     ["decompose", "--method", "zz", "C~"],
     ["enumerate", "--class", "equiv", "--n", "x"],
     ["label", "--bogus"],
+    ["params", "C~", "--bogus"],
+    ["--", "params", "C~"],
 ]
 
 
 class TestParserParity:
-    """`main` builds only the subparser that argv[0] names; what it prints
-    and returns must be what the parser with every subcommand gives."""
+    """`main` builds only the parser of the subcommand that argv[0] names;
+    what it prints and returns must be what the whole CLI's parser gives."""
 
     @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
     def test_matches_the_full_parser(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            _build_parser([]).parse_args(argv)
+            _parser().parse_args(argv)
         want = capsys.readouterr()
         assert want.out or want.err
         assert main(argv) == (exc.value.code or 0)
         got = capsys.readouterr()
         assert (got.out, got.err) == (want.out, want.err)
 
+    WHOLE_CLI = ["boolcomb", *(f"boolcomb {name}" for name in _SUBCOMMANDS)]
+
     @pytest.mark.parametrize("argv, built", [
-        (["params", "C~"], ["params"]),
-        (["verify", "all", "extra"], ["verify"]),
-        (["-h"], list(_SUBCOMMANDS)),
-        (["nope"], list(_SUBCOMMANDS)),
-        ([], list(_SUBCOMMANDS)),
+        (["params", "C~"], ["boolcomb params"]),
+        (["verify", "all", "extra"], ["boolcomb verify", *WHOLE_CLI]),  # the whole CLI reports the extra
+        (["-h"], WHOLE_CLI),
+        (["nope"], WHOLE_CLI),
+        ([], WHOLE_CLI),
     ])
-    def test_builds_only_the_named_subparser(self, argv, built):
-        parser = _build_parser(argv)
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        assert list(sub.choices) == built
+    def test_builds_only_the_named_subparser(self, argv, built, monkeypatch, capsys):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            progs.append(parser.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        main(argv)
+        assert progs == built
 
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
