@@ -92,6 +92,7 @@ def maximum_clique(g: Graph) -> list[int]:
             cand &= ~(1 << v)
 
     expand([], (1 << g.n) - 1)
+    del expand  # it holds itself in a cycle: free it on return
     return sorted(best)
 
 
@@ -251,6 +252,7 @@ def _settle_chi(
             d.uncolored ^= 1 << v
 
     solve(len(clique))
+    del solve  # it holds itself in a cycle: free it on return
     return best
 
 
@@ -293,6 +295,7 @@ def biclique_number(g: Graph) -> int:
 
     full = (1 << g.n) - 1
     grow(0, full, full)
+    del grow  # it holds itself in a cycle: free it on return
     return best
 
 
@@ -348,6 +351,7 @@ def _chain_search(g: Graph, strong: bool) -> int:
                     extend(d1, next_a, next_b)
 
     extend(0, full, full)
+    del extend  # it holds itself in a cycle: free it on return
     return best
 
 

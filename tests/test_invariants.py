@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -1062,3 +1063,23 @@ class TestRelabelingAndDuality:
     @given(g=seeded_graphs(PERFECT_LIMIT))
     def test_perfect_iff_complement_perfect(self, g):
         assert is_perfect(g) == is_perfect(complement(g))
+
+
+@pytest.mark.parametrize("search, g", [
+    (maximum_clique, hnk(3, 3)),
+    (independence_number, hnk(3, 3)),
+    (chromatic_number, hnk(3, 3)),
+    (biclique_number, Graph.cycle(9)),
+    (chain_number, Graph.cycle(9)),
+    (strong_chain_number, Graph.cycle(9)),
+], ids=lambda x: x.__name__ if callable(x) else f"n{x.n}")
+def test_search_leaves_no_cycle_behind(search, g):
+    # each search calls itself through its closure; kept, that cycle would
+    # hold the search state until the cycle collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        search(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
