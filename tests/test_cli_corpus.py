@@ -12,7 +12,10 @@ past the chromatic and clique caps, and
 the clique cap, and `verify` on every catalogue id at three seeds, with
 the refusals of an unknown id and of a missing or non-integer seed.  It
 also holds the README examples, `combine` with each operator and its
-refusals, `decompose` with each method and its refusals, `label` with and
+refusals, `decompose` with each method and its refusals, vizing on named
+graphs (C4, K4, K5, Petersen, K1, the empty graph on 4 vertices), on
+degree-capped graphs at n = 12, 30 and 40, on an edge list and on a
+graph needing more than 16 matchings, `label` with and
 without `--fn`, `enumerate` on every enumerable class tag at n <= 5 and
 its refusals, and a `--` before and after the command.  A change that
 alters a pinned output declares it and rewrites that entry's digests.
