@@ -30,6 +30,7 @@ from .errors import (
     NotEquivalenceGraph,
     NotIntersectionClosed,
 )
+from .gformats import graph_to_graph6
 from .graphs import Graph, Partition, _cliques, apply_boolean, combine, complement
 from .invariants import _twin_blocks, max_degree
 
@@ -48,8 +49,6 @@ class Decomposition:
         return self.f.value_at(0)
 
     def to_json_dict(self) -> dict:
-        from .gformats import graph_to_graph6
-
         return {
             "f": self.f.to_text(),
             "alpha": self.alpha,
@@ -71,106 +70,50 @@ def _certify(target: Graph, f: BooleanFunction, parts: Sequence[tuple[Graph, Cla
 # -- edge coloring -----------------------------------------------------------------
 
 
-def _misra_gries_edge_coloring(g: Graph) -> dict[tuple[int, int], int]:
-    """Proper edge coloring with at most Delta + 1 colors (fan recoloring)."""
-    n = g.n
-    delta = max_degree(g)
-    num_colors = delta + 1
-    colors: dict[tuple[int, int], int] = {}
-    used = [0] * n
+def _lowest_free(colours: dict[int, int]) -> int:
+    return min(set(range(len(colours) + 1)) - colours.keys())
 
-    def key(u: int, v: int) -> tuple[int, int]:
-        return (u, v) if u < v else (v, u)
 
-    def color_of(u: int, v: int) -> Optional[int]:
-        return colors.get(key(u, v))
+def _misra_gries_edge_coloring(g: Graph) -> list[dict[int, int]]:
+    """Proper edge colouring with at most Delta + 1 colours (Misra and
+    Gries's fan recolouring).  at[v] maps each colour at v to the
+    neighbour joined to v by it; a colour is free at v when absent.
 
-    def is_free(v: int, c: int) -> bool:
-        return not (used[v] >> c) & 1
-
-    def lowest_free(v: int) -> int:
-        c = 0
-        while not is_free(v, c):
-            c += 1
-        if c >= num_colors:
-            raise AssertionError("ran out of colors")
-        return c
-
-    def assign(u: int, v: int, c: Optional[int]):
-        k = key(u, v)
-        old = colors.pop(k, None)
-        if old is not None:
-            used[u] &= ~(1 << old)
-            used[v] &= ~(1 << old)
-        if c is not None:
-            colors[k] = c
-            used[u] |= 1 << c
-            used[v] |= 1 << c
-
-    def invert_cd_path(start: int, c: int, d: int):
-        # maximal path from `start` alternating d, c, d, ...; swap its colors
-        path = []
-        cur = start
-        want = d
-        while True:
-            step = None
-            for w in g.neighbors(cur):
-                if color_of(cur, w) == want:
-                    step = w
-                    break
-            if step is None:
-                break
-            path.append((cur, step, want))
-            cur = step
-            want = c if want == d else d
-        for x, y, _ in path:
-            assign(x, y, None)
-        for x, y, col in path:
-            assign(x, y, c if col == d else d)
-
-    def prefix_is_fan(u: int, fan: list[int], j: int) -> bool:
-        for i in range(1, j + 1):
-            ci = color_of(u, fan[i])
-            if ci is None or not is_free(fan[i - 1], ci):
-                return False
-        return True
-
-    for u, v in sorted(g.edges()):
-        # maximal fan of u starting at v
+    Each edge (u, v), in lexicographic order, grows a maximal fan F_0 = v,
+    F_1, ..., F_k of u (F_i the least neighbour not yet in it whose edge
+    colour is free at F_{i-1}), takes c free at u and d free at F_k,
+    inverts the d/c path from u if d is not free there, and rotates the
+    fan up to the first F_w where d is free.  That prefix is a fan and
+    that F_w exists: the inversion recolours only the fan edge (u, F_i) of
+    colour d (a maximal fan holds it, as d is free at F_k).  Unless the
+    path ends at F_{i-1}, d stays free there, so F_w comes before F_i and
+    the prefix is untouched; if it ends there, c is now free at F_{i-1}
+    and the whole fan holds.  No colour passes Delta: no vertex has more
+    than Delta coloured edges, and u has at most Delta - 1.
+    """
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for u, v in g.edges():
         fan = [v]
-        in_fan = {v}
-        while True:
-            grown = False
-            for w in g.neighbors(u):
-                if w in in_fan:
-                    continue
-                cw = color_of(u, w)
-                if cw is not None and is_free(fan[-1], cw):
-                    fan.append(w)
-                    in_fan.add(w)
-                    grown = True
-                    break
-            if not grown:
-                break
-        c = lowest_free(u)
-        d = lowest_free(fan[-1])
-        if not is_free(u, d):
-            invert_cd_path(u, c, d)
-        w_index = None
-        for j in range(len(fan)):
-            if is_free(fan[j], d) and prefix_is_fan(u, fan, j):
-                w_index = j
-                break
-        if w_index is None:
-            raise AssertionError("fan recoloring failed to expose a free color")
-        shifted = [color_of(u, fan[i + 1]) for i in range(w_index)]
-        for i in range(1, w_index + 1):
-            assign(u, fan[i], None)
-        for i in range(w_index):
-            assign(u, fan[i], shifted[i])
-        assign(u, fan[w_index], d)
-
-    return colors
+        while steps := [x for col, x in at[u].items() if col not in at[fan[-1]] and x not in fan]:
+            fan.append(min(steps))
+        c, d = _lowest_free(at[u]), _lowest_free(at[fan[-1]])
+        if d in at[u]:
+            # the d/c path from u is its d/c component: swap d and c at each of its vertices
+            x, col, path = u, d, [at[u]]
+            while col in at[x]:
+                x, col = at[x][col], c + d - col
+                path.append(at[x])
+            for near in path:
+                swapped = {d: near.pop(c, None), c: near.pop(d, None)}
+                near.update((col, y) for col, y in swapped.items() if y is not None)
+        w = next(j for j, x in enumerate(fan) if d not in at[x])
+        colour_of = {x: col for col, x in at[u].items()}
+        for x, y in zip(fan, fan[1:w + 1]):
+            col = colour_of[y]
+            del at[y][col]
+            at[u][col], at[x][col] = x, u
+        at[u][d], at[fan[w]][d] = fan[w], u
+    return at
 
 
 def edge_coloring_matchings(g: Graph) -> list[Graph]:
@@ -180,26 +123,26 @@ def edge_coloring_matchings(g: Graph) -> list[Graph]:
     disjoint, which often recovers the optimal count on small graphs
     (2 for even cycles, 3 for K_4) and never hurts the bound.
     """
-    colors = _misra_gries_edge_coloring(g)
-    by_color: dict[int, list[tuple[int, int]]] = {}
-    for edge, c in colors.items():
-        by_color.setdefault(c, []).append(edge)
-    merged_edges: list[list[tuple[int, int]]] = []
-    merged_masks: list[int] = []
-    for c in sorted(by_color):
-        edges = by_color[c]
-        mask = 0
-        for u, v in edges:
-            mask |= (1 << u) | (1 << v)
-        for i, m in enumerate(merged_masks):
-            if m & mask == 0:
-                merged_edges[i].extend(edges)
-                merged_masks[i] |= mask
+    classes: dict[int, list[int]] = {}
+    for x, near in enumerate(_misra_gries_edge_coloring(g)):
+        for col, y in near.items():
+            classes.setdefault(col, [0] * g.n)[x] = 1 << y
+    merged: list[list[int]] = []
+    covers: list[int] = []
+    for col in sorted(classes):
+        rows = classes[col]
+        cover = 0
+        for row in rows:
+            cover |= row
+        for i, m in enumerate(covers):
+            if not m & cover:
+                covers[i] |= cover
+                merged[i] = [a | b for a, b in zip(merged[i], rows)]
                 break
         else:
-            merged_edges.append(list(edges))
-            merged_masks.append(mask)
-    return [Graph.from_edges(g.n, edges) for edges in merged_edges]
+            merged.append(rows)
+            covers.append(cover)
+    return [Graph(g.n, rows) for rows in merged]
 
 
 def vizing_matchings(g: Graph) -> Decomposition:

@@ -41,6 +41,17 @@ from conftest import random_graph
 NOT = BooleanFunction(1, 0b01)
 
 
+def degree_capped_graph(n, cap, rng):
+    """Random edges, each kept only while both endpoints have degree below `cap`."""
+    rows = [0] * n
+    for _ in range(8 * n):
+        u, v = rng.sample(range(n), 2)
+        if not rows[u] >> v & 1 and rows[u].bit_count() < cap and rows[v].bit_count() < cap:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Graph(n, rows)
+
+
 def assert_certified(d):
     rebuilt = apply_boolean(d.f, [g for g, _ in d.parts], n=d.target.n)
     assert rebuilt.rows == d.target.rows
@@ -80,8 +91,9 @@ class TestEdgeColoring:
         assert sum(m.edge_count for m in ms) == 6
 
     def test_misra_gries_stress(self, rng):
-        for _ in range(150):
-            g = random_graph(rng.randint(1, 12), rng.random(), rng)
+        small = [random_graph(rng.randint(1, 12), rng.random(), rng) for _ in range(150)]
+        capped = [degree_capped_graph(rng.randint(12, 40), rng.randint(1, 15), rng) for _ in range(100)]
+        for g in small + capped:
             ms = edge_coloring_matchings(g)
             if g.edge_count == 0:
                 assert ms == []
