@@ -251,8 +251,10 @@ def _settle_chi(
             d.near[c], d.sat = saved
             d.uncolored ^= 1 << v
 
-    solve(len(clique))
-    del solve  # it holds itself in a cycle: free it on return
+    try:
+        solve(len(clique))
+    finally:
+        del solve  # it holds itself in a cycle: free it on return or on BudgetExceeded
     return best
 
 

@@ -1065,17 +1065,24 @@ class TestRelabelingAndDuality:
         assert is_perfect(g) == is_perfect(complement(g))
 
 
+def chromatic_number_past_budget(g):
+    with pytest.raises(BudgetExceeded):
+        chromatic_number(g, max_nodes=5)
+
+
 @pytest.mark.parametrize("search, g", [
     (maximum_clique, hnk(3, 3)),
     (independence_number, hnk(3, 3)),
     (chromatic_number, hnk(3, 3)),
+    (chromatic_number_past_budget, hnk(3, 3)),
     (biclique_number, Graph.cycle(9)),
     (chain_number, Graph.cycle(9)),
     (strong_chain_number, Graph.cycle(9)),
 ], ids=lambda x: x.__name__ if callable(x) else f"n{x.n}")
 def test_search_leaves_no_cycle_behind(search, g):
     # each search calls itself through its closure; kept, that cycle would
-    # hold the search state until the cycle collector ran
+    # hold the search state until the cycle collector ran, also when the
+    # search raises
     gc.collect()
     gc.disable()
     try:
