@@ -70,26 +70,26 @@ def _certify(target: Graph, f: BooleanFunction, parts: Sequence[tuple[Graph, Cla
 # -- edge coloring -----------------------------------------------------------------
 
 
-def _lowest_free(colours: dict[int, int]) -> int:
-    return min(set(range(len(colours) + 1)) - colours.keys())
+def _lowest_free(colors: dict[int, int]) -> int:
+    return min(set(range(len(colors) + 1)) - colors.keys())
 
 
 def _misra_gries_edge_coloring(g: Graph) -> list[dict[int, int]]:
-    """Proper edge colouring with at most Delta + 1 colours (Misra and
-    Gries's fan recolouring).  at[v] maps each colour at v to the
-    neighbour joined to v by it; a colour is free at v when absent.
+    """Proper edge coloring with at most Delta + 1 colors (Misra and
+    Gries's fan recoloring).  at[v] maps each color at v to the
+    neighbor joined to v by it; a color is free at v when absent.
 
     Each edge (u, v), in lexicographic order, grows a maximal fan F_0 = v,
-    F_1, ..., F_k of u (F_i the least neighbour not yet in it whose edge
-    colour is free at F_{i-1}), takes c free at u and d free at F_k,
+    F_1, ..., F_k of u (F_i the least neighbor not yet in it whose edge
+    color is free at F_{i-1}), takes c free at u and d free at F_k,
     inverts the d/c path from u if d is not free there, and rotates the
     fan up to the first F_w where d is free.  That prefix is a fan and
-    that F_w exists: the inversion recolours only the fan edge (u, F_i) of
-    colour d (a maximal fan holds it, as d is free at F_k).  Unless the
+    that F_w exists: the inversion recolors only the fan edge (u, F_i) of
+    color d (a maximal fan holds it, as d is free at F_k).  Unless the
     path ends at F_{i-1}, d stays free there, so F_w comes before F_i and
     the prefix is untouched; if it ends there, c is now free at F_{i-1}
-    and the whole fan holds.  No colour passes Delta: no vertex has more
-    than Delta coloured edges, and u has at most Delta - 1.
+    and the whole fan holds.  No color passes Delta: no vertex has more
+    than Delta colored edges, and u has at most Delta - 1.
     """
     at: list[dict[int, int]] = [{} for _ in range(g.n)]
     for u, v in g.edges():
@@ -107,9 +107,9 @@ def _misra_gries_edge_coloring(g: Graph) -> list[dict[int, int]]:
                 swapped = {d: near.pop(c, None), c: near.pop(d, None)}
                 near.update((col, y) for col, y in swapped.items() if y is not None)
         w = next(j for j, x in enumerate(fan) if d not in at[x])
-        colour_of = {x: col for col, x in at[u].items()}
+        color_of = {x: col for col, x in at[u].items()}
         for x, y in zip(fan, fan[1:w + 1]):
-            col = colour_of[y]
+            col = color_of[y]
             del at[y][col]
             at[u][col], at[x][col] = x, u
         at[u][d], at[fan[w]][d] = fan[w], u
@@ -131,7 +131,7 @@ def edge_coloring_matchings(g: Graph) -> list[Graph]:
     covers: list[int] = []
     for col in sorted(classes):
         rows = classes[col]
-        cover = 0
+        cover = 0  # a matching's rows OR to the vertices it covers
         for row in rows:
             cover |= row
         for i, m in enumerate(covers):
