@@ -17,7 +17,9 @@ graphs (C4, K4, K5, Petersen, K1, the empty graph on 4 vertices), on
 degree-capped graphs at n = 12, 30 and 40, on an edge list and on a
 graph needing more than 16 matchings, `label` with and
 without `--fn`, `enumerate` on every enumerable class tag at n <= 5 and
-its refusals, and a `--` before and after the command.  A change that
+its refusals, a `--` before and after the command, and `params` on
+graph6 strings with an invalid byte or nonzero padding and on seven
+malformed edge lists.  A change that
 alters a pinned output declares it and rewrites that entry's digests.
 """
 
