@@ -199,19 +199,17 @@ def _partition_masks(n: int) -> list[int]:
     return [mask | (key << n - 1) >> 1 for mask, keys in states for key in (*keys, 0)]
 
 
-def _matching_masks(n: int) -> Iterator[int]:
-    def rec(avail: tuple[int, ...], mask: int) -> Iterator[int]:
-        if not avail:
-            yield mask
-            return
-        v, rest = avail[0], avail[1:]
-        # v stays unmatched
-        yield from rec(rest, mask)
-        base = v * (2 * n - v - 1) // 2 - v - 1
-        for i, w in enumerate(rest):
-            yield from rec(rest[:i] + rest[i + 1:], mask | 1 << (base + w))
-
-    return rec(tuple(range(n)), 0)
+def _matching_masks(n: int, avail: tuple[int, ...], mask: int) -> Iterator[int]:
+    # mask plus each matching on the vertices in avail (n fixes the edge-mask layout)
+    if not avail:
+        yield mask
+        return
+    v, rest = avail[0], avail[1:]
+    # v stays unmatched
+    yield from _matching_masks(n, rest, mask)
+    base = v * (2 * n - v - 1) // 2 - v - 1
+    for i, w in enumerate(rest):
+        yield from _matching_masks(n, rest[:i] + rest[i + 1:], mask | 1 << (base + w))
 
 
 def _member_masks(tag: ClassTag, n: int) -> Iterable[int]:
@@ -244,7 +242,7 @@ def _member_masks(tag: ClassTag, n: int) -> Iterable[int]:
         candidates = [_block_mask(n, [every])] + [_block_mask(n, [every ^ 1 << a]) for a in range(n)]
         return list(dict.fromkeys(candidates))
     if kind == "d1":
-        return _matching_masks(n)
+        return _matching_masks(n, tuple(range(n)), 0)
     if kind == "ek":
         pairs = n * (n - 1) // 2
         sizes = range(min(tag.param, pairs) + 1)

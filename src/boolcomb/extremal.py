@@ -339,33 +339,7 @@ def _partition_pair_orbits(n: int) -> list[tuple[list[int], list[int]]]:
             for v in product(range(n - c + 1, -1, -1), repeat=c)
             if 0 < sum(v) <= n
         ]
-
-        def grow(start: int, left: int, picked: list[tuple], tied: int, covered: int):
-            # a column that is zero so far cannot precede a nonzero one (the
-            # order of the tied pair between them would fail), so the first
-            # `covered` columns are the nonzero ones, and each of the others
-            # needs one of the `left` units still to place
-            if left == 0:
-                rows = [cand[0] for cand in picked]
-                row_lines = sorted(((cand[5], cand[0]) for cand in picked), reverse=True)
-                cols = [(tuple(sorted(col, reverse=True)), col) for col in zip(*rows)]
-                col_lines = sorted(cols, reverse=True)
-                shape = tuple(top for top, _ in row_lines), tuple(top for top, _ in col_lines)
-                generated.append((shape, rows, row_lines, col_lines))
-                return
-            for i in range(start, len(cands)):
-                _, s, lt, gt, reach, top = cand = cands[i]
-                if s > left or tied & lt:
-                    continue
-                now = max(covered, reach)
-                if c - now > left - s or (picked and top > picked[0][0]):
-                    continue
-                picked.append(cand)
-                grow(i, left - s, picked, tied & ~gt, now)
-                picked.pop()
-
-        grow(0, n, [], (1 << (c - 1)) - 1, 0)
-    del grow  # it holds itself, and `generated`, in a cycle: free them on return
+        _grow_rows(cands, c, generated, 0, n, [], (1 << (c - 1)) - 1, 0)
     shared = Counter(shape for shape, *_ in generated)
     reps: dict[tuple, list[tuple[int, ...]]] = {}
     for shape, rows, row_lines, col_lines in generated:
@@ -383,6 +357,32 @@ def _partition_pair_orbits(n: int) -> list[tuple[list[int], list[int]]]:
                 v += count
         pairs.append((a, b))
     return pairs
+
+
+def _grow_rows(cands: list[tuple], c: int, generated: list[tuple], start: int, left: int,
+               picked: list[tuple], tied: int, covered: int) -> None:
+    # a column that is zero so far cannot precede a nonzero one (the
+    # order of the tied pair between them would fail), so the first
+    # `covered` columns are the nonzero ones, and each of the others
+    # needs one of the `left` units still to place
+    if left == 0:
+        rows = [cand[0] for cand in picked]
+        row_lines = sorted(((cand[5], cand[0]) for cand in picked), reverse=True)
+        cols = [(tuple(sorted(col, reverse=True)), col) for col in zip(*rows)]
+        col_lines = sorted(cols, reverse=True)
+        shape = tuple(top for top, _ in row_lines), tuple(top for top, _ in col_lines)
+        generated.append((shape, rows, row_lines, col_lines))
+        return
+    for i in range(start, len(cands)):
+        _, s, lt, gt, reach, top = cand = cands[i]
+        if s > left or tied & lt:
+            continue
+        now = max(covered, reach)
+        if c - now > left - s or (picked and top > picked[0][0]):
+            continue
+        picked.append(cand)
+        _grow_rows(cands, c, generated, i, left - s, picked, tied & ~gt, now)
+        picked.pop()
 
 
 def _perfect_2fn_equiv(seed: int, n: int = 6) -> Iterator[dict]:

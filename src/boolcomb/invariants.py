@@ -55,45 +55,40 @@ def maximum_clique(g: Graph) -> list[int]:
     """
     if g.n > CLIQUE_LIMIT:
         raise SizeLimitExceeded(f"clique solver capped at n = {CLIQUE_LIMIT}")
-    if g.n == 0:
-        return []
-    rows = g.rows
-    best: list[int] = []
+    return sorted(_expand(g.rows, [], (1 << g.n) - 1, []))
 
-    def color_sort(cand: int) -> list[tuple[int, int]]:
-        # greedy coloring of the candidate subgraph; returns (vertex, color)
-        order = []
-        color = 0
-        rest = cand
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                order.append((v, color))
-                rest ^= low
-                avail = (avail ^ low) & ~rows[v]
-        return order
 
-    def expand(current: list[int], cand: int):
-        nonlocal best
-        order = color_sort(cand)
-        for v, color in reversed(order):
-            if len(current) + color <= len(best):
-                return
-            current.append(v)
-            nxt = cand & rows[v]
-            if nxt:
-                expand(current, nxt)
-            elif len(current) > len(best):
-                best = current.copy()
-            current.pop()
-            cand &= ~(1 << v)
+def _color_sort(rows: Sequence[int], cand: int) -> list[tuple[int, int]]:
+    # greedy coloring of the candidate subgraph; returns (vertex, color)
+    order = []
+    color = 0
+    rest = cand
+    while rest:
+        color += 1
+        avail = rest
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            order.append((v, color))
+            rest ^= low
+            avail = (avail ^ low) & ~rows[v]
+    return order
 
-    expand([], (1 << g.n) - 1)
-    del expand  # it holds itself in a cycle: free it on return
-    return sorted(best)
+
+def _expand(rows: Sequence[int], current: list[int], cand: int, best: list[int]) -> list[int]:
+    # the best clique found once every clique extending current from cand is tried
+    for v, color in reversed(_color_sort(rows, cand)):
+        if len(current) + color <= len(best):
+            break
+        current.append(v)
+        nxt = cand & rows[v]
+        if nxt:
+            best = _expand(rows, current, nxt, best)
+        elif len(current) > len(best):
+            best = current.copy()
+        current.pop()
+        cand &= ~(1 << v)
+    return best
 
 
 def clique_number(g: Graph) -> int:
@@ -153,10 +148,12 @@ def _narrow(cand: int, planes: list[int]) -> tuple[int, int]:
 class _Dsatur:
     """DSATUR state (Brelaz 1979) on bit masks: colour c is free for v iff
     bit v of near[c], the vertices adjacent to class c, is clear; sat and deg
-    are bit-sliced counters (plane i holds bit i of every vertex's count)."""
+    are bit-sliced counters (plane i holds bit i of every vertex's count);
+    nodes counts the nodes of _solve's search tree."""
 
     def __init__(self, g: Graph):
         self.rows = g.rows
+        self.nodes = 0
         self.uncolored = (1 << g.n) - 1
         self.near = [0] * (g.n + 1)
         self.sat: list[int] = []
@@ -223,38 +220,32 @@ def _settle_chi(
     if n > CHROMATIC_LIMIT:
         return None
 
-    best = upper
-    nodes = 0
     d = _Dsatur(g)
     for i, v in enumerate(clique):
         d.color(v, i + 1)
+    return _solve(d, len(clique), upper, lower, max_nodes)
 
-    def solve(used: int):
-        nonlocal best, nodes
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise BudgetExceeded(f"chromatic search exceeded {max_nodes} nodes")
-        if used >= best:
-            return
-        if not d.uncolored:
-            best = used
-            return
-        v = d.pick()
-        for c in range(1, min(used + 1, best - 1) + 1):
-            if d.near[c] >> v & 1:
-                continue
-            saved = d.near[c], d.sat[:]
-            d.color(v, c)
-            solve(max(used, c))
-            if best == lower:  # proved optimal: the state is not needed again
-                return
-            d.near[c], d.sat = saved
-            d.uncolored ^= 1 << v
 
-    try:
-        solve(len(clique))
-    finally:
-        del solve  # it holds itself in a cycle: free it on return or on BudgetExceeded
+def _solve(d: _Dsatur, used: int, best: int, lower: int, max_nodes: Optional[int]) -> int:
+    # the fewest colours of a colouring that extends d's, or best if none uses fewer
+    d.nodes += 1
+    if max_nodes is not None and d.nodes > max_nodes:
+        raise BudgetExceeded(f"chromatic search exceeded {max_nodes} nodes")
+    if used >= best:
+        return best
+    if not d.uncolored:
+        return used
+    v = d.pick()
+    for c in range(1, min(used + 1, best - 1) + 1):
+        if d.near[c] >> v & 1:
+            continue
+        saved = d.near[c], d.sat[:]
+        d.color(v, c)
+        best = _solve(d, max(used, c), best, lower, max_nodes)
+        if best == lower:  # proved optimal: the state is not needed again
+            return best
+        d.near[c], d.sat = saved
+        d.uncolored ^= 1 << v
     return best
 
 
@@ -282,22 +273,19 @@ def biclique_number(g: Graph) -> int:
     """
     if g.n > BICLIQUE_LIMIT:
         raise SizeLimitExceeded(f"biclique solver capped at n = {BICLIQUE_LIMIT}")
-    rows = g.rows
-    best = 0
-
-    def grow(size: int, common: int, cand: int):
-        nonlocal best
-        best = max(best, min(size, common.bit_count()))
-        while cand and min(size + cand.bit_count(), common.bit_count()) > best:
-            low = cand & -cand
-            cand ^= low
-            nxt = common & rows[low.bit_length() - 1]
-            if nxt.bit_count() > best:
-                grow(size + 1, nxt, cand)
-
     full = (1 << g.n) - 1
-    grow(0, full, full)
-    del grow  # it holds itself in a cycle: free it on return
+    return _grow(g.rows, 0, full, full, 0)
+
+
+def _grow(rows: Sequence[int], size: int, common: int, cand: int, best: int) -> int:
+    # the best score of A or of an A extended from cand, if above best
+    best = max(best, min(size, common.bit_count()))
+    while cand and min(size + cand.bit_count(), common.bit_count()) > best:
+        low = cand & -cand
+        cand ^= low
+        nxt = common & rows[low.bit_length() - 1]
+        if nxt.bit_count() > best:
+            best = _grow(rows, size + 1, nxt, cand, best)
     return best
 
 
@@ -327,33 +315,32 @@ def _chain_search(g: Graph, strong: bool) -> int:
     rows = g.rows
     full = (1 << n) - 1
     away = [full & ~rows[v] & ~(1 << v) for v in range(n)]  # non-neighbours of v but v
-    best = 0
+    return _extend(rows, away, strong, 0, full, full, 0)
 
-    def extend(depth: int, cand_a: int, cand_b: int):
-        nonlocal best
-        d1 = depth + 1
-        order = sorted([((cand_b & rows[a]).bit_count(), a) for a in _bits(cand_a)], reverse=True)
-        seen = -1
-        for size, a in order:
-            if depth + size + strong <= best:
-                break
-            if seen != best:  # the b-side filter drops nothing while best < d1
-                seen = best
-                firsts = cand_b if best < d1 else sum(
-                    1 << b for b in _bits(cand_b) if d1 + (cand_a & away[b]).bit_count() > best)
-            bit_a = 1 << a
-            later = cand_b & rows[a]
-            pool = (cand_b & ~bit_a if strong else later) & firsts
-            if pool:
-                best = max(best, d1)
-            for b in _bits(pool):
-                next_a = cand_a & away[b] & ~bit_a
-                next_b = later & ~(1 << b)
-                if d1 + min(next_a.bit_count(), next_b.bit_count(), (next_a | next_b).bit_count() // 2) > best:
-                    extend(d1, next_a, next_b)
 
-    extend(0, full, full)
-    del extend  # it holds itself in a cycle: free it on return
+def _extend(rows: Sequence[int], away: list[int], strong: bool, depth: int, cand_a: int, cand_b: int,
+            best: int) -> int:
+    # the longest chain extending the depth pairs so far, if longer than best
+    d1 = depth + 1
+    order = sorted([((cand_b & rows[a]).bit_count(), a) for a in _bits(cand_a)], reverse=True)
+    seen = -1
+    for size, a in order:
+        if depth + size + strong <= best:
+            break
+        if seen != best:  # the b-side filter drops nothing while best < d1
+            seen = best
+            firsts = cand_b if best < d1 else sum(
+                1 << b for b in _bits(cand_b) if d1 + (cand_a & away[b]).bit_count() > best)
+        bit_a = 1 << a
+        later = cand_b & rows[a]
+        pool = (cand_b & ~bit_a if strong else later) & firsts
+        if pool:
+            best = max(best, d1)
+        for b in _bits(pool):
+            next_a = cand_a & away[b] & ~bit_a
+            next_b = later & ~(1 << b)
+            if d1 + min(next_a.bit_count(), next_b.bit_count(), (next_a | next_b).bit_count() // 2) > best:
+                best = _extend(rows, away, strong, d1, next_a, next_b, best)
     return best
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import tracemalloc
@@ -194,6 +195,17 @@ class TestEnumeration:
     def test_matching_counts_are_involution_numbers(self):
         got = [sum(1 for _ in enumerate_members(MATCHING, n)) for n in range(1, 7)]
         assert got == [1, 2, 4, 10, 26, 76]
+
+    def test_matching_enumeration_leaves_no_cycle_behind(self):
+        # the matching generator recurses; a cycle through its closure
+        # would hold its frames until the cycle collector ran
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(list(_member_masks(MATCHING, 6))) == 76
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_ek_enumeration(self):
         members = list(enumerate_members(at_most_edges(1), 4))

@@ -519,7 +519,7 @@ class TestPerfectOrbits:
         assert _partition_pair_orbits(n) == reference_partition_pair_orbits(n)
 
     def test_leaves_no_cycle_behind(self):
-        # grow calls itself through its closure; kept, that cycle would hold
+        # the row search recurses; a cycle through a closure would hold
         # every generated matrix until the cycle collector ran
         gc.collect()
         gc.disable()

@@ -1080,9 +1080,8 @@ def chromatic_number_past_budget(g):
     (strong_chain_number, Graph.cycle(9)),
 ], ids=lambda x: x.__name__ if callable(x) else f"n{x.n}")
 def test_search_leaves_no_cycle_behind(search, g):
-    # each search calls itself through its closure; kept, that cycle would
-    # hold the search state until the cycle collector ran, also when the
-    # search raises
+    # each search recurses; a cycle through a closure would hold the search
+    # state until the cycle collector ran, also when the search raises
     gc.collect()
     gc.disable()
     try:

@@ -1,6 +1,6 @@
 """Every name a library module imports is used in that module, nothing
-is cached across calls, and a Partition is built only where one is
-returned.
+is cached across calls, a Partition is built only where one is
+returned, and no nested function recurses through its closure.
 
 A stdlib stand-in for a linter's unused-import rule: each module of
 src/boolcomb except the package's __init__ (whose imports are its
@@ -8,7 +8,10 @@ exports) is parsed with ast, and every imported name must be read
 somewhere in it, in code or in a string annotation.  Also checks that
 no function but `invariants._meet_tables` caches across calls, and that
 outside graphs.py only the public functions that return a Partition
-build one (inside the library a vertex block is an int mask).
+build one (inside the library a vertex block is an int mask), and that
+no function nested in another reads its own name: it would hold itself
+through its closure cell, so each call would leave a reference cycle
+for the collector (the searches recurse as module-level functions).
 """
 
 import ast
@@ -168,3 +171,59 @@ def test_a_partition_build_is_caught():
         "def h(n): return Partition.equivalence_graph(n)\n"
     )
     assert partition_builders(source) == {"a", "b", "c", "D", "<module>"}
+
+
+def self_recursive_closures(source: str) -> set[str]:
+    """Functions nested in a function that read their own name, each
+    dotted from its top-level function or class."""
+    found = set()
+
+    def visit(node, path: list[str], in_function: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = [*path, child.name]
+                is_function = not isinstance(child, ast.ClassDef)
+                if is_function and in_function and any(
+                    isinstance(n, ast.Name) and n.id == child.name for n in ast.walk(child)
+                ):
+                    found.add(".".join(inner))
+                visit(child, inner, in_function or is_function)
+            else:
+                visit(child, path, in_function)
+
+    visit(ast.parse(source), [], False)
+    return found
+
+
+def test_no_function_recurses_through_a_closure():
+    found = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in self_recursive_closures(path.read_text())
+    }
+    assert found == set()
+
+
+def test_a_closure_that_recurses_through_its_cell_is_caught():
+    source = (
+        "def a(n):\n"
+        "    def walk(k):\n"
+        "        return 0 if k == 0 else walk(k - 1)\n"
+        "    return walk(n)\n"
+        "def b(n):\n"
+        "    def key(x): return -x\n"
+        "    return sorted(range(n), key=key)\n"
+        "def c(n):\n"
+        "    return 0 if n == 0 else c(n - 1)\n"
+        "class D:\n"
+        "    def e(self, n):\n"
+        "        return self.e(n - 1) if n else 0\n"
+        "def f(n):\n"
+        "    class G:\n"
+        "        def h(self):\n"
+        "            if n:\n"
+        "                async def gen(k):\n"
+        "                    await gen(k - 1)\n"
+        "    return G\n"
+    )
+    assert self_recursive_closures(source) == {"a.walk", "f.G.h.gen"}
