@@ -3,9 +3,9 @@
 graph6 packs the upper triangle column-major, 6 bits per printable
 byte, each offset by 63.  The vertex count takes one byte for n <= 62
 (short form) and '~' plus three bytes of an 18-bit n for
-63 <= n < 2^18 (long form).  The '~~' form for larger n is rejected,
-as is a long form for an n that fits the short one, so every graph has
-exactly one encoding.
+63 <= n < 2^18 (long form), which holds every n up to MAX_VERTICES.
+The '~~' form for larger n is rejected, as is a long form for an n
+that fits the short one, so every graph has exactly one encoding.
 """
 
 from __future__ import annotations
@@ -16,14 +16,11 @@ from .errors import MalformedInput
 from .graphs import Graph
 
 GRAPH6_SHORT_MAX_N = 62
-GRAPH6_MAX_N = (1 << 18) - 1
 
 
 def _graph6_header(n: int) -> str:
     if n <= GRAPH6_SHORT_MAX_N:
         return chr(n + 63)
-    if n > GRAPH6_MAX_N:
-        raise MalformedInput(f"graph6 long form caps at n = {GRAPH6_MAX_N}, got {n}")
     return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
 
 
@@ -129,7 +126,7 @@ def graph6_to_graph(text: str) -> Graph:
 
 def graph_to_edgelist_text(g: Graph) -> str:
     lines = [f"{g.n} {g.edge_count}"]
-    for u, v in sorted(g.edges()):
+    for u, v in g.edges():
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
 

@@ -24,7 +24,7 @@ from boolcomb.gformats import (
     graph_to_graph6,
     parse_graph,
 )
-from boolcomb.graphs import Graph, apply_boolean
+from boolcomb.graphs import MAX_VERTICES, Graph, apply_boolean
 
 from conftest import isomorphic, random_graph
 
@@ -93,6 +93,10 @@ class TestGraph6LongForm:
             graph6_to_graph("~??" + chr(5 + 63) + short[1:])
         with pytest.raises(MalformedInput, match="'~~'"):
             graph6_to_graph("~~" + "?" * 6)
+
+    def test_every_graph_fits_the_long_form(self):
+        # graph_to_graph6 has no cap of its own: an 18-bit n holds every Graph
+        assert MAX_VERTICES <= (1 << 18) - 1
 
 
 class TestEdgeList:
