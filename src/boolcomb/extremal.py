@@ -361,10 +361,11 @@ def _partition_pair_orbits(n: int) -> list[tuple[list[int], list[int]]]:
 
 def _grow_rows(cands: list[tuple], c: int, generated: list[tuple], start: int, left: int,
                picked: list[tuple], tied: int, covered: int) -> None:
-    # a column that is zero so far cannot precede a nonzero one (the
-    # order of the tied pair between them would fail), so the first
-    # `covered` columns are the nonzero ones, and each of the others
-    # needs one of the `left` units still to place
+    # append to generated each c-column matrix that extends the picked rows
+    # by rows from cands[start:]; a column that is zero so far cannot
+    # precede a nonzero one (the order of the tied pair between them would
+    # fail), so the first `covered` columns are the nonzero ones, and each
+    # of the others needs one of the `left` units still to place
     if left == 0:
         rows = [cand[0] for cand in picked]
         row_lines = sorted(((cand[5], cand[0]) for cand in picked), reverse=True)

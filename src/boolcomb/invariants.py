@@ -76,7 +76,7 @@ def _color_sort(rows: Sequence[int], cand: int) -> list[tuple[int, int]]:
 
 
 def _expand(rows: Sequence[int], current: list[int], cand: int, best: list[int]) -> list[int]:
-    # the best clique found once every clique extending current from cand is tried
+    # the larger of best and the largest clique that extends current from cand
     for v, color in reversed(_color_sort(rows, cand)):
         if len(current) + color <= len(best):
             break
@@ -227,7 +227,7 @@ def _settle_chi(
 
 
 def _solve(d: _Dsatur, used: int, best: int, lower: int, max_nodes: Optional[int]) -> int:
-    # the fewest colours of a colouring that extends d's, or best if none uses fewer
+    # the fewer of best and the colours of the best colouring that extends d's
     d.nodes += 1
     if max_nodes is not None and d.nodes > max_nodes:
         raise BudgetExceeded(f"chromatic search exceeded {max_nodes} nodes")
@@ -278,7 +278,7 @@ def biclique_number(g: Graph) -> int:
 
 
 def _grow(rows: Sequence[int], size: int, common: int, cand: int, best: int) -> int:
-    # the best score of A or of an A extended from cand, if above best
+    # the larger of best and the best score of A or of an A extended from cand
     best = max(best, min(size, common.bit_count()))
     while cand and min(size + cand.bit_count(), common.bit_count()) > best:
         low = cand & -cand
@@ -320,7 +320,7 @@ def _chain_search(g: Graph, strong: bool) -> int:
 
 def _extend(rows: Sequence[int], away: list[int], strong: bool, depth: int, cand_a: int, cand_b: int,
             best: int) -> int:
-    # the longest chain extending the depth pairs so far, if longer than best
+    # the larger of best and the longest chain that extends the depth pairs so far
     d1 = depth + 1
     order = sorted([((cand_b & rows[a]).bit_count(), a) for a in _bits(cand_a)], reverse=True)
     seen = -1
