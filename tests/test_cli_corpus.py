@@ -19,7 +19,11 @@ graph needing more than 16 matchings, `label` with and
 without `--fn`, `enumerate` on every enumerable class tag at n <= 5 and
 its refusals, a `--` before and after the command, and `params` on
 graph6 strings with an invalid byte or nonzero padding and on seven
-malformed edge lists.  A change that
+malformed edge lists.  Its booldim fold slice holds union at kmax 2
+(exhaustive) and 3 and intersect at kmax 3 (exhaustive) on two
+C5-planted targets at n = 6, with an unrestricted kmax 2 search on a
+C5-planted target at n = 7, and one unrestricted and one union search
+with `--budget` at exactly the multisets searched and at one less.  A change that
 alters a pinned output declares it and rewrites that entry's digests.
 """
 
