@@ -7,15 +7,21 @@ single-valuedness test: the mapping from observed adjacency patterns to
 required target bits must be a function.  Unobserved patterns default
 to 0, so no loop over all 2^(2^k) functions is ever needed.
 
-The unrestricted and XOR searches fix the first k - 1 parts and find
-the last one instead of enumerating it.  For XOR the last part is
-target ^ xor(prefix), looked up by edge mask.  Unrestricted, the prefix
-cuts the pairs into at most 2^(k-1) regions; the last part B must meet
-each of the c regions R that the target splits in T ∩ R or R ∖ T.  When
-every nonempty region is split, B is one of 2^c unions, each looked up;
-otherwise the members from the prefix's last index on are scanned
-against the prefix's regions.  Either way every multiset is still
-decided, and the lexicographically first one is reported.
+The searches fix the first k - 1 parts and find the last one instead of
+enumerating it.  For XOR the last part is target ^ xor(prefix), looked
+up by edge mask.  The other searches pick it from a column index over
+the members: has[e] is the int whose bit i is set iff pair e lies in
+masks[i], and lacks[e] its complement, so the members that meet a pair
+set R in exactly X are one AND of has over X and lacks over R ∖ X.
+Unrestricted, the prefix cuts the pairs into at most 2^(k-1) regions,
+and the last part B must meet each region R that the target splits in
+exactly T ∩ R or R ∖ T: one AND per side.  Under union B must hold the
+target's pairs that no prefix part holds, and under intersection miss
+the pairs that every prefix part holds outside the target; there the
+columns run over the pool of members inside (containing) the target.
+Either way the candidates are masked to the prefix's last index on and
+the least is taken, so every multiset is still decided and the
+lexicographically first one is reported.
 
 The members are never built as graphs: `classes._member_masks` gives
 their edge masks, sorted as plain ints (`_Prepared` says why that is
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Optional
@@ -70,13 +77,23 @@ class _Prepared:
 
     `key` relabels v as n - 1 - v, and every enumerable class is closed
     under that, so the sorted masks are the members' keys in graph6
-    order; the searches only combine pair sets, so keys serve as well."""
+    order; the searches only combine pair sets, so keys serve as well.
+
+    `columns` is the members' column index (`_columns`), built on the
+    first unrestricted search of this query and dropped with it: the
+    record lives for one call, so the index is no cache across calls,
+    and restricted searches never build it."""
 
     n: int
     masks: list[int]
     target: int
     full: int
     key: Callable[[int], int]
+
+    @cached_property
+    def columns(self) -> tuple[list[int], list[int]]:
+        """_columns over every member."""
+        return _columns(self.masks, self.full.bit_length())
 
     def least_at(self, mask: int, lo: int) -> Optional[int]:
         """The position >= lo of the member with this edge mask, if any."""
@@ -124,43 +141,57 @@ def _table(ms: list[int], target: int, full: int) -> int:
     return sum(1 << pattern for pattern, region in _regions(ms, full).items() if region & target == region)
 
 
+def _columns(masks: list[int], pairs: int) -> tuple[list[int], list[int]]:
+    """has[e], the members (bit i for masks[i]) that hold pair e, and
+    lacks[e], those that miss it, for every pair e < pairs.
+
+    The masks' binary strings, last member first and each led by "0b1"
+    (bit `pairs` set, so that none loses its leading zeros), are laid end
+    to end, so each column is one stride slice of that text: no Python
+    step per bit."""
+    if not masks:
+        return [0] * pairs, [0] * pairs
+    text = "".join(map(bin, map((1 << pairs).__or__, reversed(masks))))
+    width = pairs + 3
+    has = [int(text[width - 1 - e :: width], 2) for e in range(pairs)]
+    everyone = (1 << len(masks)) - 1
+    return has, [everyone ^ column for column in has]
+
+
+def _meeting(columns: tuple[list[int], list[int]], cands: int, inside: int, outside: int) -> int:
+    """The members among cands that hold every pair of inside and miss
+    every pair of outside: an AND of columns, stopped once none is left."""
+    has, lacks = columns
+    while inside and cands:
+        low = inside & -inside
+        cands &= has[low.bit_length() - 1]
+        inside ^= low
+    while outside and cands:
+        low = outside & -outside
+        cands &= lacks[low.bit_length() - 1]
+        outside ^= low
+    return cands
+
+
+def _lowest(cands: int) -> Optional[int]:
+    return (cands & -cands).bit_length() - 1 if cands else None
+
+
 def _last_part(p: _Prepared, prefix: tuple[int, ...]) -> Optional[int]:
     """The least position >= the prefix's last index whose member B makes
     prefix + (B,) a function of the target, or None.
 
     The prefix cuts the pairs into regions.  B must meet each region R
-    that the target splits in exactly T ∩ R or R ∖ T; on the other,
-    free, regions any B will do."""
+    that the target splits in exactly T ∩ R or R ∖ T; on the other
+    regions any B will do."""
     lo = prefix[-1] if prefix else 0
-    masks = p.masks
-    split = []  # (region, the target's part of it, the rest of it)
-    cover = 0  # the union of the split regions
-    free = False
-    for region in _regions([masks[i] for i in prefix], p.full).values():
+    cands = ((1 << len(p.masks)) - 1) >> lo << lo
+    for region in _regions([p.masks[i] for i in prefix], p.full).values():
         hit = region & p.target
         if hit and hit != region:
-            split.append((region, hit, region ^ hit))
-            cover |= region
-        else:
-            free = True
-    if 1 << len(split) > len(masks) - lo:
-        # more ways to meet the split regions than members left: test each
-        for i in range(lo, len(masks)):
-            if all(masks[i] & region in (hit, miss) for region, hit, miss in split):
-                return i
-        return None
-    completions = [0]  # every allowed B ∩ cover
-    for _, hit, miss in split:
-        completions = [b | hit for b in completions] + [b | miss for b in completions]
-    if not free:
-        # cover holds every pair, so B is a completion: look it up
-        found = [i for b in completions if (i := p.least_at(b, lo)) is not None]
-        return min(found, default=None)
-    allowed = set(completions)
-    for i in range(lo, len(masks)):
-        if masks[i] & cover in allowed:
-            return i
-    return None
+            miss = region ^ hit
+            cands = _meeting(p.columns, cands, hit, miss) | _meeting(p.columns, cands, miss, hit)
+    return _lowest(cands)
 
 
 def _xor_last_part(p: _Prepared, prefix: tuple[int, ...]) -> Optional[int]:
@@ -193,24 +224,28 @@ def _search(g: Graph, p: _Prepared, k: int, budget: int) -> Optional[DimWitness]
 
 def _fold_combo(p: _Prepared, mode: str, k: int, budget: int) -> Optional[tuple[int, ...]]:
     """Union or intersection: every part lies inside (union) or contains
-    (intersect) the target, so only those members are enumerated."""
+    (intersect) the target, so only those members, the pool, are searched.
+    Each (k - 1)-prefix of the pool leaves the last part a set of pairs to
+    hold (union: the target's pairs outside every prefix part) or to miss
+    (intersect: the pairs of every prefix part outside the target)."""
     masks, target = p.masks, p.target
     if mode == "union":
         pool = [i for i, mask in enumerate(masks) if mask & ~target == 0]
     else:
         pool = [i for i, mask in enumerate(masks) if target & ~mask == 0]
     _check_budget(len(pool), k, budget)
-    for combo in combinations_with_replacement(pool, k):
-        if mode == "union":
-            acc = 0
-            for i in combo:
-                acc |= masks[i]
-        else:
-            acc = p.full
-            for i in combo:
-                acc &= masks[i]
-        if acc == target:
-            return combo
+    members = [masks[i] for i in pool]
+    columns = _columns(members, p.full.bit_length())
+    everyone = (1 << len(pool)) - 1
+    for prefix in combinations_with_replacement(range(len(pool)), k - 1):
+        lo = prefix[-1] if prefix else 0
+        hold, miss = (target, 0) if mode == "union" else (0, p.full & ~target)
+        for j in prefix:
+            hold &= ~members[j]
+            miss &= members[j]
+        last = _lowest(_meeting(columns, everyone >> lo << lo, hold, miss))
+        if last is not None:
+            return tuple(pool[j] for j in prefix + (last,))
     return None
 
 

@@ -376,11 +376,13 @@ def reference_prepare(g, tag):
 class ReferencePrepared:
     """The search record as _prepare built it before the searches moved to
     graph6's bit layout: reference_prepare's fields, with g's own edge
-    mask as the target.  The search kernels read only masks, target, full,
+    mask as the target, and the member columns from booldim's own
+    builder.  The search kernels read only masks, target, full, columns,
     least_at and parts, so they run on it as they are."""
 
     def __init__(self, members, masks, index, target, full):
         self.members, self.masks, self.index, self.target, self.full = members, masks, index, target, full
+        self.columns = booldim._columns(masks, full.bit_length())
 
     def least_at(self, mask, lo):
         return next((i for i in self.index.get(mask, ()) if i >= lo), None)
@@ -634,3 +636,102 @@ class TestKCap:
                         expected = next((len(c) for c in found if c is not None), None)
                         w = restricted_dimension(g, tag, mode, m + 3)
                         assert (w and w.k) == expected, (tag, n, target, mode)
+
+
+def reference_columns(masks, pairs):
+    """has and lacks built one bit at a time: bit i of has[e] is bit e of
+    masks[i], and lacks[e] is has[e]'s complement over the members."""
+    has = [sum(1 << i for i, mask in enumerate(masks) if mask >> e & 1) for e in range(pairs)]
+    everyone = (1 << len(masks)) - 1
+    return has, [everyone ^ column for column in has]
+
+
+def reference_fold(p, mode, k, budget):
+    """The fold search as a loop over every multiset of k pool members in
+    lexicographic order: the first whose union (intersection) is the
+    target, or None."""
+    masks, target = p.masks, p.target
+    if mode == "union":
+        pool = [i for i, mask in enumerate(masks) if mask & ~target == 0]
+    else:
+        pool = [i for i, mask in enumerate(masks) if target & ~mask == 0]
+    booldim._check_budget(len(pool), k, budget)
+    for combo in itertools.combinations_with_replacement(pool, k):
+        if mode == "union":
+            acc = 0
+            for i in combo:
+                acc |= masks[i]
+        else:
+            acc = p.full
+            for i in combo:
+                acc &= masks[i]
+        if acc == target:
+            return combo
+    return None
+
+
+class TestColumns:
+    """The per-query column index: has[e] holds the members with pair e,
+    lacks[e] those without it, built by slicing one text."""
+
+    @pytest.mark.parametrize("tag", ENUMERABLE, ids=[t.to_text() for t in ENUMERABLE])
+    def test_matches_the_bit_loop(self, tag):
+        rng = random.Random(3001)
+        for n in range(8):
+            p = booldim._prepare(Graph.empty(n), tag)
+            pairs = p.full.bit_length()
+            assert pairs == n * (n - 1) // 2
+            pool = [mask for mask in p.masks if rng.random() < 0.5]
+            for masks in (p.masks, pool, [], p.masks[:1], p.masks[-1:]):
+                assert booldim._columns(masks, pairs) == reference_columns(masks, pairs), (n, len(masks))
+            assert p.columns == reference_columns(p.masks, pairs), n
+
+    def test_wide_masks_keep_their_leading_zeros(self):
+        rng = random.Random(3002)
+        for pairs in (1, 2, 21, 64, 65, 200):
+            masks = [0, (1 << pairs) - 1, 1, 1 << (pairs - 1)]
+            masks += [rng.getrandbits(pairs) for _ in range(40)]
+            assert booldim._columns(masks, pairs) == reference_columns(masks, pairs), pairs
+
+    def test_no_pairs(self):
+        for masks in ([], [0], [0, 0]):
+            assert booldim._columns(masks, 0) == ([], [])
+        for n in (0, 1):
+            p = booldim._prepare(Graph.empty(n), EQUIVALENCE)
+            assert p.columns == ([], [])
+
+    def test_built_once_per_query_and_only_for_unrestricted_searches(self, monkeypatch):
+        built = []
+        columns = booldim._columns
+        monkeypatch.setattr(booldim, "_columns", lambda masks, pairs: built.append(len(masks)) or columns(masks, pairs))
+        assert boolean_dimension(Graph.cycle(5), EQUIVALENCE, 2) is None
+        assert built == [52]
+        built.clear()
+        assert restricted_dimension(Graph.cycle(5), EQUIVALENCE, "xor", 2) is None
+        assert built == []
+
+
+class TestFoldSearch:
+    """The union and intersection searches walk (k - 1)-prefixes of the
+    pool and pick the last part by columns over the pool; they report what
+    the multiset loop reports."""
+
+    @pytest.mark.parametrize("tag", ENUMERABLE, ids=[t.to_text() for t in ENUMERABLE])
+    def test_matches_the_multiset_loop(self, tag):
+        for n in range(6):
+            p = booldim._prepare(Graph.empty(n), tag)
+            for target in range(1 << (n * (n - 1) // 2)):
+                q = replace(p, target=target)
+                for mode in ("union", "intersect"):
+                    for k in (1, 2, 3):
+                        expected = reference_fold(q, mode, k, DEFAULT_BUDGET)
+                        assert booldim._fold_combo(q, mode, k, DEFAULT_BUDGET) == expected, (n, target, mode, k)
+
+    def test_budget_is_the_pool_multiset_count(self):
+        # the union pool of C5 in equiv is the matchings inside it: the empty
+        # graph, 5 edges and 5 pairs of disjoint edges, so C(13, 3) = 286
+        # multisets of 3
+        p = booldim._prepare(Graph.cycle(5), EQUIVALENCE)
+        assert booldim._fold_combo(p, "union", 3, 286) is not None
+        with pytest.raises(BudgetExceeded, match="^286 multisets of 3 from 11 candidates exceed the budget of 285$"):
+            booldim._fold_combo(p, "union", 3, 285)

@@ -6,7 +6,9 @@ A stdlib stand-in for a linter's unused-import rule: each module of
 src/boolcomb except the package's __init__ (whose imports are its
 exports) is parsed with ast, and every imported name must be read
 somewhere in it, in code or in a string annotation.  Also checks that
-no function but `invariants._meet_tables` caches across calls, and that
+no function but `invariants._meet_tables` caches across calls, that
+no `functools.cached_property` is used but booldim's per-query column
+index on `_Prepared` (a record that lives for one call), and that
 outside graphs.py only the public functions that return a Partition
 build one (inside the library a vertex block is an int mask), and that
 no function nested in another reads its own name: it would hold itself
@@ -123,6 +125,69 @@ def test_a_cache_decorator_is_caught():
         "def d(n): return n\n"
     )
     assert cached_functions(source) == {"a", "b", "c"}
+
+
+# the one cached_property: booldim's column index, on the search record that
+# one call builds and drops, so it cannot outlive its query
+ALLOWED_CACHED_PROPERTIES = {"booldim._Prepared.columns"}
+
+
+def cached_properties(source: str) -> set[str]:
+    """Every use of functools.cached_property, in any spelling (decorator,
+    call, or through the module), dotted from the top level through the
+    classes and functions around it."""
+    found = set()
+
+    def named(node):
+        return (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) == "cached_property"
+
+    def visit(node, path: list[str]):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = [*path, child.name]
+                if any(named(dec.func if isinstance(dec, ast.Call) else dec) for dec in child.decorator_list):
+                    found.add(".".join(inner))
+                visit(child, inner)
+            elif isinstance(child, ast.Call) and named(child.func):
+                found.add(".".join([*path, "<call>"]))
+                visit(child, path)
+            else:
+                visit(child, path)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_no_cached_property_but_the_column_index():
+    found = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in cached_properties(path.read_text())
+    }
+    assert found == ALLOWED_CACHED_PROPERTIES
+
+
+def test_a_cached_property_is_caught():
+    source = (
+        "import functools\n"
+        "from functools import cached_property\n"
+        "class A:\n"
+        "    @cached_property\n"
+        "    def b(self): return 0\n"
+        "    @functools.cached_property\n"
+        "    def c(self): return 0\n"
+        "    @property\n"
+        "    def d(self): return 0\n"
+        "    e = functools.cached_property(lambda self: 0)\n"
+        "def f():\n"
+        "    class G:\n"
+        "        @cached_property\n"
+        "        def h(self): return 0\n"
+        "    return G\n"
+        "@staticmethod\n"
+        "def i(n): return n\n"
+    )
+    assert cached_properties(source) == {"A.b", "A.c", "A.<call>", "f.G.h"}
 
 
 # the public functions that return a Partition; graphs.py, which defines
