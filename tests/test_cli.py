@@ -125,6 +125,17 @@ class TestEdgeList:
         assert parse_graph(emit_graph(g, "graph6"), "graph6").rows == g.rows
         assert parse_graph(emit_graph(g, "edgelist"), "edgelist").rows == g.rows
 
+    @pytest.mark.parametrize("fmt", ["dot", "Graph6", ""])
+    def test_unknown_format_is_refused_both_ways(self, fmt):
+        with pytest.raises(MalformedInput) as info:
+            parse_graph("Dhc", fmt)
+        assert type(info.value) is MalformedInput and info.value.offset is None
+        assert str(info.value) == f"unknown graph format {fmt!r}"
+        with pytest.raises(MalformedInput) as info:
+            emit_graph(Graph.cycle(5), fmt)
+        assert type(info.value) is MalformedInput and info.value.offset is None
+        assert str(info.value) == f"unknown graph format {fmt!r}"
+
 
 class TestCli:
     def test_params_k5(self, capsys):

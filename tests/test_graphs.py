@@ -522,3 +522,55 @@ class TestPartitionType:
     def test_negative_ground_set_is_a_size_error(self):
         with pytest.raises(SizeLimitExceeded, match=r"vertex count -1 outside \[0, 65536\]"):
             Partition(-1, ())
+
+
+class TestRefusals:
+    """Each refusal of the graph and partition constructors and of the
+    operators, by its error type and its whole message."""
+
+    @staticmethod
+    def refused(error, message, build):
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_graph_row_count(self):
+        self.refused(ValueError, "row count does not match vertex count", lambda: Graph(3, (0, 0)))
+        self.refused(ValueError, "row count does not match vertex count", lambda: Graph(0, (0,)))
+
+    def test_from_edges_out_of_range_vertex(self):
+        self.refused(OutOfRangeVertex, "edge (0, 3) outside 0..2", lambda: Graph.from_edges(3, [(0, 1), (0, 3)]))
+        self.refused(OutOfRangeVertex, "edge (-1, 2) outside 0..2", lambda: Graph.from_edges(3, [(-1, 2)]))
+
+    def test_from_edges_loop(self):
+        self.refused(ValueError, "loop at vertex 2", lambda: Graph.from_edges(4, [(0, 1), (2, 2)]))
+
+    def test_adj_out_of_range(self):
+        g = Graph.cycle(4)
+        self.refused(OutOfRangeVertex, "pair (0, 4) outside 0..3", lambda: g.adj(0, 4))
+        self.refused(OutOfRangeVertex, "pair (-1, 0) outside 0..3", lambda: g.adj(-1, 0))
+
+    def test_partition_empty_block(self):
+        self.refused(ValueError, "empty block", lambda: Partition(2, (frozenset({0, 1}), frozenset())))
+        self.refused(ValueError, "empty block", lambda: Partition.from_blocks(2, [[0, 1], []]))
+
+    def test_partition_unsorted_blocks(self):
+        self.refused(
+            ValueError,
+            "blocks not sorted by minimum element",
+            lambda: Partition(3, (frozenset({1}), frozenset({0, 2}))),
+        )
+
+    def test_combine_unknown_operator(self):
+        g = Graph.cycle(4)
+        self.refused(ValueError, "unknown operator 'nand'", lambda: combine("nand", [g, g]))
+        self.refused(ValueError, "unknown operator 'fn:2:0x6'", lambda: combine("fn:2:0x6", [g]))
+
+    def test_apply_boolean_explicit_n_mismatch(self):
+        g = Graph.cycle(4)
+        self.refused(
+            MismatchedVertexCount,
+            "explicit n=5 but graphs have 4 vertices",
+            lambda: apply_boolean(BooleanFunction.xor_(2), [g, g], n=5),
+        )
