@@ -8,20 +8,17 @@ required target bits must be a function.  Unobserved patterns default
 to 0, so no loop over all 2^(2^k) functions is ever needed.
 
 The searches fix the first k - 1 parts and find the last one instead of
-enumerating it.  For XOR the last part is target ^ xor(prefix), looked
-up by edge mask.  The other searches pick it from a column index over
-the members: has[e] is the int whose bit i is set iff pair e lies in
-masks[i], and lacks[e] its complement, so the members that meet a pair
-set R in exactly X are one AND of has over X and lacks over R ∖ X.
-Unrestricted, the prefix cuts the pairs into at most 2^(k-1) regions,
-and the last part B must meet each region R that the target splits in
-exactly T ∩ R or R ∖ T: one AND per side.  Under union B must hold the
-target's pairs that no prefix part holds, and under intersection miss
-the pairs that every prefix part holds outside the target; there the
-columns run over the pool of members inside (containing) the target.
-Either way the candidates are masked to the prefix's last index on and
-the least is taken, so every multiset is still decided and the
-lexicographically first one is reported.
+enumerating it.  Under XOR it is target ^ xor(prefix), looked up by edge
+mask.  Otherwise it is read off per-pair member columns: bit i of has[e]
+is set iff pair e lies in masks[i], and lacks[e] is its complement, so
+the members that meet a pair set R in exactly X are one AND of has over
+X and lacks over R ∖ X.  Unrestricted, the last part must meet each
+region of the prefix that the target splits in exactly T ∩ R or R ∖ T;
+under union it must hold the target's pairs that no prefix part holds,
+and under intersection miss the other pairs that every prefix part
+holds.  The least candidate from the prefix's last index on is taken,
+so every multiset is still decided and the lexicographically first one
+is reported.
 
 The members are never built as graphs: `classes._member_masks` gives
 their edge masks, sorted as plain ints (`_Prepared` says why that is
@@ -79,10 +76,8 @@ class _Prepared:
     under that, so the sorted masks are the members' keys in graph6
     order; the searches only combine pair sets, so keys serve as well.
 
-    `columns` is the members' column index (`_columns`), built on the
-    first unrestricted search of this query and dropped with it: the
-    record lives for one call, so the index is no cache across calls,
-    and restricted searches never build it."""
+    `columns`, `_columns` over every member, is built on the first
+    unrestricted search and lives only as long as this one-call record."""
 
     n: int
     masks: list[int]
@@ -92,7 +87,6 @@ class _Prepared:
 
     @cached_property
     def columns(self) -> tuple[list[int], list[int]]:
-        """_columns over every member."""
         return _columns(self.masks, self.full.bit_length())
 
     def least_at(self, mask: int, lo: int) -> Optional[int]:
@@ -143,12 +137,10 @@ def _table(ms: list[int], target: int, full: int) -> int:
 
 def _columns(masks: list[int], pairs: int) -> tuple[list[int], list[int]]:
     """has[e], the members (bit i for masks[i]) that hold pair e, and
-    lacks[e], those that miss it, for every pair e < pairs.
-
-    The masks' binary strings, last member first and each led by "0b1"
-    (bit `pairs` set, so that none loses its leading zeros), are laid end
-    to end, so each column is one stride slice of that text: no Python
-    step per bit."""
+    lacks[e], those that miss it, for every pair e < pairs.  Each column
+    is one stride slice of the masks' binary strings laid end to end,
+    last member first, each led by "0b1" (bit `pairs`, which keeps its
+    leading zeros): no Python step per bit."""
     if not masks:
         return [0] * pairs, [0] * pairs
     text = "".join(map(bin, map((1 << pairs).__or__, reversed(masks))))
