@@ -9,16 +9,17 @@ to 0, so no loop over all 2^(2^k) functions is ever needed.
 
 The searches fix the first k - 1 parts and find the last one instead of
 enumerating it.  Under XOR it is target ^ xor(prefix), looked up by edge
-mask.  Otherwise it is read off per-pair member columns: bit i of has[e]
-is set iff pair e lies in masks[i], and lacks[e] is its complement, so
-the members that meet a pair set R in exactly X are one AND of has over
-X and lacks over R ∖ X.  Unrestricted, the last part must meet each
-region of the prefix that the target splits in exactly T ∩ R or R ∖ T;
-under union it must hold the target's pairs that no prefix part holds,
-and under intersection miss the other pairs that every prefix part
-holds.  The least candidate from the prefix's last index on is taken,
-so every multiset is still decided and the lexicographically first one
-is reported.
+mask.  Otherwise it is read off member columns: for each set of pairs
+that no member tells apart, the int `has` whose bit i is set iff
+masks[i] holds the set, and its complement `lacks`, so the members that
+meet a pair set R in exactly X are one AND of has over the sets X meets
+and lacks over those R ∖ X meets.  Unrestricted, the last part must
+meet each region of the prefix that the target splits in exactly T ∩ R
+or R ∖ T; under union it must hold the target's pairs that no prefix
+part holds, and under intersection miss the other pairs that every
+prefix part holds.  The least candidate from the prefix's last index on
+is taken, so every multiset is still decided and the lexicographically
+first one is reported.
 
 The members are never built as graphs: `classes._member_masks` gives
 their edge masks, sorted as plain ints (`_Prepared` says why that is
@@ -43,6 +44,8 @@ from .gformats import _graph6_order_key, graph_to_graph6
 from .graphs import Graph, _regions, apply_boolean
 
 DEFAULT_BUDGET = 10**8
+# (pairs, has, lacks) per set of pairs that no member tells apart: `_columns`
+Columns = list[tuple[int, int, int]]
 _FOLDS = {"union": BooleanFunction.or_, "intersect": BooleanFunction.and_, "xor": BooleanFunction.xor_}
 
 
@@ -86,8 +89,8 @@ class _Prepared:
     key: Callable[[int], int]
 
     @cached_property
-    def columns(self) -> tuple[list[int], list[int]]:
-        return _columns(self.masks, self.full.bit_length())
+    def columns(self) -> Columns:
+        return _columns(self.masks, self.full)
 
     def least_at(self, mask: int, lo: int) -> Optional[int]:
         """The position >= lo of the member with this edge mask, if any."""
@@ -135,33 +138,40 @@ def _table(ms: list[int], target: int, full: int) -> int:
     return sum(1 << pattern for pattern, region in _regions(ms, full).items() if region & target == region)
 
 
-def _columns(masks: list[int], pairs: int) -> tuple[list[int], list[int]]:
-    """has[e], the members (bit i for masks[i]) that hold pair e, and
-    lacks[e], those that miss it, for every pair e < pairs.  Each column
-    is one stride slice of the masks' binary strings laid end to end,
-    last member first, each led by "0b1" (bit `pairs`, which keeps its
-    leading zeros): no Python step per bit."""
-    if not masks:
-        return [0] * pairs, [0] * pairs
+def _columns(masks: list[int], full: int) -> Columns:
+    """The member columns: (pairs, has, lacks) for sets of pairs that
+    cover full, where bit i of has is set iff masks[i] holds the set's
+    pairs and bit i of lacks iff it holds none of them; no member holds
+    part of a set.
+
+    With fewer members than pairs, the sets are the regions that the
+    masks cut full into, and has is the region's pattern, so a lone
+    member on n vertices gives at most two columns, not n(n - 1)/2.
+    Otherwise each pair is a set, and its has is one stride slice of the
+    masks' binary strings laid end to end, last member first, each led
+    by "0b1" (bit `pairs`, which keeps its leading zeros): no Python step
+    per bit."""
+    everyone = (1 << len(masks)) - 1
+    pairs = full.bit_length()
+    if len(masks) < pairs:
+        return [(region, has, everyone ^ has) for has, region in _regions(masks, full).items()]
     text = "".join(map(bin, map((1 << pairs).__or__, reversed(masks))))
     width = pairs + 3
     has = [int(text[width - 1 - e :: width], 2) for e in range(pairs)]
-    everyone = (1 << len(masks)) - 1
-    return has, [everyone ^ column for column in has]
+    return [(1 << e, column, everyone ^ column) for e, column in enumerate(has)]
 
 
-def _meeting(columns: tuple[list[int], list[int]], cands: int, inside: int, outside: int) -> int:
+def _meeting(columns: Columns, cands: int, inside: int, outside: int) -> int:
     """The members among cands that hold every pair of inside and miss
-    every pair of outside: an AND of columns, stopped once none is left."""
-    has, lacks = columns
-    while inside and cands:
-        low = inside & -inside
-        cands &= has[low.bit_length() - 1]
-        inside ^= low
-    while outside and cands:
-        low = outside & -outside
-        cands &= lacks[low.bit_length() - 1]
-        outside ^= low
+    every pair of outside: one AND per column that these pairs meet,
+    stopped once none is left."""
+    for pairs, has, lacks in columns:
+        if inside & pairs:
+            cands &= has
+        if outside & pairs:
+            cands &= lacks
+        if not cands:
+            break
     return cands
 
 
@@ -227,7 +237,7 @@ def _fold_combo(p: _Prepared, mode: str, k: int, budget: int) -> Optional[tuple[
         pool = [i for i, mask in enumerate(masks) if target & ~mask == 0]
     _check_budget(len(pool), k, budget)
     members = [masks[i] for i in pool]
-    columns = _columns(members, p.full.bit_length())
+    columns = _columns(members, p.full)
     everyone = (1 << len(pool)) - 1
     for prefix in combinations_with_replacement(range(len(pool)), k - 1):
         lo = prefix[-1] if prefix else 0

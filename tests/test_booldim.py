@@ -382,7 +382,7 @@ class ReferencePrepared:
 
     def __init__(self, members, masks, index, target, full):
         self.members, self.masks, self.index, self.target, self.full = members, masks, index, target, full
-        self.columns = booldim._columns(masks, full.bit_length())
+        self.columns = booldim._columns(masks, full)
 
     def least_at(self, mask, lo):
         return next((i for i in self.index.get(mask, ()) if i >= lo), None)
@@ -646,6 +646,19 @@ def reference_columns(masks, pairs):
     return has, [everyone ^ column for column in has]
 
 
+def per_pair(columns, pairs):
+    """_columns' sets spread out to one (has, lacks) per pair; each pair
+    must lie in exactly one nonempty set below bit `pairs`."""
+    has, lacks = [None] * pairs, [None] * pairs
+    for members_pairs, column, rest in columns:
+        assert members_pairs and members_pairs >> pairs == 0
+        for e in range(pairs):
+            if members_pairs >> e & 1:
+                assert has[e] is None, e
+                has[e], lacks[e] = column, rest
+    return has, lacks
+
+
 def reference_fold(p, mode, k, budget):
     """The fold search as a loop over every multiset of k pool members in
     lexicographic order: the first whose union (intersection) is the
@@ -671,8 +684,10 @@ def reference_fold(p, mode, k, budget):
 
 
 class TestColumns:
-    """The per-query column index: has[e] holds the members with pair e,
-    lacks[e] those without it, built by slicing one text."""
+    """The per-query member columns: for each set of pairs that no member
+    tells apart, the members that hold it (has) and those that miss it
+    (lacks).  Fewer members than pairs take the sets from the regions the
+    masks cut; otherwise each pair is a set, sliced out of one text."""
 
     @pytest.mark.parametrize("tag", ENUMERABLE, ids=[t.to_text() for t in ENUMERABLE])
     def test_matches_the_bit_loop(self, tag):
@@ -682,28 +697,40 @@ class TestColumns:
             pairs = p.full.bit_length()
             assert pairs == n * (n - 1) // 2
             pool = [mask for mask in p.masks if rng.random() < 0.5]
-            for masks in (p.masks, pool, [], p.masks[:1], p.masks[-1:]):
-                assert booldim._columns(masks, pairs) == reference_columns(masks, pairs), (n, len(masks))
-            assert p.columns == reference_columns(p.masks, pairs), n
+            for masks in (p.masks, pool, [], p.masks[:1], p.masks[-1:], p.masks[:3], pool[-pairs:]):
+                columns = booldim._columns(masks, p.full)
+                assert per_pair(columns, pairs) == reference_columns(masks, pairs), (n, len(masks))
+            assert per_pair(p.columns, pairs) == reference_columns(p.masks, pairs), n
 
     def test_wide_masks_keep_their_leading_zeros(self):
         rng = random.Random(3002)
         for pairs in (1, 2, 21, 64, 65, 200):
             masks = [0, (1 << pairs) - 1, 1, 1 << (pairs - 1)]
-            masks += [rng.getrandbits(pairs) for _ in range(40)]
-            assert booldim._columns(masks, pairs) == reference_columns(masks, pairs), pairs
+            masks += [rng.getrandbits(pairs) for _ in range(pairs + 1)]
+            columns = booldim._columns(masks, (1 << pairs) - 1)
+            assert len(columns) == pairs
+            assert per_pair(columns, pairs) == reference_columns(masks, pairs), pairs
+
+    def test_few_members_share_one_column_per_region(self):
+        # a lone member on 300 vertices is one column, not 44,850
+        full = (1 << 300 * 299 // 2) - 1
+        assert booldim._columns([full], full) == [(full, 1, 0)]
+        assert booldim._columns([0], full) == [(full, 0, 1)]
+        assert booldim._columns([], full) == [(full, 0, 0)]
+        cycle = Graph.cycle(300).edge_mask()
+        assert sorted(booldim._columns([0, cycle], full)) == sorted([(cycle, 2, 1), (full ^ cycle, 0, 3)])
 
     def test_no_pairs(self):
         for masks in ([], [0], [0, 0]):
-            assert booldim._columns(masks, 0) == ([], [])
+            assert booldim._columns(masks, 0) == []
         for n in (0, 1):
             p = booldim._prepare(Graph.empty(n), EQUIVALENCE)
-            assert p.columns == ([], [])
+            assert p.columns == []
 
     def test_built_once_per_query_and_only_for_unrestricted_searches(self, monkeypatch):
         built = []
         columns = booldim._columns
-        monkeypatch.setattr(booldim, "_columns", lambda masks, pairs: built.append(len(masks)) or columns(masks, pairs))
+        monkeypatch.setattr(booldim, "_columns", lambda masks, full: built.append(len(masks)) or columns(masks, full))
         assert boolean_dimension(Graph.cycle(5), EQUIVALENCE, 2) is None
         assert built == [52]
         built.clear()
