@@ -31,7 +31,7 @@ under XOR); `boolean_dimension` and `restricted_dimension` say why.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
@@ -79,8 +79,9 @@ class _Prepared:
     under that, so the sorted masks are the members' keys in graph6
     order; the searches only combine pair sets, so keys serve as well.
 
-    `columns`, `_columns` over every member, is built on the first
-    unrestricted search and lives only as long as this one-call record."""
+    `columns`, `_columns` over these members, is built on the first
+    search that reads it (unrestricted, or a fold on its `_pool`) and
+    lives only as long as this one-call record."""
 
     n: int
     masks: list[int]
@@ -224,31 +225,27 @@ def _search(g: Graph, p: _Prepared, k: int, budget: int) -> Optional[DimWitness]
     return _verify(g, f, p.parts(combo))
 
 
-def _fold_combo(p: _Prepared, mode: str, k: int, budget: int) -> Optional[tuple[int, ...]]:
-    """Union or intersection: every part lies inside (union) or contains
-    (intersect) the target, so only those members, the pool, are searched.
-    Each (k - 1)-prefix of the pool leaves the last part a set of pairs to
-    hold (union: the target's pairs outside every prefix part) or to miss
-    (intersect: the pairs of every prefix part outside the target)."""
-    masks, target = p.masks, p.target
+def _pool(p: _Prepared, mode: str) -> _Prepared:
+    """p with only the members that a union (intersection) equal to the
+    target can use: those inside (containing) the target."""
     if mode == "union":
-        pool = [i for i, mask in enumerate(masks) if mask & ~target == 0]
-    else:
-        pool = [i for i, mask in enumerate(masks) if target & ~mask == 0]
-    _check_budget(len(pool), k, budget)
-    members = [masks[i] for i in pool]
-    columns = _columns(members, p.full)
-    everyone = (1 << len(pool)) - 1
-    for prefix in combinations_with_replacement(range(len(pool)), k - 1):
-        lo = prefix[-1] if prefix else 0
-        hold, miss = (target, 0) if mode == "union" else (0, p.full & ~target)
-        for j in prefix:
-            hold &= ~members[j]
-            miss &= members[j]
-        last = _lowest(_meeting(columns, everyone >> lo << lo, hold, miss))
-        if last is not None:
-            return tuple(pool[j] for j in prefix + (last,))
-    return None
+        return replace(p, masks=[mask for mask in p.masks if mask & ~p.target == 0])
+    return replace(p, masks=[mask for mask in p.masks if p.target & ~mask == 0])
+
+
+def _fold_last_part(p: _Prepared, prefix: tuple[int, ...]) -> Optional[int]:
+    """The least position >= the prefix's last index whose member B makes
+    the union (intersection) of prefix + (B,) the target, on a `_pool`.
+
+    B must hold the target's pairs that no prefix part holds and miss the
+    pairs outside the target that every prefix part holds; on a union
+    pool the second always holds, on an intersection pool the first."""
+    lo = prefix[-1] if prefix else 0
+    hold, miss = p.target, p.full & ~p.target
+    for i in prefix:
+        hold &= ~p.masks[i]
+        miss &= p.masks[i]
+    return _lowest(_meeting(p.columns, ((1 << len(p.masks)) - 1) >> lo << lo, hold, miss))
 
 
 def exists_representation(
@@ -313,12 +310,12 @@ def restricted_dimension(
         raise MalformedInput(f"unknown mode {mode!r}")
     _check_limits(k_max, budget)
     prepared = _prepare(g, tag)
-    k_cap = max(len(prepared.masks), 2) if mode == "xor" else len(prepared.masks)
+    if mode == "xor":
+        searched, last_part, k_cap = prepared, _xor_last_part, max(len(prepared.masks), 2)
+    else:
+        searched, last_part, k_cap = _pool(prepared, mode), _fold_last_part, len(prepared.masks)
     for k in range(1, min(k_max, k_cap) + 1):
-        if mode == "xor":
-            combo = _first_combo(prepared, k, budget, _xor_last_part)
-        else:
-            combo = _fold_combo(prepared, mode, k, budget)
+        combo = _first_combo(searched, k, budget, last_part)
         if combo is not None:
-            return _verify(g, _FOLDS[mode](k), prepared.parts(combo))
+            return _verify(g, _FOLDS[mode](k), searched.parts(combo))
     return None

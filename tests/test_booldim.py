@@ -367,10 +367,14 @@ def reference_prepare(g, tag):
     g's edge mask and the mask of all pairs."""
     members = sorted(enumerate_members(tag, g.n), key=graph_to_graph6)
     masks = [h.edge_mask() for h in members]
+    return members, masks, positions(masks), g.edge_mask(), (1 << (g.n * (g.n - 1) // 2)) - 1
+
+
+def positions(masks):
     index = {}
     for i, mask in enumerate(masks):
         index.setdefault(mask, []).append(i)
-    return members, masks, index, g.edge_mask(), (1 << (g.n * (g.n - 1) // 2)) - 1
+    return index
 
 
 class ReferencePrepared:
@@ -378,7 +382,8 @@ class ReferencePrepared:
     graph6's bit layout: reference_prepare's fields, with g's own edge
     mask as the target, and the member columns from booldim's own
     builder.  The search kernels read only masks, target, full, columns,
-    least_at and parts, so they run on it as they are."""
+    least_at and parts, so they run on it as they are; `pool` stands in
+    for booldim._pool."""
 
     def __init__(self, members, masks, index, target, full):
         self.members, self.masks, self.index, self.target, self.full = members, masks, index, target, full
@@ -390,18 +395,24 @@ class ReferencePrepared:
     def parts(self, combo):
         return tuple(self.members[i] for i in combo)
 
+    def pool(self, mode):
+        """The record over the members inside (union) or containing
+        (intersect) the target."""
+        outside = (lambda mask: mask & ~self.target) if mode == "union" else (lambda mask: self.target & ~mask)
+        keep = [i for i, mask in enumerate(self.masks) if outside(mask) == 0]
+        masks = [self.masks[i] for i in keep]
+        return ReferencePrepared([self.members[i] for i in keep], masks, positions(masks), self.target, self.full)
+
 
 def reference_dimension(p, mode, k_max):
     """(f, parts) of the least witness with k <= k_max on a
     ReferencePrepared, mode "free" unrestricted, or None; the k loop is
     not capped at the member count."""
+    if mode in ("union", "intersect"):
+        p = p.pool(mode)
+    last_part = {"free": booldim._last_part, "xor": booldim._xor_last_part}.get(mode, booldim._fold_last_part)
     for k in range(1, k_max + 1):
-        if mode == "free":
-            combo = booldim._first_combo(p, k, DEFAULT_BUDGET, booldim._last_part)
-        elif mode == "xor":
-            combo = booldim._first_combo(p, k, DEFAULT_BUDGET, booldim._xor_last_part)
-        else:
-            combo = booldim._fold_combo(p, mode, k, DEFAULT_BUDGET)
+        combo = booldim._first_combo(p, k, DEFAULT_BUDGET, last_part)
         if combo is not None:
             if mode == "free":
                 f = BooleanFunction(k, reference_table([p.masks[i] for i in combo], p.target, p.full))
@@ -632,7 +643,8 @@ class TestKCap:
                         if mode == "xor":
                             found = (booldim._first_combo(q, k, DEFAULT_BUDGET, booldim._xor_last_part) for k in ks)
                         else:
-                            found = (booldim._fold_combo(q, mode, k, DEFAULT_BUDGET) for k in ks)
+                            pool = booldim._pool(q, mode)
+                            found = (booldim._first_combo(pool, k, DEFAULT_BUDGET, booldim._fold_last_part) for k in ks)
                         expected = next((len(c) for c in found if c is not None), None)
                         w = restricted_dimension(g, tag, mode, m + 3)
                         assert (w and w.k) == expected, (tag, n, target, mode)
@@ -736,12 +748,17 @@ class TestColumns:
         built.clear()
         assert restricted_dimension(Graph.cycle(5), EQUIVALENCE, "xor", 2) is None
         assert built == []
+        # a fold builds its columns over the pool only, once for every k
+        assert restricted_dimension(Graph.cycle(5), EQUIVALENCE, "union", 2) is None
+        assert restricted_dimension(Graph.cycle(5), EQUIVALENCE, "intersect", 3) is None
+        assert built == [11, 1]
 
 
 class TestFoldSearch:
     """The union and intersection searches walk (k - 1)-prefixes of the
     pool and pick the last part by columns over the pool; they report what
-    the multiset loop reports."""
+    the multiset loop reports, and count the pool's multisets against the
+    budget."""
 
     @pytest.mark.parametrize("tag", ENUMERABLE, ids=[t.to_text() for t in ENUMERABLE])
     def test_matches_the_multiset_loop(self, tag):
@@ -750,15 +767,22 @@ class TestFoldSearch:
             for target in range(1 << (n * (n - 1) // 2)):
                 q = replace(p, target=target)
                 for mode in ("union", "intersect"):
+                    pool = booldim._pool(q, mode)
                     for k in (1, 2, 3):
                         expected = reference_fold(q, mode, k, DEFAULT_BUDGET)
-                        assert booldim._fold_combo(q, mode, k, DEFAULT_BUDGET) == expected, (n, target, mode, k)
+                        combo = booldim._first_combo(pool, k, DEFAULT_BUDGET, booldim._fold_last_part)
+                        # the pool keeps the members' order, so equal masks are equal multisets
+                        found = combo and [pool.masks[j] for j in combo]
+                        assert found == (expected and [q.masks[i] for i in expected]), (n, target, mode, k)
 
     def test_budget_is_the_pool_multiset_count(self):
         # the union pool of C5 in equiv is the matchings inside it: the empty
         # graph, 5 edges and 5 pairs of disjoint edges, so C(13, 3) = 286
         # multisets of 3
-        p = booldim._prepare(Graph.cycle(5), EQUIVALENCE)
-        assert booldim._fold_combo(p, "union", 3, 286) is not None
+        p = booldim._pool(booldim._prepare(Graph.cycle(5), EQUIVALENCE), "union")
+        assert len(p.masks) == 11
+        assert booldim._first_combo(p, 3, 286, booldim._fold_last_part) is not None
         with pytest.raises(BudgetExceeded, match="^286 multisets of 3 from 11 candidates exceed the budget of 285$"):
-            booldim._fold_combo(p, "union", 3, 285)
+            booldim._first_combo(p, 3, 285, booldim._fold_last_part)
+        with pytest.raises(BudgetExceeded, match="^286 multisets of 3 from 11 candidates exceed the budget of 285$"):
+            restricted_dimension(Graph.cycle(5), EQUIVALENCE, "union", 3, budget=285)
