@@ -641,10 +641,10 @@ class TestKCap:
                     assert (w and w.k) == expected, (tag, n, target)
                     for mode in ("union", "intersect", "xor"):
                         if mode == "xor":
-                            found = (booldim._first_combo(q, k, DEFAULT_BUDGET, booldim._xor_last_part) for k in ks)
+                            searched, last_part = q, booldim._xor_last_part
                         else:
-                            pool = booldim._pool(q, mode)
-                            found = (booldim._first_combo(pool, k, DEFAULT_BUDGET, booldim._fold_last_part) for k in ks)
+                            searched, last_part = booldim._pool(q, mode), booldim._fold_last_part
+                        found = (booldim._first_combo(searched, k, DEFAULT_BUDGET, last_part) for k in ks)
                         expected = next((len(c) for c in found if c is not None), None)
                         w = restricted_dimension(g, tag, mode, m + 3)
                         assert (w and w.k) == expected, (tag, n, target, mode)
@@ -669,6 +669,13 @@ def per_pair(columns, pairs):
                 assert has[e] is None, e
                 has[e], lacks[e] = column, rest
     return has, lacks
+
+
+def fold(mode, ms, full):
+    acc = 0 if mode == "union" else full
+    for mask in ms:
+        acc = acc | mask if mode == "union" else acc & mask
+    return acc
 
 
 def reference_fold(p, mode, k, budget):
@@ -775,6 +782,24 @@ class TestFoldSearch:
                         found = combo and [pool.masks[j] for j in combo]
                         assert found == (expected and [q.masks[i] for i in expected]), (n, target, mode, k)
 
+    @pytest.mark.parametrize("tag", [EQUIVALENCE, MATCHING, CLASS_C], ids=["equiv", "d1", "C"])
+    def test_last_part_is_least_from_the_prefix_on(self, tag):
+        # as for _last_part, only a per-prefix check sees the bound dropped
+        for n in range(5):
+            prepared = booldim._prepare(Graph.empty(n), tag)
+            for target in range(1 << (n * (n - 1) // 2)):
+                for mode in ("union", "intersect"):
+                    pool = booldim._pool(replace(prepared, target=target), mode)
+                    masks, m = pool.masks, len(pool.masks)
+                    prefixes = [()] + [(a,) for a in range(m)]
+                    prefixes += list(itertools.combinations_with_replacement(range(m), 2))
+                    for prefix in prefixes:
+                        lo = prefix[-1] if prefix else 0
+                        ms = [masks[i] for i in prefix]
+                        found = (b for b in range(lo, m) if fold(mode, ms + [masks[b]], pool.full) == target)
+                        expected = next(found, None)
+                        assert booldim._fold_last_part(pool, prefix) == expected, (n, target, mode, prefix)
+
     def test_budget_is_the_pool_multiset_count(self):
         # the union pool of C5 in equiv is the matchings inside it: the empty
         # graph, 5 edges and 5 pairs of disjoint edges, so C(13, 3) = 286
@@ -782,7 +807,8 @@ class TestFoldSearch:
         p = booldim._pool(booldim._prepare(Graph.cycle(5), EQUIVALENCE), "union")
         assert len(p.masks) == 11
         assert booldim._first_combo(p, 3, 286, booldim._fold_last_part) is not None
-        with pytest.raises(BudgetExceeded, match="^286 multisets of 3 from 11 candidates exceed the budget of 285$"):
+        refusal = "^286 multisets of 3 from 11 candidates exceed the budget of 285$"
+        with pytest.raises(BudgetExceeded, match=refusal):
             booldim._first_combo(p, 3, 285, booldim._fold_last_part)
-        with pytest.raises(BudgetExceeded, match="^286 multisets of 3 from 11 candidates exceed the budget of 285$"):
+        with pytest.raises(BudgetExceeded, match=refusal):
             restricted_dimension(Graph.cycle(5), EQUIVALENCE, "union", 3, budget=285)
