@@ -746,7 +746,7 @@ class TestColumns:
             p = booldim._prepare(Graph.empty(n), EQUIVALENCE)
             assert p.columns == []
 
-    def test_built_once_per_query_and_only_for_unrestricted_searches(self, monkeypatch):
+    def test_built_once_per_query_and_never_under_xor(self, monkeypatch):
         built = []
         columns = booldim._columns
         monkeypatch.setattr(booldim, "_columns", lambda masks, full: built.append(len(masks)) or columns(masks, full))
