@@ -23,8 +23,13 @@ malformed edge lists.  Its booldim fold slice holds union at kmax 2
 (exhaustive) and 3 and intersect at kmax 3 (exhaustive) on two
 C5-planted targets at n = 6, with an unrestricted kmax 2 search on a
 C5-planted target at n = 7, and one unrestricted and one union search
-with `--budget` at exactly the multisets searched and at one less.  A change that
-alters a pinned output declares it and rewrites that entry's digests.
+with `--budget` at exactly the multisets searched and at one less.  Its
+codec slice holds `combine --op xor` on seeded graph pairs at n = 20,
+62, 63, 64 and 130, on both sides of the long-form header and across
+several 24-bit groups, and `params` refusals of a nonzero padding bit at
+n = 2, 3 and 5 and of an invalid byte at the first and at the last body
+position of a long-form string.  A change that alters a pinned output
+declares it and rewrites that entry's digests.
 """
 
 import contextlib
