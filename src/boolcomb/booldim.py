@@ -22,10 +22,11 @@ is taken, so every multiset is still decided and the lexicographically
 first one is reported.
 
 The members are never built as graphs: `classes._member_masks` gives
-their edge masks, sorted as plain ints (`_Prepared` says why that is
-graph6 order), and only the parts of a reported witness become
-`Graph`s.  The k loops stop at the number m of member masks (max(m, 2)
-under XOR); `boolean_dimension` and `restricted_dimension` say why.
+their edge masks, sorted as plain ints and read as graph6 bits, as the
+target is (`_Prepared` says why), and only the parts of a reported
+witness become `Graph`s.  The k loops stop at the number m of member
+masks (max(m, 2) under XOR); `boolean_dimension` and
+`restricted_dimension` say why.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Callable, Optional
+from typing import Optional
 
 from .boolfn import BooleanFunction
 from .classes import ClassTag, _member_masks
 from .errors import BudgetExceeded, CertificationError, MalformedInput
-from .gformats import _graph6_order_key, graph_to_graph6
+from .gformats import _graph6_bits, _graph6_graph, graph_to_graph6
 from .graphs import Graph, _regions, apply_boolean
 
 DEFAULT_BUDGET = 10**8
@@ -71,13 +72,16 @@ class DimWitness:
 @dataclass(frozen=True)
 class _Prepared:
     """g's vertex count, the class members' edge masks on V(g) sorted as
-    ints, g's edge mask through `key`, the mask of all pairs, and `key`
-    (gformats._graph6_order_key).  Position i stands for the member
-    Graph.from_edge_mask(n, key(masks[i])), built only as a witness part.
+    ints, g's graph6 bits (`gformats._graph6_bits`) read as an int, and
+    the mask of all pairs.  Position i stands for the member whose graph6
+    bits are masks[i], built only as a witness part.
 
-    `key` relabels v as n - 1 - v, and every enumerable class is closed
-    under that, so the sorted masks are the members' keys in graph6
-    order; the searches only combine pair sets, so keys serve as well.
+    Bit i of an edge mask is pair (u, v), and bit i of graph6 bits read
+    as an int is pair (n - 1 - v, n - 1 - u), so a mask read as graph6
+    bits is its member relabeled by v -> n - 1 - v.  Every enumerable
+    class is closed under that relabeling, so the masks are still the
+    class's members, and sorted as ints they are in graph6 order; the
+    searches only combine pair sets, so either reading serves.
 
     `columns`, `_columns` over these members, is built on the first
     search that reads it (unrestricted, or a fold on its `_pool`) and
@@ -87,7 +91,6 @@ class _Prepared:
     masks: list[int]
     target: int
     full: int
-    key: Callable[[int], int]
 
     @cached_property
     def columns(self) -> Columns:
@@ -99,15 +102,13 @@ class _Prepared:
         return at if at < len(self.masks) and self.masks[at] == mask else None
 
     def parts(self, combo: tuple[int, ...]) -> tuple[Graph, ...]:
-        return tuple(Graph.from_edge_mask(self.n, self.key(self.masks[i])) for i in combo)
+        width = f"0{self.full.bit_length()}b"
+        return tuple(_graph6_graph(self.n, format(self.masks[i], width)) for i in combo)
 
 
 def _prepare(g: Graph, tag: ClassTag) -> _Prepared:
-    # a lone member (complete, empty, ek:0) is the empty or the full mask, so
-    # the searches read only whether the target is empty or full: `int` will do
     masks = sorted(_member_masks(tag, g.n))
-    key = _graph6_order_key(g.n) if len(masks) > 1 else int
-    return _Prepared(g.n, masks, key(g.edge_mask()), (1 << (g.n * (g.n - 1) // 2)) - 1, key)
+    return _Prepared(g.n, masks, int(_graph6_bits(g) or "0", 2), (1 << (g.n * (g.n - 1) // 2)) - 1)
 
 
 def _check_budget(m: int, k: int, budget: int) -> None:

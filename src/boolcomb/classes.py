@@ -153,9 +153,8 @@ def is_member(tag: ClassTag, g: Graph) -> bool:
         return kind == "C" or len(blocks) <= 2
     if kind == "complete":
         return g.edge_count == g.n * (g.n - 1) // 2
-    if kind == "empty":
-        return g.edge_count == 0
-    raise UnsupportedTag(f"no membership predicate for {kind!r}")
+    # "empty": ClassTag admits no kind outside the eleven above
+    return g.edge_count == 0
 
 
 # -- enumeration -----------------------------------------------------------------

@@ -1,21 +1,35 @@
 """Textual graph formats: graph6 and edge lists.
 
-graph6 packs the upper triangle column-major, 6 bits per printable
-byte, each offset by 63.  The vertex count takes one byte for n <= 62
-(short form) and '~' plus three bytes of an 18-bit n for
-63 <= n < 2^18 (long form), which holds every n up to MAX_VERTICES.
-The '~~' form for larger n is rejected, as is a long form for an n
-that fits the short one, so every graph has exactly one encoding.
+graph6 lists the upper triangle column by column: pair (u, v), u < v,
+is bit u of row v, so column v is row v's bits 0..v-1, lowest first.
+`_graph6_bits` gives that bit string and `_graph6_graph` reads it back;
+the codec and booldim's searches go through these two only.  The bits,
+padded with zeros to whole 6-bit groups, are written 6 to a byte, each
+group's value offset by 63.  That is base64 with its 64 letters mapped
+onto bytes 63..126: the emitter pads to whole 24-bit groups, encodes
+with `base64`, keeps the bytes that hold pair bits and translates them,
+and the parser runs those steps backwards.  No step loops over pairs.
+
+The vertex count takes one byte for n <= 62 (short form) and '~' plus
+three bytes of an 18-bit n for 63 <= n < 2^18 (long form), which holds
+every n up to MAX_VERTICES.  The '~~' form for larger n is rejected, as
+is a long form for an n that fits the short one, and so is a nonzero
+padding bit, so every graph has exactly one encoding.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import base64
+import re
 
 from .errors import MalformedInput
-from .graphs import Graph
+from .graphs import Graph, _mirrored
 
 GRAPH6_SHORT_MAX_N = 62
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_FROM_GRAPH6 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+_INVALID_BYTE = re.compile("[^?-~]")
 
 
 def _graph6_header(n: int) -> str:
@@ -46,47 +60,28 @@ def _parse_graph6_header(text: str) -> tuple[int, int]:
     return n, 4
 
 
+def _graph6_bits(g: Graph) -> str:
+    """g's n(n - 1)/2 pair bits in graph6 order: row v's low half as one
+    reversed `bin` string.  A sentinel at bit v makes `bin` keep the
+    half's leading zeros; the slice drops it with the "0b" prefix."""
+    rows = g.rows
+    return "".join([bin(rows[v] & ((1 << v) - 1) | 1 << v)[:2:-1] for v in range(1, g.n)])
+
+
+def _graph6_graph(n: int, bits: str) -> Graph:
+    """The n-vertex graph whose `_graph6_bits` are the first n(n - 1)/2
+    of bits: row v's low half is one reversed slice of them, and
+    `_mirrored` adds the high halves."""
+    halves = [int(bits[v * (v - 1) // 2 : v * (v + 1) // 2][::-1] or "0", 2) for v in range(n)]
+    return Graph(n, _mirrored(halves))
+
+
 def graph_to_graph6(g: Graph) -> str:
-    chars = [_graph6_header(g.n)]
-    bits = 0
-    nbits = 0
-    for v in range(1, g.n):
-        for u in range(v):
-            bits = (bits << 1) | ((g.rows[u] >> v) & 1)
-            nbits += 1
-            if nbits == 6:
-                chars.append(chr(bits + 63))
-                bits = 0
-                nbits = 0
-    if nbits:
-        bits <<= 6 - nbits
-        chars.append(chr(bits + 63))
-    return "".join(chars)
-
-
-def _graph6_order_key(n: int) -> Callable[[int], int]:
-    """A key on n-vertex edge masks that orders them as their graph6
-    strings: the mask of the graph relabeled by v -> n - 1 - v, so the
-    key is its own inverse.  booldim runs it only on targets and parts.
-
-    graph6 reads pair (u, v), u < v, as bit v(v - 1)/2 + u of the column
-    order above, most significant first; edge_mask holds it at bit
-    u(2n - u - 1)/2 + v - u - 1.  Strings for one n have one length, so
-    they compare as their bit sequences do as integers, and the key
-    moves each set bit of the mask to its graph6 significance.
-    """
-    pairs = n * (n - 1) // 2
-    shifts = [pairs - 1 - v * (v - 1) // 2 - u for u in range(n) for v in range(u + 1, n)]
-
-    def key(mask: int) -> int:
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << shifts[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    return key
+    bits = _graph6_bits(g)
+    padding = -len(bits) % 24
+    value = int(bits or "0", 2) << padding
+    body = base64.b64encode(value.to_bytes((len(bits) + padding) // 8, "big"))
+    return _graph6_header(g.n) + body[: (len(bits) + 5) // 6].translate(_TO_GRAPH6).decode("ascii")
 
 
 def graph6_to_graph(text: str) -> Graph:
@@ -100,28 +95,17 @@ def graph6_to_graph(text: str) -> Graph:
             f"graph6 for n = {n} needs {head + nbytes} bytes, got {len(text)}",
             offset=min(len(text), head + nbytes),
         )
-    values = []
-    for i, ch in enumerate(text[head:], start=head):
-        o = ord(ch)
-        if not 63 <= o <= 126:
-            raise MalformedInput(f"invalid graph6 byte {ch!r}", offset=i)
-        values.append(o - 63)
-    rows = [0] * n
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            byte = values[idx // 6]
-            bit = (byte >> (5 - idx % 6)) & 1
-            if bit:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            idx += 1
+    invalid = _INVALID_BYTE.search(text, head)
+    if invalid:
+        raise MalformedInput(f"invalid graph6 byte {invalid.group()!r}", offset=invalid.start())
+    body = text[head:].encode("ascii").translate(_FROM_GRAPH6) + b"A" * (-nbytes % 4)
+    raw = base64.b64decode(body)
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
     # padding bits must be zero for a canonical encoding
-    while idx < 6 * nbytes:
-        if (values[idx // 6] >> (5 - idx % 6)) & 1:
-            raise MalformedInput("nonzero padding bits", offset=head + idx // 6)
-        idx += 1
-    return Graph(n, tuple(rows))
+    nonzero = bits.find("1", npairs, 6 * nbytes)
+    if nonzero >= 0:
+        raise MalformedInput("nonzero padding bits", offset=head + nonzero // 6)
+    return _graph6_graph(n, bits)
 
 
 def graph_to_edgelist_text(g: Graph) -> str:

@@ -95,6 +95,19 @@ def _is_simple_packed(n: int, rows: tuple[int, ...]) -> bool:
     return t == matrix
 
 
+def _mirrored(halves: list[int]) -> tuple[int, ...]:
+    """Symmetric rows from one triangle of them: halves[u] holds u's
+    neighbours on one side of u, and each edge is copied to the other
+    side one set bit at a time."""
+    rows = list(halves)
+    for u, half in enumerate(halves):
+        while half:
+            low = half & -half
+            rows[low.bit_length() - 1] |= 1 << u
+            half ^= low
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class Graph:
     """A simple graph: symmetric adjacency, empty diagonal."""
@@ -181,17 +194,12 @@ class Graph:
         if mask.bit_count() == pairs:
             # K_n by rows, not by walking every pair one bit at a time
             return cls.complete(n)
-        rows = [0] * n
+        halves = []
         for u in range(n):
             width = n - 1 - u
-            row = (mask & ((1 << width) - 1)) << (u + 1)
+            halves.append((mask & ((1 << width) - 1)) << (u + 1))
             mask >>= width
-            rows[u] |= row
-            while row:
-                low = row & -row
-                rows[low.bit_length() - 1] |= 1 << u
-                row ^= low
-        return cls(n, tuple(rows))
+        return cls(n, _mirrored(halves))
 
     # -- queries --------------------------------------------------------------
 

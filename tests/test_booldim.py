@@ -26,10 +26,11 @@ from boolcomb.classes import (
     random_member,
 )
 from boolcomb.errors import BudgetExceeded, CertificationError, MalformedInput
-from boolcomb.gformats import _graph6_order_key, graph_to_graph6
+from boolcomb.gformats import graph_to_graph6
 from boolcomb.graphs import Graph, apply_boolean, combine, complement
 
 from conftest import random_graph
+from graph6_reference import graph6_order_key as _graph6_order_key
 
 
 def assert_witness(w, target, tag):
@@ -424,9 +425,10 @@ def reference_dimension(p, mode, k_max):
 
 class TestGraph6Layout:
     """booldim sorts the members' masks as ints and searches in graph6's
-    bit layout, moving only the target and the witness parts through the
-    key.  That rests on the key being its own inverse and on every
-    enumerable class being closed under it."""
+    bit layout, reading only the target and building only the witness
+    parts through it.  That rests on the relabeling v -> n - 1 - v (the
+    reference order key) being its own inverse and on every enumerable
+    class being closed under it."""
 
     def test_key_is_an_involution(self):
         rng = random.Random(2601)
@@ -472,21 +474,21 @@ class TestGraph6Layout:
                     assert (w and (w.f, w.parts)) == reference_dimension(reference, mode, k_max), (n, mask, mode)
 
     def test_keys_the_target_and_the_parts_only(self, monkeypatch):
-        # one key call for the target and one per witness part, at most
-        # k + 1 per search, and none on the member list
-        calls = []
-        order_key = booldim._graph6_order_key
+        # one read of the target's graph6 bits and one part built from its
+        # mask per witness part, and none on the member list
+        read, built = [], []
+        graph6_bits, graph6_graph = booldim._graph6_bits, booldim._graph6_graph
 
-        def counting_key(n):
-            key = order_key(n)
+        def reading(g):
+            read.append(g)
+            return graph6_bits(g)
 
-            def counted(mask):
-                calls.append(mask)
-                return key(mask)
+        def building(n, bits):
+            built.append(bits)
+            return graph6_graph(n, bits)
 
-            return counted
-
-        monkeypatch.setattr(booldim, "_graph6_order_key", counting_key)
+        monkeypatch.setattr(booldim, "_graph6_bits", reading)
+        monkeypatch.setattr(booldim, "_graph6_graph", building)
         rng = random.Random(2603)
         for tag, n in ((EQUIVALENCE, 7), (MULTIPARTITE, 6), (MATCHING, 8), (CLASS_C, 6), (at_most_edges(2), 6)):
             members = list(enumerate_members(tag, n))
@@ -494,13 +496,15 @@ class TestGraph6Layout:
             targets.append(apply_boolean(BooleanFunction(2, 0x6), [rng.choice(members) for _ in range(2)]))
             for g in targets:
                 for mode in ("free", "union", "intersect", "xor"):
-                    calls.clear()
+                    read.clear()
+                    built.clear()
                     if mode == "free":
                         w = boolean_dimension(g, tag, 2)
                     else:
                         w = restricted_dimension(g, tag, mode, 2)
-                    assert len(calls) <= (w.k if w else 0) + 1, (tag, n, mode)
-                    assert calls[0] == g.edge_mask(), (tag, n, mode)
+                    assert read == [g], (tag, n, mode)
+                    assert len(built) == (w.k if w else 0), (tag, n, mode)
+                    assert [graph6_graph(n, bits) for bits in built] == list(w.parts if w else ()), (tag, n, mode)
 
 
 class TestMaskPreparation:
@@ -606,11 +610,9 @@ class TestKCap:
         assert restricted_dimension(edge, CLASS_L, "xor", 20, budget=126) is None
         assert arities == [1, 2, 3, 4, 5]
 
-    def test_lone_members_on_hundreds_of_vertices(self, monkeypatch):
+    def test_lone_members_on_hundreds_of_vertices(self):
         # complete, empty and ek:0 have one member at every n, and need
-        # neither a sort key nor a member graph beyond the witness part
-        keyed = []
-        monkeypatch.setattr(booldim, "_graph6_order_key", lambda n: keyed.append(n))
+        # no member graph beyond the witness part
         n = 300
         for tag, target, k in ((COMPLETE, Graph.complete(n), 1), (EMPTY, Graph.empty(n), 1),
                                (at_most_edges(0), Graph.complete(n), 1), (COMPLETE, Graph.cycle(n), None)):
@@ -620,7 +622,6 @@ class TestKCap:
                 assert w.parts[0].n == n
         w = restricted_dimension(Graph.empty(n), COMPLETE, "xor", 10**5)
         assert w is not None and w.parts == (Graph.complete(n),) * 2
-        assert keyed == []
 
     def test_matches_the_uncapped_loop(self):
         # every class with at most 6 members at n <= 4, every target; the

@@ -161,6 +161,12 @@ class TestEnumerationAndText:
         with pytest.raises(SizeLimitExceeded):
             list(enumerate_functions(5))
 
+    @pytest.mark.parametrize("coordinate", [0, 3])
+    def test_projection_coordinate_out_of_range(self, coordinate):
+        with pytest.raises(OutOfRangeVariable) as exc:
+            BooleanFunction.projection(2, coordinate)
+        assert str(exc.value) == f"coordinate {coordinate} outside [1, 2]"
+
     def test_negative_arity_is_a_size_error(self):
         # the same refusal as BooleanFunction(-1, 0)
         with pytest.raises(SizeLimitExceeded, match=r"arity -1 outside \[0, 16\]"):

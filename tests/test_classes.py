@@ -436,3 +436,14 @@ class TestTagText:
             ClassTag.from_text("nonsense")
         with pytest.raises(UnsupportedTag):
             ClassTag.from_text("dk:x")
+
+    @pytest.mark.parametrize("kind, param, message", [
+        ("ek", None, "tag 'ek' needs a nonnegative parameter"),
+        ("dk", -1, "tag 'dk' needs a nonnegative parameter"),
+        ("equiv", 1, "tag 'equiv' takes no parameter"),
+        ("complete", 0, "tag 'complete' takes no parameter"),
+    ])
+    def test_parameter_refusals(self, kind, param, message):
+        with pytest.raises(UnsupportedTag) as exc:
+            ClassTag(kind, param)
+        assert str(exc.value) == message

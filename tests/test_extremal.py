@@ -302,6 +302,17 @@ class TestChiBinding:
         with pytest.raises(UnsupportedExpression):
             verify_chi_binding(ClassExpr("union", 2, EQUIVALENCE), "cubic:3", 1, 5)
 
+    def test_arity_zero_is_refused(self):
+        with pytest.raises(UnsupportedExpression) as exc:
+            ClassExpr("union", 0, EQUIVALENCE)
+        assert str(exc.value) == "arity must be positive"
+
+    @pytest.mark.parametrize("binding", ["linear:x", "power:", "linear"])
+    def test_unparsable_binding_is_refused(self, binding):
+        with pytest.raises(UnsupportedExpression) as exc:
+            verify_chi_binding(ClassExpr("union", 2, EQUIVALENCE), binding, 1, 5)
+        assert str(exc.value) == f"cannot parse binding {binding!r}"
+
 
 class TestCatalogue:
     def test_unknown_theorem(self):
@@ -637,6 +648,18 @@ PLANTED = [
 
 class TestPlantedFailures:
     """An asserted check reports a counterexample when a dependency lies."""
+
+    def test_eh_extraction_reports_every_failing_sample(self, monkeypatch):
+        # the runner stops at the first counterexample; drained, the check
+        # goes on to the next sample after each one (the whole vertex set
+        # is homogeneous in 1 of the 24 samples)
+        def whole(graphs):
+            return [list(range(graphs[0].n))] * len(graphs)
+
+        monkeypatch.setattr(boolcomb.extremal, "nested_homogeneous_sets", whole)
+        found = list(boolcomb.extremal._eh_extraction(1729))
+        assert len(found) == 23
+        assert {cx["reason"] for cx in found} == {"not homogeneous"}
 
     @pytest.mark.parametrize("tid, name, fake, reverify", PLANTED, ids=[p[0] for p in PLANTED])
     def test_planted_bug_is_reported(self, monkeypatch, tid, name, fake, reverify):

@@ -96,6 +96,17 @@ class TestCompose:
                 BooleanFunction.projection(1, 1), [EquivalenceScheme], [Graph.path(4)]
             )
 
+    @pytest.mark.parametrize("length, value", [(2, 4), (0, 1), (3, -1)])
+    def test_label_value_must_fit(self, length, value):
+        with pytest.raises(MalformedLabel) as exc:
+            Label(length, value)
+        assert str(exc.value) == f"value does not fit in {length} bits"
+
+    def test_arity_zero_is_refused(self):
+        with pytest.raises(ArityMismatch) as exc:
+            compose(BooleanFunction.constant(0, 1), [], [])
+        assert str(exc.value) == "cannot compose an arity-0 scheme"
+
     def test_malformed_labels(self):
         g = random_member(EQUIVALENCE, 10, 13)
         labels, scheme = compose(BooleanFunction.projection(1, 1), [EquivalenceScheme], [g])
