@@ -28,8 +28,16 @@ codec slice holds `combine --op xor` on seeded graph pairs at n = 20,
 62, 63, 64 and 130, on both sides of the long-form header and across
 several 24-bit groups, and `params` refusals of a nonzero padding bit at
 n = 2, 3 and 5 and of an invalid byte at the first and at the last body
-position of a long-form string.  A change that alters a pinned output
-declares it and rewrites that entry's digests.
+position of a long-form string.  Its induced-subgraph slice holds
+equiv searches at kmax 1..3 and under XOR at kmax 2 and 3 on
+C5-planted targets at n = 6, 7 and 8 and on a 2-XOR target at n = 7,
+kmax 2 searches over d1, multipartite, ek:2 and C on C5-planted
+targets at n = 7 (and d1 at kmax 3), a C5-planted n = 7 equiv target
+at kmax 2 with `--budget` at C(878, 2) = 385003 and one less, free and
+under XOR, `--class complete` at n = 40, `--kmax` 0 and 10^400,
+`--kmax -1` and `--budget` 0 and -1 under XOR, `--budget 0` free, and
+`booldim -h`.  A change that alters a pinned output declares it and
+rewrites that entry's digests.
 """
 
 import contextlib
