@@ -27,6 +27,17 @@ target is (`_Prepared` says why), and only the parts of a reported
 witness become `Graph`s.  The k loops stop at the number m of member
 masks (max(m, 2) under XOR); `boolean_dimension` and
 `restricted_dimension` say why.
+
+Every enumerable class is hereditary: an induced subgraph of a member is
+a member.  So if g = f(B_1, ..., B_k), then g[S] = f(B_1[S], ...,
+B_k[S]) for every vertex set S, and one g[S] with no k-witness proves
+that g has none.  `_refuting_set` scans the 5-vertex sets S of a larger
+g against the class's members on 5 vertices (52 for equiv) and stops
+at the first S with no witness; an induced C5 refutes every equiv
+search at k <= 2.  The unrestricted searches scan once, at the top k,
+XOR scans at each k, and the folds, cheap already, do not scan.  A
+refuted search still checks the budget of every k it would have
+searched, so it raises what the full search raises.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Optional
 
@@ -45,6 +56,10 @@ from .gformats import _graph6_bits, _graph6_graph, graph_to_graph6
 from .graphs import Graph, _regions, apply_boolean
 
 DEFAULT_BUDGET = 10**8
+# the vertex count of the induced subgraphs that `_refuting_set` scans: the
+# 12 labeled C5s are the only graphs on at most 5 vertices that no two
+# equivalence graphs combine to (`c5-not-2fn-equiv`)
+_SUBSET_N = 5
 # (pairs, has, lacks) per set of pairs that no member tells apart: `_columns`
 Columns = list[tuple[int, int, int]]
 _FOLDS = {"union": BooleanFunction.or_, "intersect": BooleanFunction.and_, "xor": BooleanFunction.xor_}
@@ -181,9 +196,9 @@ def _lowest(cands: int) -> Optional[int]:
     return (cands & -cands).bit_length() - 1 if cands else None
 
 
-def _last_part(p: _Prepared, prefix: tuple[int, ...]) -> Optional[int]:
+def _last_part(p: _Prepared, target: int, prefix: tuple[int, ...]) -> Optional[int]:
     """The least position >= the prefix's last index whose member B makes
-    prefix + (B,) a function of the target, or None.
+    prefix + (B,) a function of target, or None.
 
     The prefix cuts the pairs into regions.  B must meet each region R
     that the target splits in exactly T ∩ R or R ∖ T; on the other
@@ -191,35 +206,36 @@ def _last_part(p: _Prepared, prefix: tuple[int, ...]) -> Optional[int]:
     lo = prefix[-1] if prefix else 0
     cands = ((1 << len(p.masks)) - 1) >> lo << lo
     for region in _regions([p.masks[i] for i in prefix], p.full).values():
-        hit = region & p.target
+        hit = region & target
         if hit and hit != region:
             miss = region ^ hit
             cands = _meeting(p.columns, cands, hit, miss) | _meeting(p.columns, cands, miss, hit)
     return _lowest(cands)
 
 
-def _xor_last_part(p: _Prepared, prefix: tuple[int, ...]) -> Optional[int]:
+def _xor_last_part(p: _Prepared, target: int, prefix: tuple[int, ...]) -> Optional[int]:
     """The least position >= the prefix's last index whose member XORs
-    with the prefix to the target, or None."""
-    need = p.target
+    with the prefix to target, or None."""
+    need = target
     for i in prefix:
         need ^= p.masks[i]
     return p.least_at(need, prefix[-1] if prefix else 0)
 
 
-def _first_combo(p: _Prepared, k: int, budget: int, last_part) -> Optional[tuple[int, ...]]:
+def _first_combo(p: _Prepared, target: int, k: int, budget: int, last_part) -> Optional[tuple[int, ...]]:
     """The lexicographically first multiset of k positions that last_part
-    completes, or None; each (k - 1)-prefix, in order, is asked once."""
+    completes to target, or None; each (k - 1)-prefix, in order, is asked
+    once."""
     _check_budget(len(p.masks), k, budget)
     for prefix in combinations_with_replacement(range(len(p.masks)), k - 1):
-        last = last_part(p, prefix)
+        last = last_part(p, target, prefix)
         if last is not None:
             return prefix + (last,)
     return None
 
 
 def _search(g: Graph, p: _Prepared, k: int, budget: int) -> Optional[DimWitness]:
-    combo = _first_combo(p, k, budget, _last_part)
+    combo = _first_combo(p, p.target, k, budget, _last_part)
     if combo is None:
         return None
     f = BooleanFunction(k, _table([p.masks[i] for i in combo], p.target, p.full))
@@ -234,19 +250,65 @@ def _pool(p: _Prepared, mode: str) -> _Prepared:
     return replace(p, masks=[mask for mask in p.masks if p.target & ~mask == 0])
 
 
-def _fold_last_part(p: _Prepared, prefix: tuple[int, ...]) -> Optional[int]:
+def _fold_last_part(p: _Prepared, target: int, prefix: tuple[int, ...]) -> Optional[int]:
     """The least position >= the prefix's last index whose member B makes
-    the union (intersection) of prefix + (B,) the target, on a `_pool`.
+    the union (intersection) of prefix + (B,) target, on its `_pool`.
 
     B must hold the target's pairs that no prefix part holds and miss the
     pairs outside the target that every prefix part holds; on a union
     pool the second always holds, on an intersection pool the first."""
     lo = prefix[-1] if prefix else 0
-    hold, miss = p.target, p.full & ~p.target
+    hold, miss = target, p.full & ~target
     for i in prefix:
         hold &= ~p.masks[i]
         miss &= p.masks[i]
     return _lowest(_meeting(p.columns, ((1 << len(p.masks)) - 1) >> lo << lo, hold, miss))
+
+
+def _small(g: Graph, tag: ClassTag) -> Optional[_Prepared]:
+    """The class's members on _SUBSET_N vertices, for `_refuting_set`, or
+    None if g has no more vertices than that.  Its target field is
+    unused: the scan hands each g[S] to the search as its target."""
+    if g.n <= _SUBSET_N:
+        return None
+    return _Prepared(_SUBSET_N, sorted(_member_masks(tag, _SUBSET_N)), 0, (1 << comb(_SUBSET_N, 2)) - 1)
+
+
+def _refuting_set(
+    g: Graph, small: Optional[_Prepared], m: int, ks: range, budget: int, last_part
+) -> Optional[tuple[int, ...]]:
+    """The first _SUBSET_N-set S of V(g), in `combinations` order, such that
+    no multiset of k = ks[-1] members in small completes to g[S] under
+    last_part, or None if there is none or the scan is not run.
+
+    It runs when small is given, ks is not empty and the scan decides no
+    more multisets than the budget allows or than the search over g's m
+    members would, so a lone member on hundreds of vertices is never met
+    with C(n, 5) subsets:
+
+        C(n, 5) * C(m5 + k - 1, k) <= min(budget, C(m + k - 1, k)),
+
+    with m5 = len(small.masks).  g[S]'s graph6 bits are read straight off
+    g's rows.  Before S is returned, the budget check of every k in ks
+    runs in order, so a refusal is the one the k loop over ks raises."""
+    if small is None or not ks:
+        return None
+    k = ks[-1]
+    scanned = comb(g.n, _SUBSET_N) * comb(len(small.masks) + k - 1, k)
+    if scanned > budget or scanned > comb(m + k - 1, k):
+        return None
+    rows = g.rows
+    for s in combinations(range(g.n), _SUBSET_N):
+        bits = 0
+        for j in range(1, _SUBSET_N):
+            row = rows[s[j]]
+            for i in range(j):
+                bits = bits << 1 | row >> s[i] & 1
+        if _first_combo(small, bits, k, budget, last_part) is None:
+            for arity in ks:
+                _check_budget(m, arity, budget)
+            return s
+    return None
 
 
 def exists_representation(
@@ -263,7 +325,10 @@ def exists_representation(
     if k < 1:
         raise MalformedInput(f"k must be >= 1, got {k}")
     _check_limits(k, budget)
-    return _search(g, _prepare(g, tag), k, budget)
+    prepared = _prepare(g, tag)
+    if _refuting_set(g, _small(g, tag), len(prepared.masks), range(k, k + 1), budget, _last_part) is not None:
+        return None
+    return _search(g, prepared, k, budget)
 
 
 def boolean_dimension(
@@ -280,10 +345,16 @@ def boolean_dimension(
     The search stops at k = m, the number of distinct member masks: a
     witness that repeats a part computes a function of its distinct
     parts, of which there are at most m, so the least k is at most m.
+
+    One scan at the top k settles the whole loop when it refutes: a
+    k-function is a (k + 1)-function that ignores its last part.
     """
     _check_limits(k_max, budget)
     prepared = _prepare(g, tag)
-    for k in range(1, min(k_max, len(prepared.masks)) + 1):
+    ks = range(1, min(k_max, len(prepared.masks)) + 1)
+    if _refuting_set(g, _small(g, tag), len(prepared.masks), ks, budget, _last_part) is not None:
+        return None
+    for k in ks:
         witness = _search(g, prepared, k, budget)
         if witness is not None:
             return witness
@@ -306,6 +377,10 @@ def restricted_dimension(
     repeated part from a witness of arity k leaves one of arity k - 2.
     The least witness therefore repeats no part, and k <= m, unless
     k - 2 = 0: the empty target as K xor K, with k = 2.
+
+    XOR scans the induced subgraphs at each k: a refutation at k does not
+    settle k - 1, since an XOR of k - 1 members need not be an XOR of k.
+    Union and intersection are cheap enough without a scan.
     """
     if mode not in _FOLDS:
         raise MalformedInput(f"unknown mode {mode!r}")
@@ -313,10 +388,14 @@ def restricted_dimension(
     prepared = _prepare(g, tag)
     if mode == "xor":
         searched, last_part, k_cap = prepared, _xor_last_part, max(len(prepared.masks), 2)
+        small = _small(g, tag)
     else:
         searched, last_part, k_cap = _pool(prepared, mode), _fold_last_part, len(prepared.masks)
+        small = None
     for k in range(1, min(k_max, k_cap) + 1):
-        combo = _first_combo(searched, k, budget, last_part)
+        if _refuting_set(g, small, len(searched.masks), range(k, k + 1), budget, last_part) is not None:
+            continue
+        combo = _first_combo(searched, prepared.target, k, budget, last_part)
         if combo is not None:
             return _verify(g, _FOLDS[mode](k), searched.parts(combo))
     return None

@@ -203,6 +203,9 @@ def _parser(name: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str]) -> int:
     try:
+        if argv[:1] == ["--"] and argv[1:2] and argv[1] in _SUBCOMMANDS:
+            # argparse would hand the "--" itself to the command slot
+            argv = argv[1:]
         if argv and argv[0] in _SUBCOMMANDS:
             # what the whole CLI's parser does with a subcommand's leftovers
             args, extra = _parser(argv[0]).parse_known_args(argv[1:])

@@ -299,7 +299,7 @@ class TestLastPartSearch:
                         assert w is not None, (n, target, k)
                         assert w.f == BooleanFunction(k, table)
                         assert w.parts == tuple(Graph.from_edge_mask(n, key(masks[i])) for i in combo)
-                    xor_combo = booldim._first_combo(p, k, DEFAULT_BUDGET, booldim._xor_last_part)
+                    xor_combo = booldim._first_combo(p, p.target, k, DEFAULT_BUDGET, booldim._xor_last_part)
                     assert xor_combo == reference_xor(masks, target, k), (n, target, k)
 
     @pytest.mark.parametrize("tag", [EQUIVALENCE, MATCHING, CLASS_C], ids=["equiv", "d1", "C"])
@@ -323,12 +323,12 @@ class TestLastPartSearch:
                         (b for b in range(lo, m) if reference_table(ms + [masks[b]], target, full) is not None),
                         None,
                     )
-                    assert booldim._last_part(p, prefix) == expected, (n, target, prefix)
+                    assert booldim._last_part(p, p.target, prefix) == expected, (n, target, prefix)
                     acc = target
                     for mask in ms:
                         acc ^= mask
                     expected = next((b for b in range(lo, m) if masks[b] == acc), None)
-                    assert booldim._xor_last_part(p, prefix) == expected, (n, target, prefix)
+                    assert booldim._xor_last_part(p, p.target, prefix) == expected, (n, target, prefix)
 
     def test_matches_multiset_loops_at_n6_and_n7(self):
         rng = random.Random(1729)
@@ -413,7 +413,7 @@ def reference_dimension(p, mode, k_max):
         p = p.pool(mode)
     last_part = {"free": booldim._last_part, "xor": booldim._xor_last_part}.get(mode, booldim._fold_last_part)
     for k in range(1, k_max + 1):
-        combo = booldim._first_combo(p, k, DEFAULT_BUDGET, last_part)
+        combo = booldim._first_combo(p, p.target, k, DEFAULT_BUDGET, last_part)
         if combo is not None:
             if mode == "free":
                 f = BooleanFunction(k, reference_table([p.masks[i] for i in combo], p.target, p.full))
@@ -645,7 +645,7 @@ class TestKCap:
                             searched, last_part = q, booldim._xor_last_part
                         else:
                             searched, last_part = booldim._pool(q, mode), booldim._fold_last_part
-                        found = (booldim._first_combo(searched, k, DEFAULT_BUDGET, last_part) for k in ks)
+                        found = (booldim._first_combo(searched, searched.target, k, DEFAULT_BUDGET, last_part) for k in ks)
                         expected = next((len(c) for c in found if c is not None), None)
                         w = restricted_dimension(g, tag, mode, m + 3)
                         assert (w and w.k) == expected, (tag, n, target, mode)
@@ -778,7 +778,7 @@ class TestFoldSearch:
                     pool = booldim._pool(q, mode)
                     for k in (1, 2, 3):
                         expected = reference_fold(q, mode, k, DEFAULT_BUDGET)
-                        combo = booldim._first_combo(pool, k, DEFAULT_BUDGET, booldim._fold_last_part)
+                        combo = booldim._first_combo(pool, pool.target, k, DEFAULT_BUDGET, booldim._fold_last_part)
                         # the pool keeps the members' order, so equal masks are equal multisets
                         found = combo and [pool.masks[j] for j in combo]
                         assert found == (expected and [q.masks[i] for i in expected]), (n, target, mode, k)
@@ -799,7 +799,7 @@ class TestFoldSearch:
                         ms = [masks[i] for i in prefix]
                         found = (b for b in range(lo, m) if fold(mode, ms + [masks[b]], pool.full) == target)
                         expected = next(found, None)
-                        assert booldim._fold_last_part(pool, prefix) == expected, (n, target, mode, prefix)
+                        assert booldim._fold_last_part(pool, pool.target, prefix) == expected, (n, target, mode, prefix)
 
     def test_budget_is_the_pool_multiset_count(self):
         # the union pool of C5 in equiv is the matchings inside it: the empty
@@ -807,9 +807,9 @@ class TestFoldSearch:
         # multisets of 3
         p = booldim._pool(booldim._prepare(Graph.cycle(5), EQUIVALENCE), "union")
         assert len(p.masks) == 11
-        assert booldim._first_combo(p, 3, 286, booldim._fold_last_part) is not None
+        assert booldim._first_combo(p, p.target, 3, 286, booldim._fold_last_part) is not None
         refusal = "^286 multisets of 3 from 11 candidates exceed the budget of 285$"
         with pytest.raises(BudgetExceeded, match=refusal):
-            booldim._first_combo(p, 3, 285, booldim._fold_last_part)
+            booldim._first_combo(p, p.target, 3, 285, booldim._fold_last_part)
         with pytest.raises(BudgetExceeded, match=refusal):
             restricted_dimension(Graph.cycle(5), EQUIVALENCE, "union", 3, budget=285)

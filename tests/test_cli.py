@@ -356,7 +356,8 @@ PARSER_CASES = [
     ["enumerate", "--class", "equiv", "--n", "x"],
     ["label", "--bogus"],
     ["params", "C~", "--bogus"],
-    ["--", "params", "C~"],
+    ["--", "-h"],
+    ["--"],
 ]
 
 
@@ -394,6 +395,30 @@ class TestParserParity:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         main(argv)
         assert progs == built
+
+
+class TestLeadingDoubleDash:
+    """A leading "--" is dropped when a subcommand name follows it, which
+    argparse would hand to the command slot; before anything else, or
+    alone, it is refused as the whole CLI's parser refuses it (the
+    `TestParserParity` cases `-- -h` and `--`)."""
+
+    def test_before_a_subcommand_it_is_dropped(self, capsys):
+        assert main(["params", "C~"]) == 0
+        plain = capsys.readouterr()
+        assert main(["--", "params", "C~"]) == 0
+        assert capsys.readouterr() == plain
+        assert plain.out.startswith('{"alpha": 1,') and plain.err == ""
+
+    @pytest.mark.parametrize("argv, refusal", [
+        (["--", "-h"], "boolcomb: error: argument command: invalid choice: '--' (choose from"),
+        (["--"], "boolcomb: error: the following arguments are required: command"),
+    ])
+    def test_otherwise_it_is_refused(self, argv, refusal, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert refusal in captured.err
 
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
