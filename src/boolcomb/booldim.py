@@ -36,8 +36,10 @@ g against the class's members on 5 vertices (52 for equiv) and stops
 at the first S with no witness; an induced C5 refutes every equiv
 search at k <= 2.  The unrestricted searches scan once, at the top k,
 XOR scans at each k, and the folds, cheap already, do not scan.  A
-refuted search still checks the budget of every k it would have
-searched, so it raises what the full search raises.
+guard runs a scan only when it decides no more multisets than the
+search it may skip and than the budget allows.  A refuted search still
+checks the budget of every k it would have searched, so it raises what
+the full search raises.
 """
 
 from __future__ import annotations
