@@ -36,8 +36,18 @@ targets at n = 7 (and d1 at kmax 3), a C5-planted n = 7 equiv target
 at kmax 2 with `--budget` at C(878, 2) = 385003 and one less, free and
 under XOR, `--class complete` at n = 40, `--kmax` 0 and 10^400,
 `--kmax -1` and `--budget` 0 and -1 under XOR, `--budget 0` free, and
-`booldim -h`.  A change that alters a pinned output declares it and
-rewrites that entry's digests.
+`booldim -h`.  Its guard slice holds equiv searches at kmax 3, free and
+under XOR, with `--budget` at the scan guard's bound C(n, 5) C(m5 + k -
+1, k) and one less: 21 C(54, 3) = 520884 on a C5-planted target at
+n = 7, 6 C(54, 3) = 148824 at n = 6 and 56 C(53, 2) = 77168 at n = 8.
+Its boundary slice holds `-h` for every other subcommand, `hnk
+--report` at and past the 4096-vertex cap (4096^1, 64^2, 2^12), at
+10^400 in either argument and at a negative one, `enumerate` at and
+past each class's cap (d1, C and L at n = 9 and 10, complete and empty
+at n = 65537, equiv at n = 10^400, ek:1 at n = -1) and `verify --seed`
+at -1, 0 and 10^400.  Every refusal prints nothing on stdout and, on
+stderr, one `error: ` line or an argparse usage block.  A change that
+alters a pinned output declares it and rewrites that entry's digests.
 """
 
 import contextlib
@@ -126,3 +136,17 @@ def test_pinned_output(entry, monkeypatch):
     moved = options_first(argv)
     if moved is not None:
         assert digests(moved) == pinned, moved
+
+
+def test_refusals_print_one_error_line_or_a_usage_block(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    refusals = [entry["argv"] for entry in CORPUS if entry["exit"] == 2]
+    assert refusals
+    for argv in refusals:
+        code, out, err = run(argv)
+        lines = err.splitlines()
+        assert code == 2 and out == "" and lines, argv
+        if lines[0].startswith("usage: "):
+            assert lines[-1].startswith(("boolcomb: error: ", f"boolcomb {argv[0]}: error: ")), argv
+        else:
+            assert err == lines[0] + "\n" and lines[0].startswith("error: "), argv
