@@ -24,7 +24,7 @@ first one is reported.
 The members are never built as graphs: `classes._member_masks` gives
 their edge masks, sorted as plain ints and read as graph6 bits, as the
 target is (`_Prepared` says why), and only the parts of a reported
-witness become `Graph`s.  The k loops stop at the number m of member
+witness become `Graph`s.  The k loop stops at the number m of member
 masks (max(m, 2) under XOR); `boolean_dimension` and
 `restricted_dimension` say why.
 
@@ -34,12 +34,11 @@ B_k[S]) for every vertex set S, and one g[S] with no k-witness proves
 that g has none.  `_refuting_set` scans the 5-vertex sets S of a larger
 g against the class's members on 5 vertices (52 for equiv) and stops
 at the first S with no witness; an induced C5 refutes every equiv
-search at k <= 2.  The unrestricted searches scan once, at the top k,
-XOR scans at each k, and the folds, cheap already, do not scan.  A
-guard runs a scan only when it decides no more multisets than the
-search it may skip and than the budget allows.  A refuted search still
-checks the budget of every k it would have searched, so it raises what
-the full search raises.
+search at k <= 2.  `_least`, the one k loop, scans at each k of a free
+or XOR search; the folds, cheap already, do not scan.  A guard runs a
+scan only when it decides no more multisets than the search it may skip
+and than the budget allows, and a refuted k still checks its budget, so
+the loop answers and refuses as it does without the scan.
 """
 
 from __future__ import annotations
@@ -236,14 +235,6 @@ def _first_combo(p: _Prepared, target: int, k: int, budget: int, last_part) -> O
     return None
 
 
-def _search(g: Graph, p: _Prepared, k: int, budget: int) -> Optional[DimWitness]:
-    combo = _first_combo(p, p.target, k, budget, _last_part)
-    if combo is None:
-        return None
-    f = BooleanFunction(k, _table([p.masks[i] for i in combo], p.target, p.full))
-    return _verify(g, f, p.parts(combo))
-
-
 def _pool(p: _Prepared, mode: str) -> _Prepared:
     """p with only the members that a union (intersection) equal to the
     target can use: those inside (containing) the target."""
@@ -277,25 +268,24 @@ def _small(g: Graph, tag: ClassTag) -> Optional[_Prepared]:
 
 
 def _refuting_set(
-    g: Graph, small: Optional[_Prepared], m: int, ks: range, budget: int, last_part
+    g: Graph, small: Optional[_Prepared], m: int, k: int, budget: int, last_part
 ) -> Optional[tuple[int, ...]]:
     """The first _SUBSET_N-set S of V(g), in `combinations` order, such that
-    no multiset of k = ks[-1] members in small completes to g[S] under
-    last_part, or None if there is none or the scan is not run.
+    no multiset of k members in small completes to g[S] under last_part,
+    or None if there is none or the scan is not run.
 
-    It runs when small is given, ks is not empty and the scan decides no
-    more multisets than the budget allows or than the search over g's m
-    members would, so a lone member on hundreds of vertices is never met
-    with C(n, 5) subsets:
+    It runs when small is given and the scan decides no more multisets
+    than the budget allows or than the search over g's m members would,
+    so a lone member on hundreds of vertices is never met with C(n, 5)
+    subsets:
 
         C(n, 5) * C(m5 + k - 1, k) <= min(budget, C(m + k - 1, k)),
 
     with m5 = len(small.masks).  g[S]'s graph6 bits are read straight off
-    g's rows.  Before S is returned, the budget check of every k in ks
-    runs in order, so a refusal is the one the k loop over ks raises."""
-    if small is None or not ks:
+    g's rows.  Before S is returned, k's budget check runs, so a refusal
+    is the one the search at k raises."""
+    if small is None:
         return None
-    k = ks[-1]
     scanned = comb(g.n, _SUBSET_N) * comb(len(small.masks) + k - 1, k)
     if scanned > budget or scanned > comb(m + k - 1, k):
         return None
@@ -307,9 +297,29 @@ def _refuting_set(
             for i in range(j):
                 bits = bits << 1 | row >> s[i] & 1
         if _first_combo(small, bits, k, budget, last_part) is None:
-            for arity in ks:
-                _check_budget(m, arity, budget)
+            _check_budget(m, k, budget)
             return s
+    return None
+
+
+def _least(
+    g: Graph, tag: ClassTag, p: _Prepared, mode: Optional[str], ks: range, budget: int
+) -> Optional[DimWitness]:
+    """The witness of least k in ks, or None: f is mode's fold, or any
+    function when mode is None.  A free or XOR search skips each k that
+    `_refuting_set` refutes; a fold searches its `_pool` and never scans."""
+    if mode in ("union", "intersect"):
+        searched, last_part, small = _pool(p, mode), _fold_last_part, None
+    else:
+        searched, last_part, small = p, _xor_last_part if mode else _last_part, _small(g, tag)
+    for k in ks:
+        if _refuting_set(g, small, len(searched.masks), k, budget, last_part) is not None:
+            continue
+        combo = _first_combo(searched, p.target, k, budget, last_part)
+        if combo is not None:
+            ms = [searched.masks[i] for i in combo]
+            f = _FOLDS[mode](k) if mode else BooleanFunction(k, _table(ms, p.target, p.full))
+            return _verify(g, f, searched.parts(combo))
     return None
 
 
@@ -327,10 +337,7 @@ def exists_representation(
     if k < 1:
         raise MalformedInput(f"k must be >= 1, got {k}")
     _check_limits(k, budget)
-    prepared = _prepare(g, tag)
-    if _refuting_set(g, _small(g, tag), len(prepared.masks), range(k, k + 1), budget, _last_part) is not None:
-        return None
-    return _search(g, prepared, k, budget)
+    return _least(g, tag, _prepare(g, tag), None, range(k, k + 1), budget)
 
 
 def boolean_dimension(
@@ -347,20 +354,10 @@ def boolean_dimension(
     The search stops at k = m, the number of distinct member masks: a
     witness that repeats a part computes a function of its distinct
     parts, of which there are at most m, so the least k is at most m.
-
-    One scan at the top k settles the whole loop when it refutes: a
-    k-function is a (k + 1)-function that ignores its last part.
     """
     _check_limits(k_max, budget)
     prepared = _prepare(g, tag)
-    ks = range(1, min(k_max, len(prepared.masks)) + 1)
-    if _refuting_set(g, _small(g, tag), len(prepared.masks), ks, budget, _last_part) is not None:
-        return None
-    for k in ks:
-        witness = _search(g, prepared, k, budget)
-        if witness is not None:
-            return witness
-    return None
+    return _least(g, tag, prepared, None, range(1, min(k_max, len(prepared.masks)) + 1), budget)
 
 
 def restricted_dimension(
@@ -379,25 +376,11 @@ def restricted_dimension(
     repeated part from a witness of arity k leaves one of arity k - 2.
     The least witness therefore repeats no part, and k <= m, unless
     k - 2 = 0: the empty target as K xor K, with k = 2.
-
-    XOR scans the induced subgraphs at each k: a refutation at k does not
-    settle k - 1, since an XOR of k - 1 members need not be an XOR of k.
-    Union and intersection are cheap enough without a scan.
     """
     if mode not in _FOLDS:
         raise MalformedInput(f"unknown mode {mode!r}")
     _check_limits(k_max, budget)
     prepared = _prepare(g, tag)
-    if mode == "xor":
-        searched, last_part, k_cap = prepared, _xor_last_part, max(len(prepared.masks), 2)
-        small = _small(g, tag)
-    else:
-        searched, last_part, k_cap = _pool(prepared, mode), _fold_last_part, len(prepared.masks)
-        small = None
-    for k in range(1, min(k_max, k_cap) + 1):
-        if _refuting_set(g, small, len(searched.masks), range(k, k + 1), budget, last_part) is not None:
-            continue
-        combo = _first_combo(searched, prepared.target, k, budget, last_part)
-        if combo is not None:
-            return _verify(g, _FOLDS[mode](k), searched.parts(combo))
-    return None
+    m = len(prepared.masks)
+    k_cap = max(m, 2) if mode == "xor" else m
+    return _least(g, tag, prepared, mode, range(1, min(k_max, k_cap) + 1), budget)

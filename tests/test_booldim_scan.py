@@ -36,7 +36,7 @@ from boolcomb.gformats import parse_graph
 from boolcomb.graphs import Graph, apply_boolean, combine, induced_subgraph
 
 from conftest import random_graph
-from test_booldim import ENUMERABLE, planted_c5
+from test_booldim import ENUMERABLE, plain_search, planted_c5
 
 CORPUS = json.loads((Path(__file__).parent / "cli_corpus.json").read_text())
 
@@ -48,7 +48,7 @@ def plain_dimension(g, tag, mode, k_max, budget):
     m = len(p.masks)
     if mode is None:
         for k in range(1, min(k_max, m) + 1):
-            w = booldim._search(g, p, k, budget)
+            w = plain_search(g, p, k, budget)
             if w is not None:
                 return w
         return None
@@ -75,15 +75,13 @@ def scanned(g, tag, mode, k_max, budget):
 
 
 def refuting_sets(g, tag, mode, k_max, budget=DEFAULT_BUDGET):
-    """[(k, S)]: each arity the searches scan at, with the S the scan
-    returns there or None, as boolean_dimension and the XOR loop ask."""
+    """[(k, S)]: each arity of a free (mode None) or XOR search up to its
+    cap, with the S the scan returns there or None."""
     p = booldim._prepare(g, tag)
     m, small = len(p.masks), booldim._small(g, tag)
-    if mode is None:
-        ks = range(1, min(k_max, m) + 1)
-        return [(ks[-1], booldim._refuting_set(g, small, m, ks, budget, booldim._last_part))] if ks else []
-    arities = range(1, min(k_max, max(m, 2)) + 1)
-    return [(k, booldim._refuting_set(g, small, m, range(k, k + 1), budget, booldim._xor_last_part)) for k in arities]
+    last_part = booldim._xor_last_part if mode else booldim._last_part
+    arities = range(1, min(k_max, max(m, 2) if mode else m) + 1)
+    return [(k, booldim._refuting_set(g, small, m, k, budget, last_part)) for k in arities]
 
 
 def seeded_targets(tag, n, rng):
@@ -126,7 +124,7 @@ class TestAgainstThePlainLoops:
                         got = outcome(scanned, g, tag, mode, k_max, budget)
                         assert got == want, (tag.to_text(), g.rows, mode, k_max)
                     for k in range(1, k_max + 1):
-                        want = outcome(booldim._search, g, booldim._prepare(g, tag), k, budget)
+                        want = outcome(plain_search, g, booldim._prepare(g, tag), k, budget)
                         assert outcome(exists_representation, g, tag, k, budget) == want, (g.rows, k)
 
     @pytest.mark.parametrize("tag", ENUMERABLE, ids=[t.to_text() for t in ENUMERABLE])
@@ -147,8 +145,8 @@ class TestAgainstThePlainLoops:
         # a C5-planted target at n = 7: the scan refutes k = 2, and then the
         # k = 2 budget check, C(878, 2) = 385003 multisets, still refuses
         g = parse_graph("FyNuO")
-        assert refuting_sets(g, EQUIVALENCE, None, 2)[0][1] is not None
-        assert refuting_sets(g, EQUIVALENCE, "xor", 2)[1][1] is not None
+        for mode in (None, "xor"):
+            assert [s is not None for k, s in refuting_sets(g, EQUIVALENCE, mode, 2)] == [False, True], mode
         refusal = "^385003 multisets of 2 from 877 candidates exceed the budget of 385002$"
         for mode in (None, "xor"):
             assert scanned(g, EQUIVALENCE, mode, 2, 385003) is None
@@ -157,10 +155,26 @@ class TestAgainstThePlainLoops:
         assert exists_representation(g, EQUIVALENCE, 2, 385003) is None
         with pytest.raises(BudgetExceeded, match=refusal):
             exists_representation(g, EQUIVALENCE, 2, 385002)
-        # past k = 2 the scan at the top k finds every g[S] represented, so
-        # the plain loop refuses at k = 3, as it did before the scan
+        # at k = 3 the scan finds every g[S] represented, so the search at
+        # k = 3 refuses, as the plain loop does
         with pytest.raises(BudgetExceeded, match="^112805879 multisets of 3 from 877 "):
             boolean_dimension(g, EQUIVALENCE, 3)
+
+    def test_a_refuted_k_skips_its_search(self, monkeypatch):
+        # kmax 3 on the C5-planted FyNuO: the k = 2 scan refutes, so the
+        # exhaustive k = 2 search over the 877 members on 7 vertices never
+        # runs, and the k = 3 search still refuses
+        asked = []
+        first_combo = booldim._first_combo
+
+        def recording(p, target, k, *rest):
+            asked.append((p.n, k))
+            return first_combo(p, target, k, *rest)
+
+        monkeypatch.setattr(booldim, "_first_combo", recording)
+        with pytest.raises(BudgetExceeded, match="^112805879 multisets of 3 from 877 candidates exceed the budget of 10{8}$"):
+            boolean_dimension(parse_graph("FyNuO"), EQUIVALENCE, 3)
+        assert sorted(set(asked)) == [(5, 2), (5, 3), (7, 1), (7, 3)]
 
 
 class TestGuard:
@@ -168,13 +182,15 @@ class TestGuard:
     C(m + k - 1, k)), with m5 and m the members at 5 and at n vertices."""
 
     def scans(self, monkeypatch, search, *args):
-        """Whether search(*args) asked the 5-vertex record for a witness."""
-        asked = []
+        """The arities at which search(*args) asked the 5-vertex record
+        for a witness."""
+        asked = set()
         first_combo = booldim._first_combo
 
-        def recording(p, *rest):
-            asked.append(p.n)
-            return first_combo(p, *rest)
+        def recording(p, target, k, *rest):
+            if p.n == booldim._SUBSET_N:
+                asked.add(k)
+            return first_combo(p, target, k, *rest)
 
         monkeypatch.setattr(booldim, "_first_combo", recording)
         try:
@@ -183,22 +199,27 @@ class TestGuard:
             pass
         finally:
             monkeypatch.undo()
-        return booldim._SUBSET_N in asked
+        return asked
 
     def test_the_budget_bound_is_exact(self, monkeypatch):
-        # equiv at n = 7, k = 2: C(7, 5) C(53, 2) = 21 * 1378 = 28938
+        # equiv at n = 7, k = 2: C(7, 5) C(53, 2) = 21 * 1378 = 28938, and
+        # k = 3: C(7, 5) C(54, 3) = 21 * 24804 = 520884; k = 1 never scans
         g = parse_graph("FyNuO")
         for mode in (None, "xor"):
-            assert self.scans(monkeypatch, scanned, g, EQUIVALENCE, mode, 2, 28938), mode
-            assert not self.scans(monkeypatch, scanned, g, EQUIVALENCE, mode, 2, 28937), mode
-        assert self.scans(monkeypatch, exists_representation, g, EQUIVALENCE, 2, 28938)
-        assert not self.scans(monkeypatch, exists_representation, g, EQUIVALENCE, 2, 28937)
+            assert self.scans(monkeypatch, scanned, g, EQUIVALENCE, mode, 2, 28938) == {2}, mode
+            assert self.scans(monkeypatch, scanned, g, EQUIVALENCE, mode, 2, 28937) == set(), mode
+            assert self.scans(monkeypatch, scanned, g, EQUIVALENCE, mode, 3, 520884) == {2, 3}, mode
+            assert self.scans(monkeypatch, scanned, g, EQUIVALENCE, mode, 3, 520883) == {2}, mode
+        assert self.scans(monkeypatch, exists_representation, g, EQUIVALENCE, 2, 28938) == {2}
+        assert self.scans(monkeypatch, exists_representation, g, EQUIVALENCE, 2, 28937) == set()
+        assert self.scans(monkeypatch, exists_representation, g, EQUIVALENCE, 3, 520884) == {3}
+        assert self.scans(monkeypatch, exists_representation, g, EQUIVALENCE, 3, 520883) == set()
 
     def test_no_scan_that_outgrows_the_search(self, monkeypatch):
         g = parse_graph("FyNuO")
         # k = 1 over equiv at n = 7: 21 * 52 = 1092 subsets against 877 members
         assert not self.scans(monkeypatch, exists_representation, g, EQUIVALENCE, 1)
-        assert self.scans(monkeypatch, exists_representation, g, EQUIVALENCE, 2)
+        assert self.scans(monkeypatch, exists_representation, g, EQUIVALENCE, 2) == {2}
         # one member at every n: a lone member is never met with C(n, 5) subsets
         for n in (6, 40, 300):
             target = Graph.cycle(n)
@@ -214,10 +235,10 @@ class TestGuard:
         built = []
         columns = booldim._columns
         monkeypatch.setattr(booldim, "_columns", lambda masks, full: built.append(len(masks)) or columns(masks, full))
-        assert boolean_dimension(parse_graph("FyNuO"), EQUIVALENCE, 2) is None
+        assert exists_representation(parse_graph("FyNuO"), EQUIVALENCE, 2) is None
         assert built == [52]
         built.clear()
-        assert boolean_dimension(parse_graph("Fn@Q_"), EQUIVALENCE, 2) is not None
+        assert exists_representation(parse_graph("Fn@Q_"), EQUIVALENCE, 2) is not None
         assert built == [52, 877]
 
 
