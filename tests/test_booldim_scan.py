@@ -286,10 +286,10 @@ def test_every_refuting_set_has_no_witness():
             if key not in brute:
                 brute[key] = representable(tag, mode, k)
             assert induced_subgraph(g, s).rows not in brute[key], (g.rows, tag.to_text(), mode, k, s)
-            # and so the search itself has no witness at k
+            # and so the search itself, without the scan, has no witness at k
+            p = booldim._prepare(g, tag)
             if mode is None:
-                assert exists_representation(g, tag, k) is None
+                assert plain_search(g, p, k) is None
             else:
-                p = booldim._prepare(g, tag)
                 assert booldim._first_combo(p, p.target, k, DEFAULT_BUDGET, booldim._xor_last_part) is None
     assert refuted >= 30, refuted
