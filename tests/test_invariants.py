@@ -19,7 +19,7 @@ from boolcomb.errors import (
 )
 from boolcomb.boolfn import _bits, enumerate_functions
 from boolcomb.classes import EQUIVALENCE, random_member
-from boolcomb.extremal import DEFAULT_SEED, hnk
+from boolcomb.extremal import DEFAULT_SEED, hnk, verify_theorem
 from boolcomb.graphs import Graph, apply_boolean, complement, induced_subgraph
 from boolcomb.invariants import (
     BICLIQUE_LIMIT,
@@ -531,6 +531,73 @@ def reference_popcount_chain_search(g: Graph, strong: bool) -> int:
     return best
 
 
+class Reads(list):
+    """A list that counts the items read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def run_chain_kernel(extend, g: Graph, strong: bool, *state) -> tuple[int, int, int]:
+    """Run a chain kernel from the root as `_chain_search` does: its value,
+    and how many items it read from `rows` and from `away`."""
+    n = g.n
+    full = (1 << n) - 1
+    rows = Reads(g.rows)
+    away = Reads(full & ~g.rows[v] & ~(1 << v) for v in range(n))
+    return extend(rows, away, strong, 0, full, full, 0, *state), rows.reads, away.reads
+
+
+def reference_row_bounded_chain_search(g: Graph, strong: bool) -> tuple[int, int, int, int]:
+    """Oracle: the row-bounded solver with `_bits` lists, tuple sort keys and
+    `min` bounds: its value, its nodes, and its reads of `rows` and `away`."""
+    nodes = [0]
+    value, row_reads, away_reads = run_chain_kernel(_reference_extend, g, strong, nodes)
+    return value, nodes[0], row_reads, away_reads
+
+
+def _reference_extend(rows, away, strong, depth, cand_a, cand_b, best, nodes):
+    nodes[0] += 1
+    d1 = depth + 1
+    order = sorted([((cand_b & rows[a]).bit_count(), a) for a in _bits(cand_a)], reverse=True)
+    seen = -1
+    for size, a in order:
+        if depth + size + strong <= best:
+            break
+        if seen != best:
+            seen = best
+            firsts = cand_b if best < d1 else sum(
+                1 << b for b in _bits(cand_b) if d1 + (cand_a & away[b]).bit_count() > best)
+        bit_a = 1 << a
+        later = cand_b & rows[a]
+        pool = (cand_b & ~bit_a if strong else later) & firsts
+        if pool:
+            best = max(best, d1)
+        for b in _bits(pool):
+            next_a = cand_a & away[b] & ~bit_a
+            next_b = later & ~(1 << b)
+            if d1 + min(next_a.bit_count(), next_b.bit_count(), (next_a | next_b).bit_count() // 2) > best:
+                best = _reference_extend(rows, away, strong, d1, next_a, next_b, best, nodes)
+    return best
+
+
+def count_extend_calls(monkeypatch) -> list[int]:
+    """Wrap `invariants._extend` so that every search node bumps the
+    returned counter; the recursion goes through the module-level name."""
+    extend = boolcomb.invariants._extend
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(boolcomb.invariants, "_extend", counted)
+    return calls
+
+
 class TestChainOracle:
     def test_matches_brute_force(self, rng):
         for _ in range(30):
@@ -554,6 +621,29 @@ class TestChainOracle:
                 g = random_graph(n, p, rng)
                 assert chain_number(g) == reference_popcount_chain_search(g, strong=False)
                 assert strong_chain_number(g) == reference_popcount_chain_search(g, strong=True)
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_same_tree_as_row_bounded_search(self, p, monkeypatch):
+        # same value and nodes: the kernel prunes exactly as the reference;
+        # same reads of rows and away: it also tries the same a's and b's,
+        # which the nodes alone do not show (the a-loop break and the b-side
+        # filter are implied by the child bound, and only save work)
+        calls = count_extend_calls(monkeypatch)
+        rng = random.Random(f"chain-tree:{p}")
+        for n in range(CHAIN_LIMIT + 1):
+            for _ in range(12):
+                g = random_graph(n, p, rng)
+                for search, strong in ((chain_number, False), (strong_chain_number, True)):
+                    value, nodes, *reads = reference_row_bounded_chain_search(g, strong)
+                    calls[0] = 0
+                    assert search(g) == value, (g.rows, strong)
+                    assert calls[0] == nodes, (g.rows, strong)
+                    assert run_chain_kernel(boolcomb.invariants._extend, g, strong)[1:] == tuple(reads), (g.rows, strong)
+
+    def test_chain_sandwich_node_count(self, monkeypatch):
+        calls = count_extend_calls(monkeypatch)
+        assert verify_theorem("chain-sandwich", 1729).passed
+        assert calls[0] == 2983
 
     @pytest.mark.parametrize("g, ch, sch", [
         *((half_graph(k), k, k) for k in range(1, 7)),
