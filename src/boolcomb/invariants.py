@@ -292,6 +292,10 @@ def _grow(rows: Sequence[int], size: int, common: int, cand: int, best: int) -> 
 # -- chain numbers -----------------------------------------------------------------
 
 
+_A_BITS = CHAIN_LIMIT.bit_length()  # every a < 2**_A_BITS, so size << _A_BITS | a sorts as (size, a)
+_A_MASK = (1 << _A_BITS) - 1
+
+
 def _chain_search(g: Graph, strong: bool) -> int:
     """Longest half-graph embedding (a_i ~ b_j iff i <= j; strong drops the diagonal).
 
@@ -307,7 +311,14 @@ def _chain_search(g: Graph, strong: bool) -> int:
     `cand_a` and its b from its `cand_b`, disjointly, so popcounts bound
     the pairs still to come; the bound is tested before the call.  The
     a's after the next b all miss it, so a b with too few non-neighbours
-    in `cand_a` to beat the best is not tried as the next b.
+    in `cand_a` to beat the best is not tried as the next b.  That filter
+    and the cut on the a's drop only pairs whose child the pair bound
+    would refuse, so they leave the tree as it is and save the work of
+    trying those pairs; the filter is rebuilt only when the best moves.
+    Each bound is tested term by term against `room` = best - depth - 1
+    (a longer chain needs more than `room` pairs after this one) and
+    stops at the first term that fails; the masks are walked inline,
+    lowest bit first, and the a's sort on one int key.
     """
     n = g.n
     if n > CHAIN_LIMIT:
@@ -322,25 +333,45 @@ def _extend(rows: Sequence[int], away: list[int], strong: bool, depth: int, cand
             best: int) -> int:
     # the larger of best and the longest chain that extends the depth pairs so far
     d1 = depth + 1
-    order = sorted([((cand_b & rows[a]).bit_count(), a) for a in _bits(cand_a)], reverse=True)
+    order = []  # size << _A_BITS | a
+    rest = cand_a
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = low.bit_length() - 1
+        order.append((cand_b & rows[a]).bit_count() << _A_BITS | a)
+    order.sort(reverse=True)
     seen = -1
-    for size, a in order:
-        if depth + size + strong <= best:
+    for key in order:
+        if (key >> _A_BITS) + strong <= best - depth:
             break
-        if seen != best:  # the b-side filter drops nothing while best < d1
+        room = best - d1  # a longer chain needs more than room pairs after this one
+        if seen != best:  # the b-side filter drops nothing while room < 0
             seen = best
-            firsts = cand_b if best < d1 else sum(
-                1 << b for b in _bits(cand_b) if d1 + (cand_a & away[b]).bit_count() > best)
+            firsts = cand_b
+            if room >= 0:
+                firsts = 0
+                rest = cand_b
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if (cand_a & away[low.bit_length() - 1]).bit_count() > room:
+                        firsts |= low
+        a = key & _A_MASK
         bit_a = 1 << a
+        other_a = cand_a ^ bit_a
         later = cand_b & rows[a]
-        pool = (cand_b & ~bit_a if strong else later) & firsts
-        if pool:
-            best = max(best, d1)
-        for b in _bits(pool):
-            next_a = cand_a & away[b] & ~bit_a
-            next_b = later & ~(1 << b)
-            if d1 + min(next_a.bit_count(), next_b.bit_count(), (next_a | next_b).bit_count() // 2) > best:
+        rest = (cand_b & ~bit_a if strong else later) & firsts
+        if rest and room < 0:
+            best, room = d1, 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            next_a = other_a & away[low.bit_length() - 1]
+            next_b = later & ~low
+            if next_a.bit_count() > room and next_b.bit_count() > room and (next_a | next_b).bit_count() // 2 > room:
                 best = _extend(rows, away, strong, d1, next_a, next_b, best)
+                room = best - d1
     return best
 
 
