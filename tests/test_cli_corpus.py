@@ -47,7 +47,9 @@ past each class's cap (d1, C and L at n = 9 and 10, complete and empty
 at n = 65537, equiv at n = 10^400, ek:1 at n = -1) and `verify --seed`
 at -1, 0 and 10^400.  Its chain slice holds `params` on seeded G(n, p)
 at n = 10, 11 and 12 with p in {0.1, 0.3, 0.5, 0.7, 0.9}, where both
-chain searches run up to their cap.  Every refusal prints nothing on stdout and, on
+chain searches run up to their cap.  Its xornf slice holds the refusal
+of a class not known to be intersection-closed (`dk:1`,
+`multipartite`).  Every refusal prints nothing on stdout and, on
 stderr, one `error: ` line or an argparse usage block.  A change that
 alters a pinned output declares it and rewrites that entry's digests.
 """
