@@ -255,7 +255,10 @@ def _has_complete(tags: Sequence[ClassTag]) -> bool:
         return True
     if kinds <= _CLOSED_WITHOUT_COMPLETE:
         return False
-    raise NotIntersectionClosed(f"class {tuple(sorted(kinds))!r} is not known to be intersection-closed")
+    names = ", ".join(t.to_text() for t in tags)
+    raise NotIntersectionClosed(
+        f"{'class' if len(tags) == 1 else 'union of classes'} {names} is not known to be intersection-closed"
+    )
 
 
 def xor_normal_form(

@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, groupby, permutations, product
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .boolfn import BooleanFunction
 from .booldim import exists_representation, restricted_dimension
@@ -286,113 +285,95 @@ def _images(masks: Sequence[int], full: int) -> list[int]:
     return out
 
 
-def _orbit_key(row_lines: list[tuple], col_lines: list[tuple]) -> tuple:
-    """A key shared by a matrix and all its row and column permutations,
-    given its rows and columns as (sorted entries, line) pairs, decreasing.
+# One pair (A, B) of set partitions of range(6) per orbit under a common
+# relabeling, given by its intersection matrix M[i][j] = |A_i & B_j|: one
+# digit per entry, rows joined by "/", matrices by spaces.  The order is
+# that of the isomorph-free generator that tests/test_extremal.py keeps as
+# the reference (McKay, J. Algorithms 26, 1998); the tests check the
+# text against it and check that the orbits hold every labeled pair once.
+_ORBIT_MATRICES = (
+    "6 5/1 4/2 4/1/1 3/3 3/2/1 3/1/1/1 2/2/2 2/2/1/1 2/1/1/1/1 1/1/1/1/1/1 51 50/01 42 41/10 41/01 "
+    "40/11 40/10/01 40/02 40/01/01 33 32/10 32/01 31/20 31/11 31/10/10 31/10/01 31/02 31/01/01 "
+    "30/21 30/20/01 30/12 30/11/10 30/11/01 30/10/10/01 30/10/02 30/10/01/01 30/03 30/02/01 "
+    "30/01/01/01 22/20 22/11 22/10/10 22/10/01 21/21 21/20/10 21/20/01 21/12 21/11/10 21/11/01 "
+    "21/10/10/10 21/10/10/01 21/10/02 21/10/01/01 21/02/01 21/01/01/01 20/20/11 20/20/10/01 "
+    "20/20/02 20/20/01/01 20/11/11 20/11/10/10 20/11/10/01 20/11/02 20/11/01/01 20/10/10/10/01 "
+    "20/10/10/02 20/10/10/01/01 20/10/02/01 20/10/01/01/01 20/01/01/01/01 11/11/11 11/11/10/10 "
+    "11/11/10/01 11/10/10/10/10 11/10/10/10/01 11/10/10/01/01 10/10/10/10/10/01 10/10/10/10/01/01 "
+    "10/10/10/01/01/01 411 410/001 400/011 400/010/001 321 320/001 311/100 311/010 310/101 "
+    "310/100/001 310/011 310/010/001 310/002 310/001/001 300/111 300/110/001 300/100/011 "
+    "300/100/010/001 300/021 300/020/001 300/011/010 300/010/010/001 222 221/100 221/001 220/101 "
+    "220/100/001 220/002 220/001/001 211/200 211/110 211/100/100 211/100/010 211/020 211/011 "
+    "211/010/010 211/010/001 210/201 210/200/001 210/111 210/110/001 210/102 210/101/100 "
+    "210/101/010 210/101/001 210/100/100/001 210/100/011 210/100/010/001 210/100/002 "
+    "210/100/001/001 210/020/001 210/012 210/011/010 210/011/001 210/010/010/001 210/010/002 "
+    "210/010/001/001 210/002/001 210/001/001/001 200/200/011 200/200/010/001 200/111/100 "
+    "200/111/010 200/110/101 200/110/100/001 200/110/011 200/110/010/001 200/110/002 "
+    "200/110/001/001 200/100/100/011 200/100/100/010/001 200/100/020/001 200/100/011/010 "
+    "200/100/010/010/001 200/020/002 200/020/001/001 200/011/011 200/011/010/010 200/011/010/001 "
+    "200/010/010/010/001 200/010/010/001/001 111/111 111/110/100 111/110/001 111/100/100/100 "
+    "111/100/100/010 111/100/010/001 110/110/101 110/110/100/001 110/110/001/001 110/101/100/100 "
+    "110/101/100/010 110/101/011 110/101/010/010 110/101/010/001 110/100/100/100/001 "
+    "110/100/100/010/001 110/100/100/001/001 110/100/010/001/001 110/100/001/001/001 "
+    "110/001/001/001/001 100/100/100/100/010/001 100/100/100/010/010/001 100/100/010/010/001/001 "
+    "3111 3110/0001 3100/0011 3100/0010/0001 3000/0111 3000/0110/0001 3000/0100/0010/0001 2211 "
+    "2210/0001 2200/0011 2200/0010/0001 2111/1000 2111/0100 2110/1001 2110/1000/0001 2110/0101 "
+    "2110/0100/0001 2110/0002 2110/0001/0001 2100/1011 2100/1010/0001 2100/1000/0011 "
+    "2100/1000/0010/0001 2100/0111 2100/0110/0001 2100/0100/0011 2100/0100/0010/0001 2100/0021 "
+    "2100/0020/0001 2100/0011/0010 2100/0010/0010/0001 2000/1111 2000/1110/0001 2000/1100/0011 "
+    "2000/1100/0010/0001 2000/1000/0111 2000/1000/0110/0001 2000/1000/0100/0010/0001 "
+    "2000/0200/0011 2000/0200/0010/0001 2000/0111/0100 2000/0110/0101 2000/0110/0100/0001 "
+    "2000/0110/0001/0001 2000/0100/0100/0010/0001 1111/1100 1111/1000/1000 1111/1000/0100 "
+    "1110/1101 1110/1100/0001 1110/1001/1000 1110/1001/0100 1110/1001/0001 1110/1000/1000/0001 "
+    "1110/1000/0100/0001 1110/1000/0001/0001 1110/0001/0001/0001 1100/1100/0011 "
+    "1100/1100/0010/0001 1100/1010/1001 1100/1010/1000/0001 1100/1010/0101 1100/1010/0100/0001 "
+    "1100/1010/0001/0001 1100/1000/1000/0011 1100/1000/1000/0010/0001 1100/1000/0100/0011 "
+    "1100/1000/0100/0010/0001 1100/1000/0011/0010 1100/1000/0010/0010/0001 "
+    "1100/0010/0010/0010/0001 1100/0010/0010/0001/0001 1000/1000/1000/0100/0010/0001 "
+    "1000/1000/0100/0100/0010/0001 21111 21110/00001 21100/00011 21100/00010/00001 21000/00111 "
+    "21000/00110/00001 21000/00100/00010/00001 20000/01111 20000/01110/00001 20000/01100/00011 "
+    "20000/01100/00010/00001 20000/01000/00100/00010/00001 11111/10000 11110/10001 "
+    "11110/10000/00001 11110/00001/00001 11100/10011 11100/10010/00001 11100/10000/00011 "
+    "11100/10000/00010/00001 11100/00011/00010 11100/00010/00010/00001 11000/10100/00011 "
+    "11000/10100/00010/00001 11000/10000/00110/00001 11000/10000/00100/00010/00001 "
+    "11000/00110/00001/00001 11000/00100/00100/00010/00001 10000/10000/01000/00100/00010/00001 "
+    "111111 111110/000001 111100/000011 111100/000010/000001 111000/000111 111000/000110/000001 "
+    "111000/000100/000010/000001 110000/001100/000011 110000/001100/000010/000001 "
+    "110000/001000/000100/000010/000001 100000/010000/001000/000100/000010/000001"
+)
 
-    Permutations keep each line's sorted entries, so these order one
-    side's lines up to the order within runs of equal entries; the side
-    with fewer such orders is taken.  The key is the least matrix, with
-    the other side's lines sorted, over those orders.
-    """
-    row_runs, col_runs = (
-        [[line for _, line in run] for _, run in groupby(lines, key=lambda pair: pair[0])]
-        for lines in (row_lines, col_lines)
-    )
-    row_orders, col_orders = (
-        math.prod(math.factorial(len(run)) for run in runs) for runs in (row_runs, col_runs)
-    )
-    by_rows = row_orders < col_orders
-    return by_rows, min(
-        tuple(sorted(zip(*(line for part in choice for line in part)), reverse=True))
-        for choice in product(*(permutations(run) for run in (row_runs if by_rows else col_runs)))
-    )
 
-
-def _partition_pair_orbits(n: int) -> list[tuple[list[int], list[int]]]:
-    """One pair (A, B) of set partitions of range(n), n >= 1, per orbit
-    under relabeling, their blocks as vertex masks.
-
-    A pair is fixed, up to a common relabeling, by its intersection
-    matrix M[i][j] = |A_i & B_j| taken up to row and column permutations:
-    a nonnegative integer matrix with entry sum n and no zero row or
-    column.  The permutation of M that is greatest in row-major order
-    has rows and columns in decreasing lex order (swapping a line with a
-    greater next one would make it greater), and no row, sorted, exceeds
-    its first row (moving that row first and sorting the columns by it
-    would).  Only matrices of that shape are generated, row by row, and
-    the first of each orbit is kept (isomorph-free generation; McKay, J.
-    Algorithms 26, 1998).  Permutations keep the multisets of sorted rows
-    and of sorted columns, so _orbit_key is run only on matrices that share
-    both with another.  Cell (i, j) takes the next M[i][j] vertices.
-    """
-    generated: list[tuple] = []
-    for c in range(1, n + 1):
-        # candidate rows in decreasing lex order (an entry above n - c + 1
-        # would leave too little for the other columns), each with lt/gt,
-        # the adjacent column pairs (j, j + 1) it puts out of / in order;
-        # reach, one past its last nonzero entry; top, its entries sorted
-        cands = [
-            (v, sum(v), sum(1 << j for j in range(c - 1) if v[j] < v[j + 1]),
-             sum(1 << j for j in range(c - 1) if v[j] > v[j + 1]),
-             max(j + 1 for j in range(c) if v[j]), tuple(sorted(v, reverse=True)))
-            for v in product(range(n - c + 1, -1, -1), repeat=c)
-            if 0 < sum(v) <= n
-        ]
-        _grow_rows(cands, c, generated, 0, n, [], (1 << (c - 1)) - 1, 0)
-    shared = Counter(shape for shape, *_ in generated)
-    reps: dict[tuple, list[tuple[int, ...]]] = {}
-    for shape, rows, row_lines, col_lines in generated:
-        reps.setdefault((shape, shared[shape] > 1 and _orbit_key(row_lines, col_lines)), rows)
-    pairs = []
-    for rows in reps.values():
+def _orbit_pairs(matrices: str) -> Iterator[tuple[list[int], list[int]]]:
+    """The pair (A, B) of each matrix in `matrices`, blocks as vertex
+    masks: cell (i, j) takes the next M[i][j] vertices."""
+    for matrix in matrices.split():
+        rows = matrix.split("/")
         a = [0] * len(rows)
         b = [0] * len(rows[0])
         v = 0
         for i, row in enumerate(rows):
-            for j, count in enumerate(row):
+            for j, count in enumerate(map(int, row)):
                 cell = ((1 << count) - 1) << v
                 a[i] |= cell
                 b[j] |= cell
                 v += count
-        pairs.append((a, b))
-    return pairs
+        yield a, b
 
 
-def _grow_rows(cands: list[tuple], c: int, generated: list[tuple], start: int, left: int,
-               picked: list[tuple], tied: int, covered: int) -> None:
-    # append to generated each c-column matrix that extends the picked rows
-    # by rows from cands[start:]; a column that is zero so far cannot
-    # precede a nonzero one (the order of the tied pair between them would
-    # fail), so the first `covered` columns are the nonzero ones, and each
-    # of the others needs one of the `left` units still to place
-    if left == 0:
-        rows = [cand[0] for cand in picked]
-        row_lines = sorted(((cand[5], cand[0]) for cand in picked), reverse=True)
-        cols = [(tuple(sorted(col, reverse=True)), col) for col in zip(*rows)]
-        col_lines = sorted(cols, reverse=True)
-        shape = tuple(top for top, _ in row_lines), tuple(top for top, _ in col_lines)
-        generated.append((shape, rows, row_lines, col_lines))
-        return
-    for i in range(start, len(cands)):
-        _, s, lt, gt, reach, top = cand = cands[i]
-        if s > left or tied & lt:
-            continue
-        now = max(covered, reach)
-        if c - now > left - s or (picked and top > picked[0][0]):
-            continue
-        picked.append(cand)
-        _grow_rows(cands, c, generated, i, left - s, picked, tied & ~gt, now)
-        picked.pop()
-
-
-def _perfect_2fn_equiv(seed: int, n: int = 6) -> Iterator[dict]:
+def _perfect_2fn_equiv(seed: int) -> Iterator[dict]:
     # perfectness is invariant under relabeling, so one pair per orbit of
-    # (H1, H2) under a common relabeling covers all Bell(n)^2 labeled pairs:
-    # the scope's 203^2 x 16 claim holds although 298 pairs are run at n = 6
+    # (H1, H2) under a common relabeling covers all Bell(6)^2 labeled pairs:
+    # the scope's 203^2 x 16 claim holds although 298 pairs are run
+    return _perfect_pairs(6, _orbit_pairs(_ORBIT_MATRICES))
+
+
+def _perfect_pairs(n: int, pairs: Iterable[tuple[list[int], list[int]]]) -> Iterator[dict]:
+    """A counterexample per image f(H1, H2) that is not perfect, for each
+    pair of set partitions of range(n) in `pairs` (blocks as vertex masks)
+    and each of the 16 binary functions f."""
     full = (1 << (n * (n - 1) // 2)) - 1
     cache: dict[int, bool] = {}
-    for blocks_a, blocks_b in _partition_pair_orbits(n):
+    for blocks_a, blocks_b in pairs:
         a, b = _block_mask(n, blocks_a), _block_mask(n, blocks_b)
         for table, out in enumerate(_images((a, b), full)):
             perfect = cache.get(out)

@@ -12,6 +12,7 @@ from boolcomb.classes import (
     EQUIVALENCE,
     MATCHING,
     SPLIT,
+    ClassTag,
     at_most_edges,
     is_member,
     random_member,
@@ -296,8 +297,14 @@ class TestXorNormalForm:
         assert d.alpha == 0
 
     def test_rejects_non_closed_class(self):
-        with pytest.raises(NotIntersectionClosed):
-            xor_normal_form(BooleanFunction.and_(2), [Graph.empty(4), Graph.empty(4)], SPLIT)
+        # each tag is named as the CLI spells it, in the order given
+        f, graphs = BooleanFunction.and_(2), [Graph.empty(4), Graph.empty(4)]
+        with pytest.raises(NotIntersectionClosed) as one:
+            xor_normal_form(f, graphs, ClassTag("dk", 1))
+        assert str(one.value) == "class dk:1 is not known to be intersection-closed"
+        with pytest.raises(NotIntersectionClosed) as two:
+            xor_normal_form(f, graphs, (SPLIT, EQUIVALENCE))
+        assert str(two.value) == "union of classes split, equiv is not known to be intersection-closed"
 
     def test_arity_mismatch_is_refused_before_the_anf(self):
         with pytest.raises(ArityMismatch, match="function arity 2 but 1 graphs"):

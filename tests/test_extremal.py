@@ -1,8 +1,9 @@
-import gc
 import math
+import textwrap
 import time
 from dataclasses import replace
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -26,9 +27,9 @@ from boolcomb.extremal import (
     THEOREM_IDS,
     _block_mask,
     _images,
-    _orbit_key,
-    _partition_pair_orbits,
+    _orbit_pairs,
     _perfect_2fn_equiv,
+    _perfect_pairs,
     hnk,
     hnk_as_xor,
     hnk_report,
@@ -429,12 +430,52 @@ def sorted_lines(lines):
     return sorted(((tuple(sorted(line, reverse=True)), line) for line in lines), reverse=True)
 
 
+def _orbit_key(row_lines: list[tuple], col_lines: list[tuple]) -> tuple:
+    """A key shared by a matrix and all its row and column permutations,
+    given its rows and columns as (sorted entries, line) pairs, decreasing.
+
+    Permutations keep each line's sorted entries, so these order one
+    side's lines up to the order within runs of equal entries; the side
+    with fewer such orders is taken.  The key is the least matrix, with
+    the other side's lines sorted, over those orders.
+    """
+    row_runs, col_runs = (
+        [[line for _, line in run] for _, run in groupby(lines, key=lambda pair: pair[0])]
+        for lines in (row_lines, col_lines)
+    )
+    row_orders, col_orders = (
+        math.prod(math.factorial(len(run)) for run in runs) for runs in (row_runs, col_runs)
+    )
+    by_rows = row_orders < col_orders
+    return by_rows, min(
+        tuple(sorted(zip(*(line for part in choice for line in part)), reverse=True))
+        for choice in product(*(permutations(run) for run in (row_runs if by_rows else col_runs)))
+    )
+
+
 def reference_partition_pair_orbits(n):
-    """The generator with every generated matrix keyed by _orbit_key: the
-    same candidate rows and pruning, and the first matrix of each key in
-    generation order, turned into block masks the same way."""
+    """One pair (A, B) of set partitions of range(n), n >= 1, per orbit
+    under relabeling, their blocks as vertex masks: the generator that
+    extremal._ORBIT_MATRICES is printed from (orbit_matrices_literal).
+
+    A pair is fixed, up to a common relabeling, by its intersection
+    matrix M[i][j] = |A_i & B_j| taken up to row and column permutations:
+    a nonnegative integer matrix with entry sum n and no zero row or
+    column.  The permutation of M that is greatest in row-major order
+    has rows and columns in decreasing lex order (swapping a line with a
+    greater next one would make it greater), and no row, sorted, exceeds
+    its first row (moving that row first and sorting the columns by it
+    would).  Only matrices of that shape are generated, row by row, and
+    the first of each _orbit_key is kept (isomorph-free generation;
+    McKay, J. Algorithms 26, 1998).  Cell (i, j) takes the next M[i][j]
+    vertices.
+    """
     reps = {}
     for c in range(1, n + 1):
+        # candidate rows in decreasing lex order (an entry above n - c + 1
+        # would leave too little for the other columns), each with lt/gt,
+        # the adjacent column pairs (j, j + 1) it puts out of / in order;
+        # reach, one past its last nonzero entry; top, its entries sorted
         cands = [
             (v, sum(v), sum(1 << j for j in range(c - 1) if v[j] < v[j + 1]),
              sum(1 << j for j in range(c - 1) if v[j] > v[j + 1]),
@@ -444,6 +485,10 @@ def reference_partition_pair_orbits(n):
         ]
 
         def grow(start, left, rows, tied, covered):
+            # a column that is zero so far cannot precede a nonzero one (the
+            # order of the tied pair between them would fail), so the first
+            # `covered` columns are the nonzero ones, and each of the others
+            # needs one of the `left` units still to place
             if left == 0:
                 reps.setdefault(_orbit_key(sorted_lines(rows), sorted_lines(zip(*rows))), rows.copy())
                 return
@@ -472,15 +517,36 @@ def reference_partition_pair_orbits(n):
     return pairs
 
 
+def orbit_matrices(pairs):
+    """The pairs' intersection matrices M[i][j] = |A_i & B_j| written as in
+    extremal._ORBIT_MATRICES: one digit per entry, rows joined by "/",
+    matrices by spaces."""
+    return " ".join("/".join("".join(str((x & y).bit_count()) for y in b) for x in a) for a, b in pairs)
+
+
+def orbit_matrices_literal(text):
+    """The source of extremal._ORBIT_MATRICES holding text, in lines of at
+    most 100 columns."""
+    lines = textwrap.wrap(text, 93)
+    return "_ORBIT_MATRICES = (\n" + "".join(f'    "{line} "\n' for line in lines[:-1]) + f'    "{lines[-1]}"\n)\n'
+
+
+def orbit_pairs(n):
+    """The pairs perfect-2fn-equiv runs at n = 6 (its table), and the
+    reference's pairs below."""
+    return list(_orbit_pairs(boolcomb.extremal._ORBIT_MATRICES)) if n == 6 else reference_partition_pair_orbits(n)
+
+
 class TestPerfectOrbits:
-    """The orbit loop of perfect-2fn-equiv against the labeled loop it replaced."""
+    """The orbit loop of perfect-2fn-equiv, its table at n = 6 and the
+    reference's pairs at n <= 5, against the labeled loop it replaced."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_orbits_partition_the_labeled_pairs(self, n):
         # orbit-stabilizer: the orbits' sizes add up to Bell(n)^2, and together
         # they hold every labeled pair exactly once
         bell = sum(1 for _ in enumerate_members(EQUIVALENCE, n))
-        reps = _partition_pair_orbits(n)
+        reps = orbit_pairs(n)
         if n == 6:
             assert len(reps) == 298
         seen = set()
@@ -490,6 +556,18 @@ class TestPerfectOrbits:
             total += len(orbit)
             seen |= orbit
         assert total == len(seen) == bell**2
+
+    def test_table_matrices_have_the_generated_shape(self):
+        matrices = [
+            [tuple(map(int, row)) for row in matrix.split("/")]
+            for matrix in boolcomb.extremal._ORBIT_MATRICES.split()
+        ]
+        assert len(matrices) == 298
+        for rows in matrices:
+            cols = list(zip(*rows))
+            assert sum(map(sum, rows)) == 6, rows
+            assert all(map(any, rows)) and all(map(any, cols)), rows
+            assert rows == sorted(rows, reverse=True) and cols == sorted(cols, reverse=True), rows
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_orbit_loop_sees_every_image_class(self, monkeypatch, n):
@@ -504,20 +582,23 @@ class TestPerfectOrbits:
         labeled, orbits = set(), set()
         assert labeled_perfect_2fn_equiv(n, recorder(labeled)) is None
         monkeypatch.setattr(boolcomb.extremal, "is_perfect", recorder(orbits))
-        assert next(_perfect_2fn_equiv(0, n), None) is None
+        assert next(_perfect_pairs(n, reference_partition_pair_orbits(n)), None) is None
         assert orbits == labeled
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("edges", [None, 2, 5])
     def test_same_verdict_as_labeled_loop(self, monkeypatch, n, edges):
         # None: the real check; k: a planted stand-in that flags the images
-        # with k edges or k non-edges
+        # with k edges or k non-edges; n = 6 runs the check itself
         if edges is None:
             perfect = is_perfect
         else:
             perfect = lambda g: edges not in (g.edge_count, g.n * (g.n - 1) // 2 - g.edge_count)
         monkeypatch.setattr(boolcomb.extremal, "is_perfect", perfect)
-        found = next(_perfect_2fn_equiv(0, n), None)
+        if n == 6:
+            found = next(_perfect_2fn_equiv(0), None)
+        else:
+            found = next(_perfect_pairs(n, reference_partition_pair_orbits(n)), None)
         assert (found is None) == (labeled_perfect_2fn_equiv(n, perfect) is None)
         if found is not None:
             _perfect_result_recombines(found)
@@ -525,33 +606,18 @@ class TestPerfectOrbits:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_same_list_as_the_reference_generator(self, n):
-        # bucketing decides only where _orbit_key runs: the same pairs come
-        # back in the same order as when every matrix is keyed
-        assert _partition_pair_orbits(n) == reference_partition_pair_orbits(n)
-
-    def test_leaves_no_cycle_behind(self):
-        # the row search recurses; a cycle through a closure would hold
-        # every generated matrix until the cycle collector ran
-        gc.collect()
-        gc.disable()
-        try:
-            _partition_pair_orbits(6)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
-
-    def test_orbit_keys_only_where_shapes_collide(self, monkeypatch):
-        keyed = []
-
-        def counting(row_lines, col_lines):
-            keyed.append(row_lines)
-            return _orbit_key(row_lines, col_lines)
-
-        monkeypatch.setattr(boolcomb.extremal, "_orbit_key", counting)
-        assert len(_partition_pair_orbits(6)) == 298
-        # 188 of the 376 generated matrices share their sorted rows and
-        # sorted columns with another
-        assert len(keyed) == 188
+        # the check's decoder gives back the reference's pairs from their
+        # matrices; at n = 6 the table is the reference's text, pasted as
+        # orbit_matrices_literal prints it
+        reference = reference_partition_pair_orbits(n)
+        text = orbit_matrices(reference)
+        assert list(_orbit_pairs(text)) == reference
+        if n == 6:
+            literal = orbit_matrices_literal(text)
+            source = Path(boolcomb.extremal.__file__).read_text()
+            assert boolcomb.extremal._ORBIT_MATRICES == text and literal in source, (
+                f"paste into src/boolcomb/extremal.py:\n{literal}"
+            )
 
     def test_effort_guard(self, monkeypatch):
         calls, orbits, complements = [], [], []
@@ -560,8 +626,8 @@ class TestPerfectOrbits:
             calls.append(g)
             return is_perfect(g)
 
-        def recording(n):
-            orbits.append(_partition_pair_orbits(n))
+        def recording(matrices):
+            orbits.append(list(_orbit_pairs(matrices)))
             return orbits[-1]
 
         def complement_counting(g):
@@ -569,7 +635,7 @@ class TestPerfectOrbits:
             return complement(g)
 
         monkeypatch.setattr(boolcomb.extremal, "is_perfect", counting)
-        monkeypatch.setattr(boolcomb.extremal, "_partition_pair_orbits", recording)
+        monkeypatch.setattr(boolcomb.extremal, "_orbit_pairs", recording)
         monkeypatch.setattr(boolcomb.graphs, "complement", complement_counting)
         monkeypatch.setattr(boolcomb.invariants, "complement", complement_counting)
         assert verify_theorem("perfect-2fn-equiv").passed
