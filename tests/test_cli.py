@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolcomb.boolfn import BooleanFunction
-from boolcomb.cli import _SUBCOMMANDS, _parser, main
+from boolcomb.cli import _SUBCOMMANDS, _parser, cli_main, main
 from boolcomb.errors import MalformedInput
 from boolcomb.extremal import hnk
 from boolcomb.gformats import (
@@ -421,6 +421,53 @@ class TestLeadingDoubleDash:
         assert refusal in captured.err
 
 
+class TestArgparseBehaviours:
+    """What argparse does with argv that a hand-written reader could take
+    another way: positionals split by an option, an option missing its
+    value, a negative number, a repeated option, `=`-joined values and
+    abbreviations."""
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv, leftover", [
+        (["combine", "Dhc", "--op", "xor", "D~{"], "D~{"),
+        (["label", "CK", "--fn", "2:0x6", "CK"], "CK"),
+    ])
+    def test_an_option_ends_the_graphs(self, argv, leftover, capsys):
+        # argparse ends a nargs="+" positional at the first option, so the
+        # graph after the option is left over, not gathered
+        code, out, err = self.run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"\nboolcomb: error: unrecognized arguments: {leftover}\n")
+
+    def test_an_option_is_not_a_value(self, capsys):
+        code, out, err = self.run(["decompose", "--fn", "--method", "xornf", "Dhc"], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("\nboolcomb decompose: error: argument --fn: expected one argument\n")
+
+    def test_a_negative_number_reaches_the_handler(self, capsys):
+        assert self.run(["hnk", "-1", "3"], capsys) == (2, "", "error: H(n,k) needs n, k >= 0, got n=-1, k=3\n")
+
+    @pytest.mark.parametrize("first, last", [("1", "2"), ("2", "1")])
+    def test_a_repeated_option_takes_its_last_value(self, first, last, capsys):
+        # C5 has no equivalence witness at k <= 2, so the output names the kmax
+        argv = ["booldim", "--target", "Dhc", "--class", "equiv", "--kmax", first, "--kmax", last]
+        assert self.run(argv, capsys) == (0, f'{{"found": false, "exhausted_k": {last}}}\n', "")
+
+    @pytest.mark.parametrize("argv, full", [
+        (["combine", "--op=xor", "Dhc", "D~{"], ["combine", "--op", "xor", "Dhc", "D~{"]),
+        (["booldim", "--target", "Dhc", "--cl", "equiv", "--km", "2"],
+         ["booldim", "--target", "Dhc", "--class", "equiv", "--kmax", "2"]),
+    ])
+    def test_joined_and_abbreviated_options_read_as_spelled_out(self, argv, full, capsys):
+        want = self.run(full, capsys)
+        assert want[0] == 0 and want[1]
+        assert self.run(argv, capsys) == want
+
+
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
 
@@ -508,6 +555,56 @@ class TestCliContracts:
         first = capsys.readouterr().out
         main(["verify", "chain-sandwich", "--seed", "3"])
         assert capsys.readouterr().out == first
+
+
+class TestCliMainInProcess:
+    """`cli_main`, the console script, run in this process: it reads
+    sys.argv and leaves through SystemExit with `main`'s code."""
+
+    def run(self, monkeypatch, *args):
+        monkeypatch.setattr(sys, "argv", ["boolcomb", *args])
+        with pytest.raises(SystemExit) as exc:
+            cli_main()
+        return exc.value.code
+
+    def test_exit_codes_are_mains(self, monkeypatch, capsys):
+        assert self.run(monkeypatch, "params", "C~") == 0
+        assert capsys.readouterr().out.startswith('{"alpha": 1,')
+        assert self.run(monkeypatch, "params", "~~~~") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert self.run(monkeypatch, "params") == 2
+        assert "the following arguments are required: graph" in capsys.readouterr().err
+
+    def test_a_failed_check_exits_1(self, monkeypatch, capsys):
+        import boolcomb.cli as cli_mod
+        from boolcomb.extremal import TheoremCheck
+
+        def fake(theorem_id, seed):
+            return TheoremCheck(theorem_id, "forced failure", False, seed, counterexample={})
+
+        monkeypatch.setattr(cli_mod, "verify_theorem", fake)
+        assert self.run(monkeypatch, "verify", "speed-bound") == 1
+        assert json.loads(capsys.readouterr().out)[0]["passed"] is False
+
+    def test_a_closed_stdout_repoints_fd_1_and_exits_1(self, monkeypatch):
+        # the flush after the output meets a closed pipe: fd 1 goes to
+        # devnull, so the interpreter's own final flush cannot fail again
+        calls = []
+
+        class ClosedPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError
+
+            def fileno(self):
+                return 1
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(os, "open", lambda path, flags: calls.append(("open", path, flags)) or 97)
+        monkeypatch.setattr(os, "dup2", lambda fd, fd2: calls.append(("dup2", fd, fd2)))
+        code = self.run(monkeypatch, "params", "C~")
+        monkeypatch.undo()
+        assert code == 1
+        assert calls == [("open", os.devnull, os.O_WRONLY), ("dup2", 97, 1)]
 
 
 def _module_cli(*args: str) -> subprocess.Popen:
