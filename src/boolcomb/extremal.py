@@ -373,8 +373,14 @@ def _perfect_pairs(n: int, pairs: Iterable[tuple[list[int], list[int]]]) -> Iter
     and each of the 16 binary functions f."""
     full = (1 << (n * (n - 1) // 2)) - 1
     cache: dict[int, bool] = {}
+    # the pairs repeat partitions (93 distinct of the 596 at n = 6)
+    block_masks: dict[tuple[int, ...], int] = {}
     for blocks_a, blocks_b in pairs:
-        a, b = _block_mask(n, blocks_a), _block_mask(n, blocks_b)
+        key_a, key_b = tuple(blocks_a), tuple(blocks_b)
+        for key in (key_a, key_b):
+            if key not in block_masks:
+                block_masks[key] = _block_mask(n, key)
+        a, b = block_masks[key_a], block_masks[key_b]
         for table, out in enumerate(_images((a, b), full)):
             perfect = cache.get(out)
             if perfect is None:
@@ -432,18 +438,26 @@ def _nbhd_product(seed: int) -> Iterator[dict]:
     n = 10
     full = (1 << n) - 1
     ms = range(1, 5)
+    # the samples repeat graphs (h1 and h2 are images too), so each distinct
+    # one is built, validated and counted once a call
+    counts: dict[tuple[int, ...], list[int]] = {}
+
+    def nu(rows: tuple[int, ...]) -> list[int]:
+        found = counts.get(rows)
+        if found is None:
+            found = counts[rows] = _shatter_counts(Graph(n, rows), ms)
+        return found
+
     for s in range(25):
         h1 = random_member(EQUIVALENCE, n, seed + 31 * s)
         h2 = random_member(EQUIVALENCE, n, seed + 31 * s + 17)
-        nu1 = _shatter_counts(h1, ms)
-        nu2 = _shatter_counts(h2, ms)
+        nu1, nu2 = nu(h1.rows), nu(h2.rows)
         # row u of all 16 images f(h1, h2) at once, then one graph per f
         by_vertex = [_images((h1.rows[u], h2.rows[u]), full ^ 1 << u) for u in range(n)]
         for table, rows in enumerate(zip(*by_vertex)):
-            g = Graph(n, rows)
-            for m, nu_g in zip(ms, _shatter_counts(g, ms)):
+            for m, nu_g in zip(ms, nu(rows)):
                 # one vertex x has traces {} (from x) and {x} (iff x has a neighbour)
-                exact = m > 1 or nu_g == 1 + any(g.rows)
+                exact = m > 1 or nu_g == 1 + any(rows)
                 if not exact or nu_g > nu1[m - 1] * nu2[m - 1] or nu_g > (m + 1) ** 2:
                     yield {
                         "f": BooleanFunction(2, table).to_text(),

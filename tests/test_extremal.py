@@ -19,6 +19,7 @@ from boolcomb.classes import (
     at_most_edges,
     enumerate_members,
     is_member,
+    random_member,
 )
 from boolcomb.errors import BudgetExceeded, MalformedInput, SizeLimitExceeded, UnknownTheorem, UnsupportedExpression
 from boolcomb.extremal import (
@@ -642,6 +643,58 @@ class TestPerfectOrbits:
         assert len(calls) == 340
         assert [len(pairs) for pairs in orbits] == [298]
         assert complements == []
+
+
+class TestPerCallMemos:
+    """nbhd-product counts each distinct graph once a call, and
+    perfect-2fn-equiv makes each distinct partition's edge mask once,
+    with every image the check reads unchanged."""
+
+    @pytest.mark.parametrize("seed", [1729, 7001])
+    def test_nbhd_product_counts_each_graph_once(self, monkeypatch, seed):
+        counted = []
+        shatter = boolcomb.extremal._shatter_counts
+
+        def counting(g, ms):
+            counted.append(g.rows)
+            return shatter(g, ms)
+
+        monkeypatch.setattr(boolcomb.extremal, "_shatter_counts", counting)
+        assert list(boolcomb.extremal._nbhd_product(seed)) == []
+        # h1, h2 and their 16 images, built here with apply_boolean
+        want = set()
+        for s in range(25):
+            h1 = random_member(EQUIVALENCE, 10, seed + 31 * s)
+            h2 = random_member(EQUIVALENCE, 10, seed + 31 * s + 17)
+            want |= {h1.rows, h2.rows}
+            want |= {apply_boolean(f, [h1, h2]).rows for f in enumerate_functions(2)}
+        assert len(counted) == len(set(counted)) == len(want) < 25 * 18
+        assert set(counted) == want
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_perfect_pairs_reads_each_pairs_own_masks(self, monkeypatch, n):
+        seen, made = [], []
+        images, block_mask = boolcomb.extremal._images, boolcomb.extremal._block_mask
+
+        def recording(masks, full):
+            seen.append(tuple(masks))
+            return images(masks, full)
+
+        def making(size, blocks):
+            made.append(tuple(blocks))
+            return block_mask(size, blocks)
+
+        monkeypatch.setattr(boolcomb.extremal, "_images", recording)
+        monkeypatch.setattr(boolcomb.extremal, "_block_mask", making)
+        pairs = orbit_pairs(n)
+        assert list(_perfect_pairs(n, pairs)) == []
+        # the pair-by-pair reference, and one mask made per distinct partition
+        assert seen == [(_block_mask(n, a), _block_mask(n, b)) for a, b in pairs]
+        distinct = {tuple(blocks) for pair in pairs for blocks in pair}
+        assert len(made) == len(set(made)) == len(distinct)
+        assert set(made) == distinct
+        if n == 6:
+            assert (len(pairs), len(distinct)) == (298, 93)
 
 
 def _fake_witness(*args, **kwargs):
