@@ -282,23 +282,28 @@ def _refuting_set(
         C(n, 5) * C(m5 + k - 1, k) <= min(budget, C(m + k - 1, k)),
 
     with m5 = len(small.masks).  g[S]'s graph6 bits are read straight off
-    g's rows.  Before S is returned, k's budget check runs, so a refusal
-    is the one the search at k raises."""
+    g's rows, and each distinct g[S] is searched once: a pattern found
+    represented at this k is skipped after.  Before S is returned, k's
+    budget check runs, so a refusal is the one the search at k raises."""
     if small is None:
         return None
     scanned = comb(g.n, _SUBSET_N) * comb(len(small.masks) + k - 1, k)
     if scanned > budget or scanned > comb(m + k - 1, k):
         return None
     rows = g.rows
+    represented: set[int] = set()
     for s in combinations(range(g.n), _SUBSET_N):
         bits = 0
         for j in range(1, _SUBSET_N):
             row = rows[s[j]]
             for i in range(j):
                 bits = bits << 1 | row >> s[i] & 1
+        if bits in represented:
+            continue
         if _first_combo(small, bits, k, budget, last_part) is None:
             _check_budget(m, k, budget)
             return s
+        represented.add(bits)
     return None
 
 

@@ -32,7 +32,7 @@ from boolcomb.classes import (
     is_member,
 )
 from boolcomb.errors import BudgetExceeded
-from boolcomb.gformats import parse_graph
+from boolcomb.gformats import _graph6_bits, parse_graph
 from boolcomb.graphs import Graph, apply_boolean, combine, induced_subgraph
 
 from conftest import random_graph
@@ -175,6 +175,69 @@ class TestAgainstThePlainLoops:
         with pytest.raises(BudgetExceeded, match="^112805879 multisets of 3 from 877 candidates exceed the budget of 10{8}$"):
             boolean_dimension(parse_graph("FyNuO"), EQUIVALENCE, 3)
         assert sorted(set(asked)) == [(5, 2), (5, 3), (7, 1), (7, 3)]
+
+
+class TestEachPatternOnce:
+    """A scan searches each distinct g[S] once at each k: a pattern found
+    represented is skipped for the rest of that k's scan, and each k
+    starts with none found."""
+
+    def asked(self, monkeypatch, g, tag, k_max):
+        """{k: [target bits the scan searched]} and [(k, S the scan
+        returned)] over boolean_dimension(g, tag, k_max)."""
+        asked, returned = {}, []
+        first_combo, refuting_set = booldim._first_combo, booldim._refuting_set
+
+        def recording(p, target, k, *rest):
+            if p.n == booldim._SUBSET_N:
+                asked.setdefault(k, []).append(target)
+            return first_combo(p, target, k, *rest)
+
+        def returning(g, small, m, k, *rest):
+            s = refuting_set(g, small, m, k, *rest)
+            returned.append((k, s))
+            return s
+
+        monkeypatch.setattr(booldim, "_first_combo", recording)
+        monkeypatch.setattr(booldim, "_refuting_set", returning)
+        witness = boolean_dimension(g, tag, k_max)
+        monkeypatch.undo()
+        return witness, asked, returned
+
+    @staticmethod
+    def patterns(g):
+        """The graph6 bits of each g[S], S in combinations order."""
+        return [
+            int(_graph6_bits(induced_subgraph(g, s)), 2)
+            for s in itertools.combinations(range(g.n), booldim._SUBSET_N)
+        ]
+
+    def test_a_witnessed_scan_searches_each_pattern_once(self, monkeypatch):
+        # K7 on 0..6 plus the edge 67, the XOR of the equivalence graphs
+        # with blocks {0..6} and {6, 7}: each g[S] is K5 or K4 + K1 until
+        # S = {0, 1, 2, 6, 7}, where neither g[S] nor its complement is an
+        # equivalence graph.  So k = 1 searches three patterns, and k = 2
+        # finds every pattern represented, each searched once
+        g = Graph.from_edges(8, [*itertools.combinations(range(7), 2), (6, 7)])
+        witness, asked, returned = self.asked(monkeypatch, g, EQUIVALENCE, 2)
+        assert witness.k == 2
+        patterns = self.patterns(g)
+        first_seen = list(dict.fromkeys(patterns))
+        refuting = (0, 1, 2, 6, 7)
+        at = list(itertools.combinations(range(8), 5)).index(refuting)
+        assert asked == {1: list(dict.fromkeys(patterns[: at + 1])), 2: first_seen}
+        assert len(asked[1]) == 3 and len(first_seen) < len(patterns)
+        assert returned == [(1, refuting), (2, None)]
+
+    def test_a_refuted_pattern_is_searched_again_at_the_next_k(self, monkeypatch):
+        # a C5 on 0..4 and three isolated vertices: S = {0, ..., 4} refutes
+        # k = 1 and k = 2 alike, each scan searching that one pattern
+        g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        witness, asked, returned = self.asked(monkeypatch, g, EQUIVALENCE, 2)
+        c5 = self.patterns(g)[0]
+        assert witness is None
+        assert asked == {1: [c5], 2: [c5]}
+        assert returned == [(1, (0, 1, 2, 3, 4)), (2, (0, 1, 2, 3, 4))]
 
 
 class TestGuard:
